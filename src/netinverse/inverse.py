@@ -37,7 +37,7 @@ from .network import (
     path_cost,
     validate_path,
 )
-from .simplex import LinearProgram, Status, solve
+from .simplex import FEAS_TOL, LinearProgram, Status, solve
 
 _SNAP_TOL = 1e-9
 
@@ -67,6 +67,18 @@ def _restrict(net: Network, subnetwork: frozenset[LinkId] | None):
 
 def _snap(value: float) -> float:
     return 0.0 if abs(value) < _SNAP_TOL else value
+
+
+def _posterior(lid: LinkId, value: float) -> float:
+    """A posterior value, clamped to 0 when it is negative by rounding only.
+
+    The LP keeps each posterior ``>= 0`` to within ``FEAS_TOL``; a value that
+    lies further below zero means the solve itself went wrong.
+    """
+
+    if value < -FEAS_TOL:
+        raise SolverError(f"posterior for link {lid} is negative: {value:g}")
+    return value if value >= _SNAP_TOL else 0.0
 
 
 def infer_link_costs(
@@ -134,7 +146,9 @@ def infer_link_costs(
         raise SolverError(f"cost inverse failed unexpectedly: {solution.status.value}")
 
     posterior = {
-        l.id: _snap(prior[l.id] - solution.primal[f"e[{l.id}]"] + solution.primal[f"f[{l.id}]"])
+        l.id: _posterior(
+            l.id, prior[l.id] - solution.primal[f"e[{l.id}]"] + solution.primal[f"f[{l.id}]"]
+        )
         for l in links
     }
     potentials = {n: solution.primal[f"y[{n}]"] for n in nodes}
@@ -211,7 +225,9 @@ def infer_dual_prices(
         raise SolverError(f"price inverse failed: {solution.status.value}")
 
     posterior = {
-        lid: _snap(prior[lid] - solution.primal[f"e[{lid}]"] + solution.primal[f"f[{lid}]"])
+        lid: _posterior(
+            lid, prior[lid] - solution.primal[f"e[{lid}]"] + solution.primal[f"f[{lid}]"]
+        )
         for lid in priced_ids
     }
     potentials = {n: solution.primal[f"y[{n}]"] for n in nodes}

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -213,11 +214,14 @@ def recover_prices(
     groups = _group(observations)
     keys = sorted(groups, key=lambda k: (k[0].links, tuple(sorted(k[1])) if k[1] else ()))
 
+    # the consistency pass solves every group under prior0, which is exactly
+    # iteration 1's work: its results are reused there
     usable: list[_GroupKey] = []
+    first: list[InverseResult] = []
     skipped: list[str] = []
     for key in keys:
         try:
-            infer_dual_prices(net, costs, priced, prior0, key[0], key[1])
+            first.append(infer_dual_prices(net, costs, priced, prior0, key[0], key[1]))
             usable.append(key)
         except InconsistentObservation:
             skipped.extend(ob.agent_id for ob in groups[key])
@@ -236,9 +240,9 @@ def recover_prices(
     converged = False
     gap = float("inf")
     results: list[InverseResult] = []
-    for _ in range(max_iter):
+    for iteration in range(max_iter):
         prior = priors[-1]
-        results = _solve_groups(
+        results = first if iteration == 0 else _solve_groups(
             usable, lambda k: infer_dual_prices(net, costs, priced, prior, k[0], k[1]), jobs
         )
         mean = _weighted_mean(results, weights, priced_ids)
@@ -414,7 +418,15 @@ def save_state(state: OnlineState, path: FilePath | str) -> None:
         "update_count": state.update_count,
         "last_timestamp": state.last_timestamp,
     }
-    FilePath(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    # write beside the target, then rename over it: a run killed mid-write
+    # leaves the previous state file whole
+    target = FilePath(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_state(path: FilePath | str) -> OnlineState:

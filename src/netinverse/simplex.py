@@ -3,6 +3,10 @@
 Dense two-phase revised simplex, minimization only.  Built for desk-scale
 problems (up to a few hundred variables) where determinism, exact
 reproducibility, and availability of duals matter more than raw speed.
+The basis is held as a dense LU factorisation with product-form updates,
+refactorised every ``_REFACTOR_EVERY`` pivots.  Primal values, duals and
+the certificate come from a fresh LU of the final basis, so they never
+depend on the update history.
 
 Conventions
 -----------
@@ -23,6 +27,7 @@ NUMERICAL_FAILURE, never returned as if correct.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -32,12 +37,15 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SolverError
 
+logger = logging.getLogger(__name__)
+
 FEAS_TOL = 1e-8
 OPT_TOL = 1e-9
 GAP_TOL = 1e-7
 _PIVOT_TOL = 1e-10
 _DROP_TOL = 1e-7
 _MAX_PIVOTS = 100_000
+_REFACTOR_EVERY = 32  # pivots between fresh LU factorisations of the basis
 
 
 class Status(enum.Enum):
@@ -307,7 +315,13 @@ def _standardize(lp: LinearProgram) -> _Standardized:
 
 
 class _Pivoter:
-    """Shared pivoting loop for both simplex phases."""
+    """Shared pivoting loop for both simplex phases.
+
+    The basis is held in product form: an LU factorisation of the basis as it
+    stood at the last refactorisation, followed by an eta file with one entry
+    per pivot since then.  Entry ``(r, d)`` records that column ``r`` of the
+    basis was replaced by a column whose FTRAN'd image is ``d``.
+    """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, stall_limit: int):
         self.a = a
@@ -321,13 +335,16 @@ class _Pivoter:
         """Pivot until optimal or unbounded; returns 'optimal' or 'unbounded'."""
 
         a, b = self.a, self.b
-        m = len(basis)
+        etas: list[tuple[int, np.ndarray]] = []
+        lu = None
         while True:
             if self.pivots > _MAX_PIVOTS:
                 raise SolverError("pivot limit exceeded")
-            lu = lu_factor(a[:, basis])
-            x_b = lu_solve(lu, b)
-            y = lu_solve(lu, c[basis], trans=1)
+            if lu is None or len(etas) >= _REFACTOR_EVERY:
+                lu = lu_factor(a[:, basis])
+                etas.clear()
+                x_b = lu_solve(lu, b)
+            y = _btran(lu, etas, c[basis])
             reduced = c - a.T @ y
             candidates = np.flatnonzero((reduced < -OPT_TOL) & allowed)
             if candidates.size == 0:
@@ -337,7 +354,7 @@ class _Pivoter:
             else:
                 best = reduced[candidates].min()
                 enter = int(candidates[reduced[candidates] <= best + OPT_TOL][0])
-            direction = lu_solve(lu, a[:, enter])
+            direction = _ftran(lu, etas, a[:, enter])
             pos = np.flatnonzero(direction > _PIVOT_TOL)
             if pos.size == 0:
                 return "unbounded"
@@ -351,8 +368,32 @@ class _Pivoter:
                     self.bland = True
             else:
                 self.degenerate_run = 0
+            theta = x_b[leave] / direction[leave]
+            x_b -= theta * direction
+            x_b[leave] = theta
+            etas.append((leave, direction))
             basis[leave] = enter
             self.pivots += 1
+
+
+def _ftran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
+    """Solve ``B x = v`` for the basis held as ``lu`` plus the eta file."""
+
+    x = lu_solve(lu, v)
+    for r, d in etas:
+        xr = x[r] / d[r]
+        x -= xr * d
+        x[r] = xr
+    return x
+
+
+def _btran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
+    """Solve ``B' y = v`` for the basis held as ``lu`` plus the eta file."""
+
+    u = v.copy()
+    for r, d in reversed(etas):
+        u[r] = (u[r] - (d @ u - d[r] * u[r])) / d[r]
+    return lu_solve(lu, u, trans=1)
 
 
 def _drive_out_artificials(
@@ -565,8 +606,8 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     try:
         return _solve_once(lp, force_bland=False)
-    except SolverError:
-        pass
+    except SolverError as exc:
+        logger.warning("simplex solve failed (%s); restarting under Bland's rule", exc)
     try:
         return _solve_once(lp, force_bland=True)
     except SolverError:

@@ -133,6 +133,34 @@ class TestRecoverDuals:
         assert f"{final[1]:.6f}" == "7.000000"
         assert f"{final[7]:.6f}" == "5.000000"
 
+    def test_all_links_priced_converges_nonnegative(self, capsys, data_dir, tmp_path):
+        """One posterior lands a few 1e-9 below zero here; it must not abort the run."""
+
+        obs_file = tmp_path / "obs.csv"
+        code, _, _ = run(
+            capsys,
+            "simulate",
+            str(data_dir / "scenarios" / "flow_sampling_800.scn"),
+            "-o", str(obs_file),
+        )
+        assert code == 0
+        trace_dir = tmp_path / "trace"
+        code, out, err = run(
+            capsys,
+            "recover-duals",
+            str(data_dir / "nd_links.csv"),
+            str(obs_file),
+            "--priced", "all",
+            "-o", str(trace_dir),
+        )
+        assert code == 0, err
+        assert "converged: true" in (trace_dir / "summary.txt").read_text()
+        priors = list(csv.DictReader((trace_dir / "prior_trace.csv").open()))
+        posteriors = list(csv.DictReader((trace_dir / "agent_posteriors.csv").open()))
+        assert {int(r["link_id"]) for r in priors} == set(range(1, 20))
+        assert all(float(r["prior_value"]) >= 0.0 for r in priors)
+        assert all(float(r["value"]) >= 0.0 for r in posteriors)
+
     def test_bad_priced_ids(self, capsys, data_dir, tmp_path):
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(

@@ -6,11 +6,14 @@ and solves it with scipy's HiGHS backend, sharing neither formulation nor
 solver with the code under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from netinverse.errors import DataError, InconsistentObservation
+from netinverse import inverse
+from netinverse.errors import DataError, InconsistentObservation, SolverError
 from netinverse.flows import shortest_path
 from netinverse.inverse import infer_dual_prices, infer_link_costs
 from netinverse.network import (
@@ -21,6 +24,7 @@ from netinverse.network import (
     enumerate_paths,
     path_cost,
 )
+from netinverse.simplex import FEAS_TOL
 
 
 def oracle_cost_objective(net, prior, observed) -> float:
@@ -386,3 +390,42 @@ class TestInferDualPrices:
                         continue
                     assert oracle is not None
                     assert abs(mine.objective - oracle) < 1e-7, (od, observed.links)
+
+
+class TestRoundingBelowZero:
+    """Posteriors the LP leaves a rounding error below zero are clamped to 0."""
+
+    @staticmethod
+    def overshoot_decrease(monkeypatch, link_id, amount):
+        """Make the solver report link ``link_id``'s decrease ``amount`` too large."""
+
+        real = inverse._lexicographic_solve
+
+        def overshooting(lp, deviation, secondary):
+            solution = real(lp, deviation, secondary)
+            primal = dict(solution.primal)
+            primal[f"e[{link_id}]"] += amount
+            return dataclasses.replace(solution, primal=primal)
+
+        monkeypatch.setattr(inverse, "_lexicographic_solve", overshooting)
+
+    def test_price_clamped_within_feasibility_tolerance(self, toy_net, toy_priced, monkeypatch):
+        self.overshoot_decrease(monkeypatch, 1, 0.5 * FEAS_TOL)
+        result = infer_dual_prices(
+            toy_net, toy_net.base_costs(), toy_priced, {1: 0.0, 2: 0.0}, Path("O", "D", (1,))
+        )
+        assert result.posterior == {1: 0.0, 2: 0.0}
+
+    def test_cost_clamped_within_feasibility_tolerance(self, toy_net, monkeypatch):
+        self.overshoot_decrease(monkeypatch, 1, FEAS_TOL)
+        result = infer_link_costs(toy_net, {1: 0.0, 2: 1.0, 3: 2.0}, Path("O", "D", (1,)))
+        assert result.posterior == {1: 0.0, 2: 1.0, 3: 2.0}
+
+    def test_beyond_tolerance_is_a_solver_error(self, toy_net, toy_priced, monkeypatch):
+        self.overshoot_decrease(monkeypatch, 1, 10 * FEAS_TOL)
+        with pytest.raises(SolverError, match="posterior for link 1 is negative"):
+            infer_dual_prices(
+                toy_net, toy_net.base_costs(), toy_priced, {1: 0.0, 2: 0.0}, Path("O", "D", (1,))
+            )
+        with pytest.raises(SolverError, match="posterior for link 1 is negative"):
+            infer_link_costs(toy_net, {1: 0.0, 2: 1.0, 3: 2.0}, Path("O", "D", (1,)))

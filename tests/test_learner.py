@@ -1,9 +1,11 @@
 """Batch fixed-point runs, online updating, and exports."""
 
 import math
+from pathlib import Path as FilePath
 
 import pytest
 
+from netinverse import learner
 from netinverse.errors import NoUsableObservations
 from netinverse.flows import path_cost, shortest_path
 from netinverse.learner import (
@@ -120,6 +122,25 @@ class TestRecoverPrices:
             toy_observations(), toy_net, toy_net.base_costs(), toy_priced, jobs=3
         )
         assert seq.priors == par.priors
+
+    def test_each_group_solved_once_per_iteration(self, toy_net, monkeypatch):
+        """The consistency pass doubles as iteration 1: no group is solved twice."""
+
+        calls = []
+        real = learner.infer_dual_prices
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learner, "infer_dual_prices", counting)
+        obs = toy_observations() + [Observation("bad", Path("O", "D", (3,)), weight=1.0)]
+        priced = CapacitySpec.priced_only([1])
+        trace = recover_prices(obs, toy_net, toy_net.base_costs(), priced)
+        assert trace.skipped_agents == ("bad", "g3")
+        assert trace.iterations > 1
+        # two usable routes solved per iteration, plus the one inconsistent route once
+        assert len(calls) == 2 * trace.iterations + 1
 
     def test_trace_shape_invariant(self, toy_net, toy_priced):
         trace = recover_prices(
@@ -315,6 +336,26 @@ class TestExports:
         assert loaded.prices == state.prices
         assert loaded.update_count == 12
         assert loaded.last_timestamp == 33.0
+
+    def test_state_write_failing_part_way_keeps_previous_file(self, tmp_path, monkeypatch):
+        f = tmp_path / "state.json"
+        save_state(OnlineState({1: 7.0, 7: 5.0}, update_count=12, last_timestamp=33.0), f)
+        before = f.read_bytes()
+        write_text = FilePath.write_text
+
+        def fail_half_way(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(FilePath, "write_text", fail_half_way)
+        with pytest.raises(OSError, match="No space left"):
+            save_state(OnlineState({1: 9.0, 7: 1.0}, update_count=13), f)
+        monkeypatch.undo()
+        assert f.read_bytes() == before
+        loaded = load_state(f)
+        assert loaded.prices == {1: 7.0, 7: 5.0}
+        assert loaded.update_count == 12
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_online_log_file(self, toy_net, toy_priced, tmp_path):
         state = OnlineState({1: 0.0, 2: 0.0})

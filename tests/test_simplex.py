@@ -1,11 +1,14 @@
 """LP kernel: correctness against a vertex-enumeration oracle, duals, determinism."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from netinverse import simplex
+from netinverse.errors import SolverError
 from netinverse.simplex import FEAS_TOL, GAP_TOL, LinearProgram, Status, solve
 
 
@@ -262,3 +265,101 @@ class TestCertificates:
                 assert first.primal == second.primal
                 assert first.duals == second.duals
                 assert first.objective == second.objective
+
+
+def grid_price_inverse(k: int, rng: np.random.Generator):
+    """First-stage price-inverse LP on a bidirectional k-by-k grid.
+
+    Every link is priced from a zero prior, and the observed route runs
+    along two edges of the grid between opposite corners, so it has to be
+    priced into optimality against many shorter alternatives.  Returns the
+    LP with its decrease and increase variables.
+    """
+
+    links = []
+    for i in range(k):
+        for j in range(k):
+            for ni, nj in ((i + 1, j), (i, j + 1)):
+                if ni < k and nj < k:
+                    cost = float(rng.integers(5, 16))
+                    links.append(((i, j), (ni, nj), cost))
+                    links.append(((ni, nj), (i, j), cost))
+    lp = LinearProgram()
+    e = [lp.add_variable(f"e{n}", cost=1.0) for n in range(len(links))]
+    f = [lp.add_variable(f"f{n}", cost=1.0) for n in range(len(links))]
+    y = {(i, j): lp.add_variable(f"y{i}_{j}", lower=-math.inf) for i in range(k) for j in range(k)}
+    for n, (tail, head, cost) in enumerate(links):
+        lp.add_constraint({y[head]: 1.0, y[tail]: -1.0, e[n]: 1.0, f[n]: -1.0}, "<=", cost)
+        lp.add_constraint({e[n]: 1.0, f[n]: -1.0}, "<=", 0.0)
+    route = [(0, j) for j in range(k)] + [(i, k - 1) for i in range(1, k)]
+    index = {(tail, head): n for n, (tail, head, _) in enumerate(links)}
+    tight = {y[route[-1]]: 1.0, y[route[0]]: -1.0}
+    rhs = 0.0
+    for tail, head in zip(route, route[1:]):
+        n = index[(tail, head)]
+        tight[e[n]] = 1.0
+        tight[f[n]] = -1.0
+        rhs += links[n][2]
+    lp.add_constraint(tight, "=", rhs)
+    return lp, e, f
+
+
+class TestProductFormUpdates:
+    @staticmethod
+    def assert_same_as_refactorising(lp, monkeypatch):
+        """Solve with the default update interval and with one LU per pivot."""
+
+        updated = solve(lp)
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_REFACTOR_EVERY", 1)
+            refactorised = solve(lp)
+        assert updated.status is Status.OPTIMAL
+        assert updated.status is refactorised.status
+        assert updated.pivots == refactorised.pivots
+        assert updated.primal == refactorised.primal
+        assert updated.duals == refactorised.duals
+        assert updated.objective == refactorised.objective
+        assert updated.dual_objective == refactorised.dual_objective
+        return updated
+
+    def test_updates_match_refactorising_every_pivot(self, monkeypatch):
+        lp, e, f = grid_price_inverse(6, np.random.default_rng(1))
+        first = self.assert_same_as_refactorising(lp, monkeypatch)
+        # the lexicographic second stage, as the inverse problems run it
+        lp.add_constraint({j: 1.0 for j in e + f}, "<=", first.objective)
+        lp.set_objective({j: 1.0 for j in e})
+        second = self.assert_same_as_refactorising(lp, monkeypatch)
+        assert first.pivots + second.pivots > 4 * simplex._REFACTOR_EVERY
+
+
+class TestBlandRestart:
+    def test_first_failure_reason_is_logged(self, monkeypatch, caplog):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        real = simplex._solve_once
+        attempts = []
+
+        def fail_first(lp, force_bland):
+            attempts.append(force_bland)
+            if len(attempts) == 1:
+                raise SolverError("row 0 violated by 0.001")
+            return real(lp, force_bland)
+
+        monkeypatch.setattr(simplex, "_solve_once", fail_first)
+        with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
+            sol = solve(lp)
+        assert sol.status is Status.OPTIMAL
+        assert attempts == [False, True]
+        records = [r for r in caplog.records if r.name == "netinverse.simplex"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert "row 0 violated by 0.001" in records[0].getMessage()
+
+    def test_no_warning_without_restart(self, caplog):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
+            assert solve(lp).status is Status.OPTIMAL
+        assert not [r for r in caplog.records if r.name == "netinverse.simplex"]
