@@ -5,9 +5,9 @@ Subcommands::
     net validate <links_file>
     simulate <scenario_file> -o <obs_file>
     estimate-costs <links> <obs> --prior <value|file> [--tol T] [--max-iter N]
-                   [--jobs J] -o <trace_dir>
+                   -o <trace_dir>
     recover-duals <links> <obs> --priced <ids|all> [--prior <file|zeros>]
-                  [--tol T] [--max-iter N] [--jobs J] -o <trace_dir>
+                  [--tol T] [--max-iter N] -o <trace_dir>
     monitor <links> <obs_stream> --priced <ids|all> --state <state_file>
             -o <log_file>
 
@@ -73,7 +73,6 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--prior", required=True, help="scalar value or link_id,value file")
     p_est.add_argument("--tol", type=float, default=1e-3)
     p_est.add_argument("--max-iter", type=int, default=1000)
-    p_est.add_argument("--jobs", type=int, default=1)
     p_est.add_argument("-o", "--output", required=True, help="trace directory")
 
     p_rec = sub.add_parser("recover-duals", help="batch dual-price recovery")
@@ -84,7 +83,6 @@ def _build_parser() -> _Parser:
     # tight default so six-decimal trace output lands on the fixed point
     p_rec.add_argument("--tol", type=float, default=1e-7)
     p_rec.add_argument("--max-iter", type=int, default=1000)
-    p_rec.add_argument("--jobs", type=int, default=1)
     p_rec.add_argument("-o", "--output", required=True, help="trace directory")
 
     p_mon = sub.add_parser("monitor", help="online replay of an observation stream")
@@ -150,9 +148,7 @@ def _cmd_estimate_costs(args: argparse.Namespace) -> int:
         prior = {lid: float(args.prior) for lid in link_ids}
     except ValueError:
         prior = _load_prices(args.prior, link_ids)
-    trace = estimate_costs(
-        observations, net, prior, tol=args.tol, max_iter=args.max_iter, jobs=args.jobs
-    )
+    trace = estimate_costs(observations, net, prior, tol=args.tol, max_iter=args.max_iter)
     write_trace(trace, args.output)
     status = "converged" if trace.converged else "max-iter reached"
     print(f"{status} after {trace.iterations} iterations, final gap {trace.final_gap:g}")
@@ -174,7 +170,6 @@ def _cmd_recover_duals(args: argparse.Namespace) -> int:
         initial_prior=prior,
         tol=args.tol,
         max_iter=args.max_iter,
-        jobs=args.jobs,
     )
     write_trace(trace, args.output)
     status = "converged" if trace.converged else "max-iter reached"

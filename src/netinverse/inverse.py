@@ -1,30 +1,34 @@
-"""Per-agent inverse shortest-path problems.
+"""Per-agent inverse shortest-path problems: one model, two uses.
 
-Two variants are provided.  :func:`infer_link_costs` finds the link-cost
-vector nearest (in L1) to a common prior under which an observed route is a
-minimum-cost route.  :func:`infer_dual_prices` does the same for nonnegative
-surcharge prices on a designated subset of links, holding base costs fixed.
+Both public functions solve the L1 inverse shortest-path LP (Ahuja & Orlin,
+*Oper. Res.* 49(5), 2001): given fixed base costs, a set of adjustable
+links and a prior for them, find the adjustment nearest the prior in L1
+under which an observed route is a minimum-cost route, with every adjusted
+value kept nonnegative.  :func:`infer_link_costs` is the model with zero
+base costs and every link adjustable (heterogeneous link costs);
+:func:`infer_dual_prices` holds the base costs fixed and adjusts only the
+priced links (capacity surcharges).
 
-Both are linear programs over node potentials ``y`` (free), per-link
-decrease variables ``e`` and increase variables ``f`` (nonnegative):
-potentials are feasible when ``y[head] - y[tail]`` never exceeds the
-adjusted cost of a link, and the observed route is forced to optimality by
-requiring its adjusted cost to equal the potential difference between its
-endpoints.
+The LP is over node potentials ``y`` (free), per-link decrease variables
+``e`` and increase variables ``f`` (nonnegative): potentials are feasible
+when ``y[head] - y[tail]`` never exceeds the adjusted cost of a link, and
+the observed route is forced to optimality by requiring its adjusted cost
+to equal the potential difference between its endpoints.
 
 Alternative optima are pervasive (any route made optimal is typically made
 *tied*), so a deterministic representative matters.  A second solve pins it
-lexicographically: among all minimum-deviation solutions, the cost variant
-selects the one with the least total increase (perturbations stay on the
-observed route), while the price variant selects the one with the least
-total decrease (existing prices are preserved and competing routes are
-priced up).  Remaining ties are settled by the LP kernel's deterministic
-pivoting.
+lexicographically, minimising one deviation set among all minimum-deviation
+solutions: costs take the least total increase ``f`` (perturbations stay on
+the observed route), prices the least total decrease ``e`` (existing prices
+are preserved and competing routes are priced up).  Remaining ties are
+settled by the LP kernel's deterministic pivoting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable, Literal
 
 from .errors import DataError, InconsistentObservation, SolverError
 from .network import (
@@ -94,65 +98,8 @@ def infer_link_costs(
     feasible, because costs along the observed route can be driven to zero.
     """
 
-    validate_path(net, observed)
-    links, nodes = _restrict(net, subnetwork)
-    for link in links:
-        if link.id not in prior:
-            raise DataError(f"prior has no entry for link {link.id}")
-        if prior[link.id] < 0:
-            raise DataError(f"prior cost for link {link.id} is negative")
-
-    lp = LinearProgram()
-    e_var: dict[LinkId, int] = {}
-    f_var: dict[LinkId, int] = {}
-    for link in links:
-        e_var[link.id] = lp.add_variable(f"e[{link.id}]", cost=1.0)
-        f_var[link.id] = lp.add_variable(f"f[{link.id}]", cost=1.0)
-    y_var = {n: lp.add_variable(f"y[{n}]", lower=float("-inf")) for n in nodes}
-
-    for link in links:
-        # y[head] - y[tail] <= prior - e + f  (potential feasibility)
-        lp.add_constraint(
-            {
-                y_var[link.head]: 1.0,
-                y_var[link.tail]: -1.0,
-                e_var[link.id]: 1.0,
-                f_var[link.id]: -1.0,
-            },
-            "<=",
-            prior[link.id],
-            name=f"feas[{link.id}]",
-        )
-        # posterior stays nonnegative: e - f <= prior
-        lp.add_constraint(
-            {e_var[link.id]: 1.0, f_var[link.id]: -1.0},
-            "<=",
-            prior[link.id],
-            name=f"nonneg[{link.id}]",
-        )
-    # observed route attains the potential difference (optimality)
-    coeffs: dict[int, float] = {
-        y_var[observed.destination]: 1.0,
-        y_var[observed.origin]: -1.0,
-    }
-    for lid in observed.links:
-        coeffs[e_var[lid]] = coeffs.get(e_var[lid], 0.0) + 1.0
-        coeffs[f_var[lid]] = coeffs.get(f_var[lid], 0.0) - 1.0
-    lp.add_constraint(coeffs, "=", path_cost(net, prior, observed), name="tight")
-
-    deviation = [e_var[l.id] for l in links] + [f_var[l.id] for l in links]
-    solution = _lexicographic_solve(lp, deviation, secondary=[f_var[l.id] for l in links])
-    if solution.status is not Status.OPTIMAL:
-        raise SolverError(f"cost inverse failed unexpectedly: {solution.status.value}")
-
-    posterior = {
-        l.id: _posterior(
-            l.id, prior[l.id] - solution.primal[f"e[{l.id}]"] + solution.primal[f"f[{l.id}]"]
-        )
-        for l in links
-    }
-    potentials = {n: solution.primal[f"y[{n}]"] for n in nodes}
-    return InverseResult(posterior, _snap(solution.objective), potentials)
+    zero = {l.id: 0.0 for l in net.links}
+    return _inverse(net, zero, zero.keys(), prior, observed, subnetwork, tie_break="f")
 
 
 def infer_dual_prices(
@@ -171,16 +118,35 @@ def infer_dual_prices(
     is strictly longer than an alternative sharing no priced link).
     """
 
-    validate_path(net, observed)
     priced.validate_against(net)
+    return _inverse(net, costs, priced.priced_links(), prior, observed, subnetwork, tie_break="e")
+
+
+def _inverse(
+    net: Network,
+    costs: PriceVector,
+    adjustable: Iterable[LinkId],
+    prior: PriceVector,
+    observed: Path,
+    subnetwork: frozenset[LinkId] | None,
+    tie_break: Literal["e", "f"],
+) -> InverseResult:
+    """Build and solve the one inverse LP (see the module docstring).
+
+    Links of the subnetwork in ``adjustable`` cost ``costs + prior - e + f``;
+    the others keep ``costs``.  ``tie_break`` names the deviation set the
+    second stage minimises.
+    """
+
+    validate_path(net, observed)
     links, nodes = _restrict(net, subnetwork)
     link_ids = {l.id for l in links}
-    priced_ids = [lid for lid in priced.priced_links() if lid in link_ids]
+    priced_ids = [lid for lid in adjustable if lid in link_ids]
     for lid in priced_ids:
         if lid not in prior:
-            raise DataError(f"prior has no entry for priced link {lid}")
-        if prior[lid] < 0:
-            raise DataError(f"prior price for link {lid} is negative")
+            raise DataError(f"prior has no entry for link {lid}")
+        if not math.isfinite(prior[lid]) or prior[lid] < 0:
+            raise DataError(f"prior for link {lid} is negative or not finite: {prior[lid]}")
     for link in links:
         if link.id not in costs:
             raise DataError(f"no base cost for link {link.id}")
@@ -194,6 +160,7 @@ def infer_dual_prices(
     y_var = {n: lp.add_variable(f"y[{n}]", lower=float("-inf")) for n in nodes}
 
     for link in links:
+        # y[head] - y[tail] <= cost + prior - e + f  (potential feasibility)
         coeffs = {y_var[link.head]: 1.0, y_var[link.tail]: -1.0}
         rhs = costs[link.id]
         if link.id in e_var:
@@ -202,10 +169,11 @@ def infer_dual_prices(
             rhs += prior[link.id]
         lp.add_constraint(coeffs, "<=", rhs, name=f"feas[{link.id}]")
     for lid in priced_ids:
-        # price stays nonnegative: e - f <= prior
+        # posterior stays nonnegative: e - f <= prior
         lp.add_constraint(
             {e_var[lid]: 1.0, f_var[lid]: -1.0}, "<=", prior[lid], name=f"nonneg[{lid}]"
         )
+    # observed route attains the potential difference (optimality)
     coeffs = {y_var[observed.destination]: 1.0, y_var[observed.origin]: -1.0}
     rhs = path_cost(net, costs, observed)
     for lid in observed.links:
@@ -216,13 +184,14 @@ def infer_dual_prices(
     lp.add_constraint(coeffs, "=", rhs, name="tight")
 
     deviation = [e_var[lid] for lid in priced_ids] + [f_var[lid] for lid in priced_ids]
-    solution = _lexicographic_solve(lp, deviation, secondary=[e_var[lid] for lid in priced_ids])
+    secondary = e_var if tie_break == "e" else f_var
+    solution = _lexicographic_solve(lp, deviation, secondary=[secondary[lid] for lid in priced_ids])
     if solution.status is Status.INFEASIBLE:
         raise InconsistentObservation(
             f"route {observed.links} cannot be rationalized by pricing links {priced_ids}"
         )
     if solution.status is not Status.OPTIMAL:
-        raise SolverError(f"price inverse failed: {solution.status.value}")
+        raise SolverError(f"inverse problem failed: {solution.status.value}")
 
     posterior = {
         lid: _posterior(

@@ -2,7 +2,8 @@
 
 Batch mode repeatedly solves one inverse problem per agent against a common
 prior and replaces the prior with the weighted mean of the agents'
-posteriors, until the fixed point is reached:
+posteriors, until the fixed point is reached.  One loop serves both models;
+they differ in the inverse problem solved and in the stopping rule:
 
 * :func:`estimate_costs` learns heterogeneous link costs; it stops when the
   weighted posterior mean agrees with the prior componentwise within the
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Callable, Iterable, Sequence
@@ -89,8 +90,8 @@ class OnlineState:
 
     def __post_init__(self) -> None:
         for lid, value in self.prices.items():
-            if value < 0:
-                raise DataError(f"online price for link {lid} is negative")
+            if not math.isfinite(value) or value < 0:
+                raise DataError(f"online price for link {lid} is negative or not finite: {value}")
 
 
 def _group(observations: Sequence[Observation]) -> dict[_GroupKey, list[Observation]]:
@@ -98,17 +99,6 @@ def _group(observations: Sequence[Observation]) -> dict[_GroupKey, list[Observat
     for ob in observations:
         groups.setdefault((ob.path, ob.subnetwork), []).append(ob)
     return groups
-
-
-def _solve_groups(
-    keys: Sequence[_GroupKey],
-    solver: Callable[[_GroupKey], InverseResult],
-    jobs: int,
-) -> list[InverseResult]:
-    if jobs <= 1 or len(keys) <= 1:
-        return [solver(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(solver, keys))
 
 
 def _weighted_mean(
@@ -123,24 +113,40 @@ def _weighted_mean(
     }
 
 
-def estimate_costs(
-    observations: Sequence[Observation],
-    net: Network,
-    initial_prior: PriceVector,
-    tol: float = 1e-3,
-    max_iter: int = 1000,
-    jobs: int = 1,
-) -> FixedPointTrace:
-    """Learn per-agent link costs whose weighted mean is a fixed-point prior.
+def _mean_moved(
+    prior: PriceVector, mean: PriceVector, results: Sequence[InverseResult]
+) -> float:
+    """Cost stopping rule: the largest componentwise move of the prior."""
 
-    Every iteration solves the cost inverse for each distinct observed route
-    and replaces the prior with the flow-weighted mean of the posteriors.
-    Convergence means the mean moved less than ``tol`` in any component, at
-    which point each agent's observed route is optimal under that agent's
-    posterior and the posteriors average back to the common prior.
+    return max(abs(mean[lid] - prior[lid]) for lid in mean)
+
+
+def _agents_off_prior(
+    prior: PriceVector, mean: PriceVector, results: Sequence[InverseResult]
+) -> float:
+    """Price stopping rule: the largest deviation of any agent's posterior from the prior."""
+
+    return max(abs(res.posterior[lid] - prior[lid]) for res in results for lid in mean)
+
+
+def _fixed_point(
+    observations: Sequence[Observation],
+    link_ids: Sequence[LinkId],
+    inverse: Callable[[PriceVector, _GroupKey], InverseResult],
+    prior0: PriceVector,
+    tol: float,
+    max_iter: int,
+    gap: Callable[[PriceVector, PriceVector, Sequence[InverseResult]], float],
+) -> FixedPointTrace:
+    """Iterate the weighted mean of per-group posteriors until ``gap < tol``.
+
+    ``inverse(prior, (route, subnetwork))`` solves one group's inverse
+    problem.  Groups it finds inconsistent under ``prior0`` are dropped,
+    reported and logged; a batch with nothing left raises
+    :class:`~netinverse.errors.NoUsableObservations`.
     """
 
-    if tol <= 0:
+    if not tol > 0:
         raise DataError("tol must be positive")
     if max_iter < 1:
         raise DataError("max_iter must be at least 1")
@@ -148,80 +154,15 @@ def estimate_costs(
         raise NoUsableObservations("no observations supplied")
     groups = _group(observations)
     keys = sorted(groups, key=lambda k: (k[0].links, tuple(sorted(k[1])) if k[1] else ()))
-    weights = [sum(ob.weight for ob in groups[k]) for k in keys]
-    link_ids = [l.id for l in net.links]
-
-    priors: list[PriceVector] = [dict(initial_prior)]
-    converged = False
-    gap = float("inf")
-    results: list[InverseResult] = []
-    for _ in range(max_iter):
-        prior = priors[-1]
-        results = _solve_groups(
-            keys, lambda k: infer_link_costs(net, prior, k[0], k[1]), jobs
-        )
-        mean = _weighted_mean(results, weights, link_ids)
-        gap = max(abs(mean[lid] - prior[lid]) for lid in link_ids)
-        priors.append(mean)
-        if gap < tol:
-            converged = True
-            break
-
-    per_agent = {
-        ob.agent_id: dict(res.posterior)
-        for key, res in zip(keys, results)
-        for ob in groups[key]
-    }
-    return FixedPointTrace(
-        tuple(priors), per_agent, len(priors) - 1, converged, gap
-    )
-
-
-def recover_prices(
-    observations: Sequence[Observation],
-    net: Network,
-    costs: PriceVector,
-    priced: CapacitySpec,
-    initial_prior: PriceVector | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
-    jobs: int = 1,
-) -> FixedPointTrace:
-    """Recover the shared dual prices of the priced links from observed routes.
-
-    Starts from a zero prior unless one is supplied, iterates the weighted
-    mean of per-agent posteriors, and stops once every agent's posterior
-    matches the prior within ``tol`` (the homogeneous fixed point).
-    Observations no nonnegative pricing can explain are dropped and
-    reported; a batch with nothing left raises
-    :class:`~netinverse.errors.NoUsableObservations`.
-    """
-
-    if tol <= 0:
-        raise DataError("tol must be positive")
-    if max_iter < 1:
-        raise DataError("max_iter must be at least 1")
-    priced_ids = priced.priced_links()
-    prior0: PriceVector = (
-        {lid: 0.0 for lid in priced_ids} if initial_prior is None else dict(initial_prior)
-    )
-    for lid in priced_ids:
-        if lid not in prior0:
-            raise DataError(f"initial prior has no entry for priced link {lid}")
-        if prior0[lid] < 0:
-            raise DataError(f"initial prior must be >= 0 for priced link {lid}")
-
-    groups = _group(observations)
-    keys = sorted(groups, key=lambda k: (k[0].links, tuple(sorted(k[1])) if k[1] else ()))
 
     # the consistency pass solves every group under prior0, which is exactly
     # iteration 1's work: its results are reused there
     usable: list[_GroupKey] = []
-    first: list[InverseResult] = []
+    results: list[InverseResult] = []
     skipped: list[str] = []
     for key in keys:
         try:
-            first.append(infer_dual_prices(net, costs, priced, prior0, key[0], key[1]))
+            results.append(inverse(prior0, key))
             usable.append(key)
         except InconsistentObservation:
             skipped.extend(ob.agent_id for ob in groups[key])
@@ -238,19 +179,14 @@ def recover_prices(
 
     priors: list[PriceVector] = [prior0]
     converged = False
-    gap = float("inf")
-    results: list[InverseResult] = []
     for iteration in range(max_iter):
         prior = priors[-1]
-        results = first if iteration == 0 else _solve_groups(
-            usable, lambda k: infer_dual_prices(net, costs, priced, prior, k[0], k[1]), jobs
-        )
-        mean = _weighted_mean(results, weights, priced_ids)
-        gap = max(
-            abs(res.posterior[lid] - prior[lid]) for res in results for lid in priced_ids
-        )
+        if iteration:
+            results = [inverse(prior, key) for key in usable]
+        mean = _weighted_mean(results, weights, link_ids)
+        residual = gap(prior, mean, results)
         priors.append(mean)
-        if gap < tol:
+        if residual < tol:
             converged = True
             break
 
@@ -260,12 +196,65 @@ def recover_prices(
         for ob in groups[key]
     }
     return FixedPointTrace(
-        tuple(priors),
-        per_agent,
-        len(priors) - 1,
-        converged,
-        gap,
-        tuple(sorted(skipped)),
+        tuple(priors), per_agent, len(priors) - 1, converged, residual, tuple(sorted(skipped))
+    )
+
+
+def estimate_costs(
+    observations: Sequence[Observation],
+    net: Network,
+    initial_prior: PriceVector,
+    tol: float = 1e-3,
+    max_iter: int = 1000,
+) -> FixedPointTrace:
+    """Learn per-agent link costs whose weighted mean is a fixed-point prior.
+
+    Every iteration solves the cost inverse for each distinct observed route
+    and replaces the prior with the flow-weighted mean of the posteriors.
+    Convergence means the mean moved less than ``tol`` in any component, at
+    which point each agent's observed route is optimal under that agent's
+    posterior and the posteriors average back to the common prior.
+    """
+
+    return _fixed_point(
+        observations,
+        [l.id for l in net.links],
+        lambda prior, key: infer_link_costs(net, prior, key[0], key[1]),
+        dict(initial_prior),
+        tol,
+        max_iter,
+        _mean_moved,
+    )
+
+
+def recover_prices(
+    observations: Sequence[Observation],
+    net: Network,
+    costs: PriceVector,
+    priced: CapacitySpec,
+    initial_prior: PriceVector | None = None,
+    tol: float = 1e-6,
+    max_iter: int = 1000,
+) -> FixedPointTrace:
+    """Recover the shared dual prices of the priced links from observed routes.
+
+    Starts from a zero prior unless one is supplied, iterates the weighted
+    mean of per-agent posteriors, and stops once every agent's posterior
+    matches the prior within ``tol`` (the homogeneous fixed point).
+    Observations no nonnegative pricing can explain are dropped and
+    reported; a batch with nothing left raises
+    :class:`~netinverse.errors.NoUsableObservations`.
+    """
+
+    priced_ids = priced.priced_links()
+    return _fixed_point(
+        observations,
+        priced_ids,
+        lambda prior, key: infer_dual_prices(net, costs, priced, prior, key[0], key[1]),
+        {lid: 0.0 for lid in priced_ids} if initial_prior is None else dict(initial_prior),
+        tol,
+        max_iter,
+        _agents_off_prior,
     )
 
 
@@ -316,7 +305,12 @@ def run_monitor(
     costs: PriceVector,
     priced: CapacitySpec,
 ) -> OnlineState:
-    """Replay an observation stream through :func:`online_update`, in order."""
+    """Replay an observation stream through :func:`online_update`, in order.
+
+    Every observation is folded, whatever the state has seen before: resuming
+    on a stream already folded into ``state`` folds it again, and the log's
+    ``update_index`` continues from ``state.update_count``.
+    """
 
     for ob in observations:
         state = online_update(state, ob, net, costs, priced)

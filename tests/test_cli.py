@@ -103,6 +103,37 @@ class TestEstimateCosts:
         assert (trace_dir / "summary.txt").exists()
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scalar_prior_is_data_error(self, capsys, data_dir, tmp_path, value):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("agent_id,timestamp,origin,destination,link_seq\na,,1,4,1;4\n")
+        code, _, err = run(
+            capsys,
+            "estimate-costs",
+            str(data_dir / "fourlink_links.csv"),
+            str(obs_file),
+            "--prior", value,
+            "-o", str(tmp_path / "trace"),
+        )
+        assert code == 2, err
+        assert "not finite" in err
+
+    def test_nan_tol_is_data_error(self, capsys, data_dir, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("agent_id,timestamp,origin,destination,link_seq\na,,1,4,1;4\n")
+        code, _, err = run(
+            capsys,
+            "estimate-costs",
+            str(data_dir / "fourlink_links.csv"),
+            str(obs_file),
+            "--prior", "0.5",
+            "--tol", "nan",
+            "-o", str(tmp_path / "trace"),
+        )
+        assert code == 2, err
+        assert "tol must be positive" in err
+
+
 class TestRecoverDuals:
     def test_published_fixed_point(self, capsys, data_dir, tmp_path):
         obs_file = tmp_path / "obs.csv"
@@ -176,6 +207,25 @@ class TestRecoverDuals:
         )
         assert code == 2
 
+    def test_nan_in_prior_file_is_data_error(self, capsys, data_dir, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "agent_id,timestamp,origin,destination,link_seq\na,,1,2,2;18;11\n"
+        )
+        prior_file = tmp_path / "prior.csv"
+        prior_file.write_text("link_id,value\n1,0.5\n7,nan\n")
+        code, _, err = run(
+            capsys,
+            "recover-duals",
+            str(data_dir / "nd_links.csv"),
+            str(obs_file),
+            "--priced", "1,7",
+            "--prior", str(prior_file),
+            "-o", str(tmp_path / "t"),
+        )
+        assert code == 2, err
+        assert "not finite" in err
+
 
 class TestMonitor:
     def test_replay_equals_fold_and_state_resumes(self, capsys, data_dir, tmp_path):
@@ -215,7 +265,7 @@ class TestMonitor:
         assert len(log_rows) == 300 * 2  # one row per priced link per update
         assert {r["update_index"] for r in log_rows} == {str(i) for i in range(1, 301)}
 
-        # resuming from the saved state continues counting
+        # resuming on the same stream folds it again and continues counting
         second_log = tmp_path / "log2.csv"
         code, _, _ = run(
             capsys,
@@ -228,6 +278,9 @@ class TestMonitor:
         )
         assert code == 0
         assert load_state(state_file).update_count == 600
+        second_rows = list(csv.DictReader(second_log.open()))
+        assert second_rows[0]["update_index"] == "301"
+        assert {r["update_index"] for r in second_rows} == {str(i) for i in range(301, 601)}
 
     def test_incomplete_state_file_is_data_error(self, tmp_path, data_dir, capsys):
         state_file = tmp_path / "state.json"
@@ -267,3 +320,22 @@ class TestMonitor:
         payload = json.loads(state_file.read_text())
         assert set(payload["prices"]) == {"1", "7"}
         assert payload["update_count"] == 1
+
+    def test_nan_price_in_state_file_is_data_error(self, tmp_path, data_dir, capsys):
+        state_file = tmp_path / "state.json"
+        state_file.write_text('{"prices": {"1": NaN, "7": 0.0}, "update_count": 3}\n')
+        obs_file = tmp_path / "one.csv"
+        obs_file.write_text(
+            "agent_id,timestamp,origin,destination,link_seq\na,1,1,2,2;18;11\n"
+        )
+        code, _, err = run(
+            capsys,
+            "monitor",
+            str(data_dir / "nd_links.csv"),
+            str(obs_file),
+            "--priced", "1,7",
+            "--state", str(state_file),
+            "-o", str(tmp_path / "log.csv"),
+        )
+        assert code == 2, err
+        assert "not finite" in err

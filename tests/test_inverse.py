@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from netinverse import inverse
@@ -429,3 +431,63 @@ class TestRoundingBelowZero:
             )
         with pytest.raises(SolverError, match="posterior for link 1 is negative"):
             infer_link_costs(toy_net, {1: 0.0, 2: 1.0, 3: 2.0}, Path("O", "D", (1,)))
+
+
+@st.composite
+def small_instances(draw):
+    """A random connected network of 3-6 nodes, an observed route and a prior.
+
+    A tree out of node ``0`` keeps every node reachable; extra links add
+    alternative routes.  The route is any simple path from ``0``.
+    """
+
+    n = draw(st.integers(3, 6))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs += draw(st.lists(extra, max_size=6))
+    cost = st.floats(0.0, 5.0, allow_subnormal=False)
+    net = Network(Link(k + 1, str(a), str(b), draw(cost)) for k, (a, b) in enumerate(pairs))
+    routes = enumerate_paths(net, ("0", str(draw(st.integers(1, n - 1)))), 50)
+    observed = routes[draw(st.integers(0, len(routes) - 1))]
+    link_ids = [l.id for l in net.links]
+    priced = draw(st.lists(st.sampled_from(link_ids), min_size=1, unique=True))
+    prior = {lid: draw(cost) for lid in link_ids}
+    return net, observed, sorted(priced), prior
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+class TestInverseProperties:
+    """Both uses of the one inverse LP on random small connected networks."""
+
+    @PROPERTY_SETTINGS
+    @given(small_instances())
+    def test_cost_inverse(self, instance):
+        net, observed, _, prior = instance
+        result = infer_link_costs(net, prior, observed)
+        assert all(v >= 0.0 for v in result.posterior.values())
+        _, best = shortest_path(net, result.posterior, (observed.origin, observed.destination))
+        assert abs(path_cost(net, result.posterior, observed) - best) < 1e-7
+        assert abs(result.objective - oracle_cost_objective(net, prior, observed)) < 1e-7
+        assert infer_link_costs(net, prior, observed) == result
+
+    @PROPERTY_SETTINGS
+    @given(small_instances())
+    def test_price_inverse(self, instance):
+        net, observed, priced_ids, full_prior = instance
+        base = net.base_costs()
+        priced = CapacitySpec.priced_only(priced_ids)
+        prior = {lid: full_prior[lid] for lid in priced_ids}
+        oracle = oracle_price_objective(net, base, priced_ids, prior, observed)
+        try:
+            result = infer_dual_prices(net, base, priced, prior, observed)
+        except InconsistentObservation:
+            assert oracle is None
+            return
+        assert all(v >= 0.0 for v in result.posterior.values())
+        surcharged = {lid: c + result.posterior.get(lid, 0.0) for lid, c in base.items()}
+        _, best = shortest_path(net, surcharged, (observed.origin, observed.destination))
+        assert abs(path_cost(net, surcharged, observed) - best) < 1e-7
+        assert oracle is not None and abs(result.objective - oracle) < 1e-7
+        assert infer_dual_prices(net, base, priced, prior, observed) == result

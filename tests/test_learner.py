@@ -116,13 +116,6 @@ class TestRecoverPrices:
             for lid in (1, 2):
                 assert abs(a[lid] - b[lid]) < 1e-12
 
-    def test_jobs_parallel_same_result(self, toy_net, toy_priced):
-        seq = recover_prices(toy_observations(), toy_net, toy_net.base_costs(), toy_priced)
-        par = recover_prices(
-            toy_observations(), toy_net, toy_net.base_costs(), toy_priced, jobs=3
-        )
-        assert seq.priors == par.priors
-
     def test_each_group_solved_once_per_iteration(self, toy_net, monkeypatch):
         """The consistency pass doubles as iteration 1: no group is solved twice."""
 
