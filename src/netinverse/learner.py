@@ -141,8 +141,10 @@ def _fixed_point(
     """Iterate the weighted mean of per-group posteriors until ``gap < tol``.
 
     ``inverse(prior, (route, subnetwork))`` solves one group's inverse
-    problem.  Groups it finds inconsistent under ``prior0`` are dropped,
-    reported and logged; a batch with nothing left raises
+    problem.  An observation whose subnetwork leaves out one of ``link_ids``
+    raises :class:`~netinverse.errors.DataError` before any solve.  Groups
+    the inverse finds inconsistent under ``prior0`` are dropped, reported
+    and logged; a batch with nothing left raises
     :class:`~netinverse.errors.NoUsableObservations`.
     """
 
@@ -154,6 +156,15 @@ def _fixed_point(
         raise NoUsableObservations("no observations supplied")
     groups = _group(observations)
     keys = sorted(groups, key=lambda k: (k[0].links, tuple(sorted(k[1])) if k[1] else ()))
+    for route, subnetwork in keys:
+        # the inverse has no posterior for a link outside the subnetwork
+        missing = [lid for lid in link_ids if subnetwork is not None and lid not in subnetwork]
+        if missing:
+            agent = groups[route, subnetwork][0].agent_id
+            raise DataError(
+                f"observation {agent!r} has a subnetwork without links {missing}, "
+                "which the batch estimates"
+            )
 
     # the consistency pass solves every group under prior0, which is exactly
     # iteration 1's work: its results are reused there

@@ -8,6 +8,15 @@ refactorised every ``_REFACTOR_EVERY`` pivots.  Primal values, duals and
 the certificate come from a fresh LU of the final basis, so they never
 depend on the update history.
 
+Every factorisation and solve calls LAPACK ``getrf``/``getrs`` directly
+(looked up once at import), through :func:`_lu_factor` and
+:func:`_lu_solve`.  These are the routines ``scipy.linalg.lu_factor`` and
+``lu_solve`` call, without their per-call wrapper cost, so the arithmetic is
+the same.  A non-finite matrix or right-hand side and a nonzero LAPACK
+``info`` (from ``getrf``: an exactly singular basis) raise
+:class:`SolverError`, so :func:`solve` restarts under Bland's rule and, if
+that fails too, reports NUMERICAL_FAILURE.
+
 Conventions
 -----------
 * Objective sense is MIN.
@@ -19,9 +28,9 @@ Conventions
 * Leaving variable: minimum ratio, ties broken by lowest basis-variable
   index (Bland-compatible).
 
-Every OPTIMAL result is verified internally (feasibility, duality gap,
-complementary slackness); a result that cannot be certified is reported as
-NUMERICAL_FAILURE, never returned as if correct.
+Every OPTIMAL result is verified internally (finite values, feasibility,
+duality gap, complementary slackness); a result that cannot be certified is
+reported as NUMERICAL_FAILURE, never returned as if correct.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import SolverError
 
@@ -46,6 +55,8 @@ _PIVOT_TOL = 1e-10
 _DROP_TOL = 1e-7
 _MAX_PIVOTS = 100_000
 _REFACTOR_EVERY = 32  # pivots between fresh LU factorisations of the basis
+
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 class Status(enum.Enum):
@@ -237,66 +248,54 @@ def _standardize(lp: LinearProgram) -> _Standardized:
                 upper_rows.append((j, hi - lo))
 
     n_struct = len(col_var)
-    rows: list[np.ndarray] = []
+    cons = lp._constraints
+    m = len(cons) + len(upper_rows)
+    n_slack = sum(1 for con in cons if con.relation != "=") + len(upper_rows)
+    width = n_struct + n_slack
+    a = np.zeros((m, width))
     rhs: list[float] = []
-    relations: list[str] = []
-    row_origin: list[int] = []
-    bound_row_var: list[int] = []
+    relations = [con.relation for con in cons] + ["<="] * len(upper_rows)
+    row_origin = list(range(len(cons))) + [-1] * len(upper_rows)
+    bound_row_var = [-1] * len(cons) + [j for j, _ in upper_rows]
 
-    for i, con in enumerate(lp._constraints):
-        row = np.zeros(n_struct)
+    # every entry is written once into a zero matrix; ``0.0 +`` keeps the
+    # sign a zero product takes when accumulated into it
+    nz_row: list[int] = []
+    nz_col: list[int] = []
+    nz_val: list[float] = []
+    for i, con in enumerate(cons):
         shift_term = 0.0
-        for j, a in con.coeffs:
+        for j, coef in con.coeffs:
             for k in var_cols[j]:
-                row[k] += a * col_sign[k]
-            shift_term += a * col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
-        rows.append(row)
+                nz_row.append(i)
+                nz_col.append(k)
+                nz_val.append(0.0 + coef * col_sign[k])
+            shift_term += coef * col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
         rhs.append(con.rhs - shift_term)
-        relations.append(con.relation)
-        row_origin.append(i)
-        bound_row_var.append(-1)
-
-    for j, cap in upper_rows:
-        row = np.zeros(n_struct)
-        row[var_cols[j][0]] = 1.0
-        rows.append(row)
+    for i, (j, cap) in enumerate(upper_rows, start=len(cons)):
+        nz_row.append(i)
+        nz_col.append(var_cols[j][0])
+        nz_val.append(1.0)
         rhs.append(cap)
-        relations.append("<=")
-        row_origin.append(-1)
-        bound_row_var.append(j)
+    a[nz_row, nz_col] = nz_val
 
-    # normalize rhs >= 0
-    row_flip = []
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = -rows[i]
-            rhs[i] = -rhs[i]
-            relations[i] = {"<=": ">=", ">=": "<=", "=": "="}[relations[i]]
-            row_flip.append(True)
-        else:
-            row_flip.append(False)
-
-    # slack / surplus columns
-    m = len(rows)
-    slack_cols = sum(1 for r in relations if r in ("<=", ">="))
-    a = np.zeros((m, n_struct + slack_cols))
-    if m:
-        a[:, :n_struct] = np.vstack(rows)
+    # normalize rhs >= 0, then one slack (<=) or surplus (>=) column per inequality
+    row_flip = [False] * m
     slack_of_row = [-1] * m
     k = n_struct
-    for i, rel in enumerate(relations):
-        if rel == "<=":
-            a[i, k] = 1.0
-            slack_of_row[i] = k
-            k += 1
-        elif rel == ">=":
-            a[i, k] = -1.0
+    for i in range(m):
+        if rhs[i] < 0:
+            a[i, :n_struct] = -a[i, :n_struct]
+            rhs[i] = -rhs[i]
+            relations[i] = {"<=": ">=", ">=": "<=", "=": "="}[relations[i]]
+            row_flip[i] = True
+        if relations[i] != "=":
+            a[i, k] = 1.0 if relations[i] == "<=" else -1.0
             slack_of_row[i] = k
             k += 1
 
-    c = np.zeros(n_struct + slack_cols)
-    for k2 in range(n_struct):
-        c[k2] = lp._objective[col_var[k2]] * col_sign[k2]
+    c = np.zeros(width)
+    c[:n_struct] = [lp._objective[j] * sign for j, sign in zip(col_var, col_sign)]
 
     return _Standardized(
         a=a,
@@ -312,6 +311,39 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         n_structural=n_struct,
         const_offset=const_offset,
     )
+
+
+def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU-factorise the square matrix ``a`` with LAPACK ``getrf``.
+
+    Returns ``(lu, piv)`` as ``scipy.linalg.lu_factor`` does.
+    """
+
+    if not np.isfinite(a).all():
+        raise SolverError("basis matrix has a non-finite entry")
+    if a.size == 0:  # LAPACK rejects empty arguments
+        return a, np.zeros(0, dtype=np.int32)
+    lu, piv, info = _getrf(a)
+    if info > 0:
+        raise SolverError(f"basis matrix is singular (zero pivot {info})")
+    if info < 0:
+        raise SolverError(f"getrf rejected argument {-info}")
+    return lu, piv
+
+
+def _lu_solve(
+    lu_piv: tuple[np.ndarray, np.ndarray], v: np.ndarray, trans: int = 0
+) -> np.ndarray:
+    """Solve ``B x = v`` (``trans=1``: ``B' x = v``) from ``_lu_factor(B)``."""
+
+    if not np.isfinite(v).all():
+        raise SolverError("right-hand side has a non-finite entry")
+    if v.size == 0:
+        return v.copy()
+    x, info = _getrs(*lu_piv, v, trans=trans)
+    if info:
+        raise SolverError(f"getrs rejected argument {-info}")
+    return x
 
 
 class _Pivoter:
@@ -341,9 +373,9 @@ class _Pivoter:
             if self.pivots > _MAX_PIVOTS:
                 raise SolverError("pivot limit exceeded")
             if lu is None or len(etas) >= _REFACTOR_EVERY:
-                lu = lu_factor(a[:, basis])
+                lu = _lu_factor(a[:, basis])
                 etas.clear()
-                x_b = lu_solve(lu, b)
+                x_b = _lu_solve(lu, b)
             y = _btran(lu, etas, c[basis])
             reduced = c - a.T @ y
             candidates = np.flatnonzero((reduced < -OPT_TOL) & allowed)
@@ -379,7 +411,7 @@ class _Pivoter:
 def _ftran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
     """Solve ``B x = v`` for the basis held as ``lu`` plus the eta file."""
 
-    x = lu_solve(lu, v)
+    x = _lu_solve(lu, v)
     for r, d in etas:
         xr = x[r] / d[r]
         x -= xr * d
@@ -393,7 +425,7 @@ def _btran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
     u = v.copy()
     for r, d in reversed(etas):
         u[r] = (u[r] - (d @ u - d[r] * u[r])) / d[r]
-    return lu_solve(lu, u, trans=1)
+    return _lu_solve(lu, u, trans=1)
 
 
 def _drive_out_artificials(
@@ -415,10 +447,10 @@ def _drive_out_artificials(
         if not art_rows:
             return
         i = art_rows[0]
-        lu = lu_factor(std.a[:, basis])
+        lu = _lu_factor(std.a[:, basis])
         e = np.zeros(len(basis))
         e[i] = 1.0
-        w = lu_solve(lu, e, trans=1)
+        w = _lu_solve(lu, e, trans=1)
         tableau_row = w @ std.a[:, :n_real]
         eligible = [
             j
@@ -482,8 +514,8 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
         outcome = pivoter.run(c1, basis, allowed)
         if outcome != "optimal":
             raise SolverError("phase 1 reported unbounded")
-        lu = lu_factor(a_full[:, basis])
-        x_b = lu_solve(lu, std.b)
+        lu = _lu_factor(a_full[:, basis])
+        x_b = _lu_solve(lu, std.b)
         infeas = sum(x_b[i] for i in range(m) if basis[i] >= n_real)
         if infeas > FEAS_TOL * max(1.0, float(np.max(std.b, initial=0.0))):
             return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
@@ -502,13 +534,13 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     if outcome == "unbounded":
         return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
 
-    lu = lu_factor(a_full[:, basis])
-    x_b = lu_solve(lu, std.b)
+    lu = _lu_factor(a_full[:, basis])
+    x_b = _lu_solve(lu, std.b)
     x = np.zeros(n_real)
     for i, col in enumerate(basis):
         if col < n_real:
             x[col] = x_b[i]
-    y = lu_solve(lu, c2[basis], trans=1)
+    y = _lu_solve(lu, c2[basis], trans=1)
 
     primal = _recover_primal(lp, std, x)
     objective = sum(lp._objective[j] * primal[lp._variables[j].name] for j in range(lp.num_variables))
@@ -570,6 +602,9 @@ def _dual_objective(
 
 def _verify(lp: LinearProgram, sol: LpSolution) -> None:
     x = [sol.primal[v.name] for v in lp._variables]
+    # every comparison below is false for NaN, so non-finite values must fail first
+    if not all(map(math.isfinite, (sol.objective, sol.dual_objective, *sol.duals, *x))):
+        raise SolverError("certificate has a non-finite value")
     scale = max(1.0, max((abs(c.rhs) for c in lp._constraints), default=1.0))
     for i, con in enumerate(lp._constraints):
         lhs = sum(a * x[j] for j, a in con.coeffs)

@@ -4,9 +4,11 @@ import math
 from pathlib import Path as FilePath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netinverse import learner
-from netinverse.errors import NoUsableObservations
+from netinverse.errors import DataError, NoUsableObservations
 from netinverse.flows import path_cost, shortest_path
 from netinverse.learner import (
     OnlineState,
@@ -21,7 +23,7 @@ from netinverse.learner import (
     write_online_log,
     write_trace,
 )
-from netinverse.network import CapacitySpec, Observation, Path
+from netinverse.network import CapacitySpec, Link, Network, Observation, Path, enumerate_paths
 
 
 def toy_observations(weights=(100.0, 200.0, 100.0)):
@@ -361,3 +363,98 @@ class TestExports:
         lines = f.read_text().splitlines()
         assert lines[0] == "update_index,timestamp,agent_id,objective,link_id,prior_after"
         assert lines[1] == "1,1,a,5,1,3"
+
+
+class TestSubnetworkCoverage:
+    """A batch observation whose subnetwork leaves out an estimated link."""
+
+    NET = Network([Link(1, "a", "b", 1.0), Link(2, "a", "b", 2.0), Link(3, "b", "c", 1.0)])
+    OBS = [Observation("short-sighted", Path("a", "c", (2, 3)), subnetwork=frozenset({2, 3}))]
+
+    def test_estimate_costs(self, monkeypatch):
+        monkeypatch.setattr(learner, "infer_link_costs", self.no_solve)
+        with pytest.raises(DataError, match=r"'short-sighted'.*without links \[1\]"):
+            estimate_costs(self.OBS, self.NET, {1: 0.5, 2: 0.5, 3: 0.5})
+
+    def test_recover_prices(self, monkeypatch):
+        monkeypatch.setattr(learner, "infer_dual_prices", self.no_solve)
+        priced = CapacitySpec.priced_only([1, 2])
+        with pytest.raises(DataError, match=r"'short-sighted'.*without links \[1\]"):
+            recover_prices(self.OBS, self.NET, self.NET.base_costs(), priced)
+
+    @staticmethod
+    def no_solve(*args):
+        raise AssertionError("the batch solved an inverse before checking its observations")
+
+
+@st.composite
+def batch_instances(draw):
+    """A random connected network of 3-6 nodes, agents observed on routes
+    between one OD pair, priced links and a prior."""
+
+    n = draw(st.integers(3, 6))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs += draw(st.lists(extra, max_size=6))
+    cost = st.floats(0.0, 5.0, allow_subnormal=False)
+    net = Network(Link(k + 1, str(a), str(b), draw(cost)) for k, (a, b) in enumerate(pairs))
+    # the OD pair with the most routes out of node 0, so agents can disagree
+    routes = max((enumerate_paths(net, ("0", str(d)), 50) for d in range(1, n)), key=len)
+    picked = draw(st.permutations(routes))[: draw(st.integers(1, 4))]
+    observations = [
+        Observation(f"a{agent}", route, weight=draw(st.floats(1.0, 100.0)))
+        for agent, route in enumerate(picked)
+    ]
+    link_ids = [l.id for l in net.links]
+    priced = draw(st.lists(st.sampled_from(link_ids), min_size=1, unique=True))
+    prior = {lid: draw(cost) for lid in link_ids}
+    return net, observations, sorted(priced), prior
+
+
+def assert_routes_shortest(net, observations, trace, surcharge):
+    """Every kept agent's route is shortest under its own posterior."""
+
+    for ob in observations:
+        if ob.agent_id in trace.skipped_agents:
+            continue
+        posterior = trace.per_agent_posteriors[ob.agent_id]
+        assert all(v >= 0.0 for v in posterior.values())
+        costs = surcharge(posterior)
+        _, best = shortest_path(net, costs, (ob.path.origin, ob.path.destination))
+        assert abs(path_cost(net, costs, ob.path) - best) < 1e-7
+
+
+BATCH_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+class TestBatchFoldProperties:
+    """Both batch fixed points on random small connected networks."""
+
+    @BATCH_SETTINGS
+    @given(batch_instances())
+    def test_estimate_costs(self, instance):
+        net, observations, _, prior = instance
+        trace = estimate_costs(observations, net, prior, max_iter=50)
+        assert all(v >= 0.0 for p in trace.priors for v in p.values())
+        assert_routes_shortest(net, observations, trace, lambda posterior: posterior)
+        assert estimate_costs(observations, net, prior, max_iter=50) == trace
+
+    @BATCH_SETTINGS
+    @given(batch_instances())
+    def test_recover_prices(self, instance):
+        net, observations, priced_ids, full_prior = instance
+        base = net.base_costs()
+        priced = CapacitySpec.priced_only(priced_ids)
+        prior = {lid: full_prior[lid] for lid in priced_ids}
+        try:
+            trace = recover_prices(observations, net, base, priced, prior, max_iter=50)
+        except NoUsableObservations:
+            return
+        assert all(v >= 0.0 for p in trace.priors for v in p.values())
+        assert_routes_shortest(
+            net,
+            observations,
+            trace,
+            lambda posterior: {lid: c + posterior.get(lid, 0.0) for lid, c in base.items()},
+        )
+        assert recover_prices(observations, net, base, priced, prior, max_iter=50) == trace

@@ -363,3 +363,156 @@ class TestBlandRestart:
         with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
             assert solve(lp).status is Status.OPTIMAL
         assert not [r for r in caplog.records if r.name == "netinverse.simplex"]
+
+
+def well_conditioned(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((n, n)) + n * np.eye(n)
+
+
+class TestLapackKernel:
+    """The direct ``getrf``/``getrs`` helpers against scipy's wrappers."""
+
+    @pytest.mark.parametrize("n", [5, 20, 450])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_bit_identical_to_scipy(self, n, trans):
+        from scipy.linalg import lu_factor, lu_solve
+
+        rng = np.random.default_rng(n)
+        a = well_conditioned(n, rng)
+        b = rng.standard_normal(n)
+        expected = lu_factor(a)
+        lu = simplex._lu_factor(a)
+        assert np.array_equal(lu[0], expected[0])
+        assert np.array_equal(lu[1], expected[1])
+        assert np.array_equal(simplex._lu_solve(lu, b, trans), lu_solve(expected, b, trans))
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(SolverError, match="singular"):
+            simplex._lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_non_finite_input_raises(self):
+        a = well_conditioned(5, np.random.default_rng(0))
+        lu = simplex._lu_factor(a)
+        rhs = np.ones(5)
+        rhs[2] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            simplex._lu_solve(lu, rhs)
+        with pytest.raises(SolverError, match="non-finite"):
+            simplex._lu_solve(lu, rhs, trans=1)
+        a[1, 3] = np.inf
+        with pytest.raises(SolverError, match="non-finite"):
+            simplex._lu_factor(a)
+
+    def test_every_row_redundant_leaves_an_empty_basis(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        lp.add_constraint({x: 0.0}, "=", 0.0)
+        sol = solve(lp)
+        assert sol.status is Status.OPTIMAL
+        assert sol.primal == {"x": 0.0} and sol.duals == (0.0,)
+
+    def test_nan_rhs_is_a_numerical_failure(self, monkeypatch):
+        real = simplex._standardize
+
+        def poisoned(lp):
+            std = real(lp)
+            std.b[0] = np.nan
+            return std
+
+        monkeypatch.setattr(simplex, "_standardize", poisoned)
+        assert solve(self.two_row_lp()).status is Status.NUMERICAL_FAILURE
+
+    def test_singular_factor_is_a_numerical_failure(self, monkeypatch):
+        real = simplex._getrf
+
+        def zero_pivot(a):
+            lu, piv, _ = real(a)
+            return lu, piv, 1
+
+        monkeypatch.setattr(simplex, "_getrf", zero_pivot)
+        assert solve(self.two_row_lp()).status is Status.NUMERICAL_FAILURE
+
+    @staticmethod
+    def two_row_lp() -> LinearProgram:
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        lp.add_constraint({x: 1.0}, "<=", 3.0)
+        lp.add_constraint({x: 1.0}, ">=", 1.0)
+        return lp
+
+
+def reference_standardize(lp: LinearProgram):
+    """Row-by-row standard form: one zero row per constraint, then a stack."""
+
+    std = simplex._standardize(lp)  # column bookkeeping only
+    var_cols: dict[int, list[int]] = {}
+    for k, j in enumerate(std.col_var):
+        var_cols.setdefault(j, []).append(k)
+    rows, rhs, relations = [], [], []
+    for con in lp._constraints:
+        row = np.zeros(std.n_structural)
+        shift_term = 0.0
+        for j, a in con.coeffs:
+            for k in var_cols[j]:
+                row[k] += a * std.col_sign[k]
+            shift_term += a * std.col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
+        rows.append(row)
+        rhs.append(con.rhs - shift_term)
+        relations.append(con.relation)
+    for j in std.bound_row_var[lp.num_constraints:]:
+        row = np.zeros(std.n_structural)
+        row[var_cols[j][0]] = 1.0
+        rows.append(row)
+        v = lp._variables[j]
+        rhs.append(v.upper - v.lower)
+        relations.append("<=")
+    for i in range(len(rows)):
+        if rhs[i] < 0:
+            rows[i] = -rows[i]
+            rhs[i] = -rhs[i]
+            relations[i] = {"<=": ">=", ">=": "<=", "=": "="}[relations[i]]
+    slacks = [r for r in relations if r != "="]
+    a = np.zeros((len(rows), std.n_structural + len(slacks)))
+    if rows:
+        a[:, : std.n_structural] = np.vstack(rows)
+    k = std.n_structural
+    for i, rel in enumerate(relations):
+        if rel != "=":
+            a[i, k] = 1.0 if rel == "<=" else -1.0
+            k += 1
+    return std, a, np.asarray(rhs, dtype=float)
+
+
+class TestStandardForm:
+    def test_one_matrix_equals_row_by_row_build(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            lp = LinearProgram()
+            n = int(rng.integers(1, 6))
+            for j in range(n):
+                kind = int(rng.integers(0, 4))
+                lower, upper = [(0.0, math.inf), (-math.inf, math.inf), (-math.inf, 2.0), (-1.0, 3.0)][kind]
+                lp.add_variable(f"x{j}", lower, upper, cost=float(rng.uniform(-2, 2)))
+            for _ in range(int(rng.integers(0, 6))):
+                picked = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                coeffs = {int(j): float(rng.choice([0.0, -0.0, rng.uniform(-3, 3)])) for j in picked}
+                lp.add_constraint(coeffs, str(rng.choice(["<=", ">=", "="])), float(rng.uniform(-4, 4)))
+            std, a, b = reference_standardize(lp)
+            assert np.array_equal(std.a, a) and np.array_equal(np.signbit(std.a), np.signbit(a))
+            assert np.array_equal(std.b, b) and np.array_equal(np.signbit(std.b), np.signbit(b))
+
+
+class TestVerify:
+    def test_nan_certificate_is_rejected(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        nan = math.nan
+        sol = simplex.LpSolution(Status.OPTIMAL, nan, {"x": nan}, (nan,), nan)
+        with pytest.raises(SolverError, match="non-finite"):
+            simplex._verify(lp, sol)
+        # one non-finite value among finite ones is enough
+        sol = simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (math.inf,), 3.0)
+        with pytest.raises(SolverError, match="non-finite"):
+            simplex._verify(lp, sol)
+        simplex._verify(lp, simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (1.0,), 3.0))
