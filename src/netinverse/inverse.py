@@ -41,7 +41,7 @@ from .network import (
     path_cost,
     validate_path,
 )
-from .simplex import FEAS_TOL, LinearProgram, Status, solve
+from .simplex import FEAS_TOL, LinearProgram, PivotMemo, Status, solve
 
 _SNAP_TOL = 1e-9
 
@@ -90,16 +90,18 @@ def infer_link_costs(
     prior: PriceVector,
     observed: Path,
     subnetwork: frozenset[LinkId] | None = None,
+    memo: PivotMemo | None = None,
 ) -> InverseResult:
     """L1-nearest nonnegative cost vector to ``prior`` rationalizing ``observed``.
 
     The observed route need only tie the optimum; strict preference is not
     required (and is unattainable at an L1 minimum).  This problem is always
     feasible, because costs along the observed route can be driven to zero.
+    ``memo`` is passed to the LP solves (see :func:`_lexicographic_solve`).
     """
 
     zero = {l.id: 0.0 for l in net.links}
-    return _inverse(net, zero, zero.keys(), prior, observed, subnetwork, tie_break="f")
+    return _inverse(net, zero, zero.keys(), prior, observed, subnetwork, "f", memo)
 
 
 def infer_dual_prices(
@@ -109,6 +111,7 @@ def infer_dual_prices(
     prior: PriceVector,
     observed: Path,
     subnetwork: frozenset[LinkId] | None = None,
+    memo: PivotMemo | None = None,
 ) -> InverseResult:
     """L1-nearest nonnegative prices on the priced links rationalizing ``observed``.
 
@@ -116,10 +119,11 @@ def infer_dual_prices(
     move.  Raises :class:`InconsistentObservation` when no nonnegative
     pricing can make the observed route optimal (for example, a route that
     is strictly longer than an alternative sharing no priced link).
+    ``memo`` is passed to the LP solves (see :func:`_lexicographic_solve`).
     """
 
     priced.validate_against(net)
-    return _inverse(net, costs, priced.priced_links(), prior, observed, subnetwork, tie_break="e")
+    return _inverse(net, costs, priced.priced_links(), prior, observed, subnetwork, "e", memo)
 
 
 def _inverse(
@@ -130,6 +134,7 @@ def _inverse(
     observed: Path,
     subnetwork: frozenset[LinkId] | None,
     tie_break: Literal["e", "f"],
+    memo: PivotMemo | None,
 ) -> InverseResult:
     """Build and solve the one inverse LP (see the module docstring).
 
@@ -185,7 +190,7 @@ def _inverse(
 
     deviation = [e_var[lid] for lid in priced_ids] + [f_var[lid] for lid in priced_ids]
     secondary = e_var if tie_break == "e" else f_var
-    solution = _lexicographic_solve(lp, deviation, secondary=[secondary[lid] for lid in priced_ids])
+    solution = _lexicographic_solve(lp, deviation, [secondary[lid] for lid in priced_ids], memo)
     if solution.status is Status.INFEASIBLE:
         raise InconsistentObservation(
             f"route {observed.links} cannot be rationalized by pricing links {priced_ids}"
@@ -203,21 +208,30 @@ def _inverse(
     return InverseResult(posterior, _snap(solution.objective), potentials)
 
 
-def _lexicographic_solve(lp: LinearProgram, deviation: list[int], secondary: list[int]):
+def _lexicographic_solve(
+    lp: LinearProgram, deviation: list[int], secondary: list[int], memo: PivotMemo | None
+):
     """Minimize total deviation, then the given subset of deviation variables.
 
     The second stage restricts to the first stage's optimal set (total
     deviation pinned at its minimum) and minimizes the secondary sum alone,
     selecting a reproducible representative among alternative optima.
     Mutates ``lp``; callers construct a fresh program per solve.
+
+    Both stages are solved with ``memo``.  Across the iterations of a fixed
+    point, one agent group's two LPs keep their matrix and costs and change
+    only their right-hand sides (the prior, and the stage-1 minimum in the
+    second stage's extra row), so one memo per group lets every re-solve
+    replay the pivot decisions of the last one while the new right-hand side
+    leads to the same choices.  The results are the same with or without it.
     """
 
-    first = solve(lp)
+    first = solve(lp, memo)
     if first.status is not Status.OPTIMAL or not secondary:
         return first
     lp.add_constraint({j: 1.0 for j in deviation}, "<=", first.objective, name="stage1")
     lp.set_objective({j: 1.0 for j in secondary})
-    second = solve(lp)
+    second = solve(lp, memo)
     if second.status is not Status.OPTIMAL:
         return first
     # report the first-stage objective: the deviation metric, not the tie-break

@@ -42,6 +42,7 @@ from .network import (
     Path,
     PriceVector,
 )
+from .simplex import PivotMemo
 
 logger = logging.getLogger(__name__)
 
@@ -132,7 +133,7 @@ def _agents_off_prior(
 def _fixed_point(
     observations: Sequence[Observation],
     link_ids: Sequence[LinkId],
-    inverse: Callable[[PriceVector, _GroupKey], InverseResult],
+    inverse: Callable[[PriceVector, _GroupKey, PivotMemo], InverseResult],
     prior0: PriceVector,
     tol: float,
     max_iter: int,
@@ -140,8 +141,13 @@ def _fixed_point(
 ) -> FixedPointTrace:
     """Iterate the weighted mean of per-group posteriors until ``gap < tol``.
 
-    ``inverse(prior, (route, subnetwork))`` solves one group's inverse
-    problem.  An observation whose subnetwork leaves out one of ``link_ids``
+    ``inverse(prior, (route, subnetwork), memo)`` solves one group's inverse
+    problem.  Each group gets its own :class:`~netinverse.simplex.PivotMemo`
+    for the run: only the prior changes between iterations, and it enters
+    the group's LPs only through their right-hand sides, so each re-solve
+    replays the last one's pivot decisions as far as they still hold, with
+    the same results as without a memo.  The memos are dropped on return.
+    An observation whose subnetwork leaves out one of ``link_ids``
     raises :class:`~netinverse.errors.DataError` before any solve.  Groups
     the inverse finds inconsistent under ``prior0`` are dropped, reported
     and logged; a batch with nothing left raises
@@ -169,12 +175,15 @@ def _fixed_point(
     # the consistency pass solves every group under prior0, which is exactly
     # iteration 1's work: its results are reused there
     usable: list[_GroupKey] = []
+    memos: list[PivotMemo] = []
     results: list[InverseResult] = []
     skipped: list[str] = []
     for key in keys:
+        memo = PivotMemo()
         try:
-            results.append(inverse(prior0, key))
+            results.append(inverse(prior0, key, memo))
             usable.append(key)
+            memos.append(memo)
         except InconsistentObservation:
             skipped.extend(ob.agent_id for ob in groups[key])
     if not usable:
@@ -193,7 +202,7 @@ def _fixed_point(
     for iteration in range(max_iter):
         prior = priors[-1]
         if iteration:
-            results = [inverse(prior, key) for key in usable]
+            results = [inverse(prior, key, memo) for key, memo in zip(usable, memos)]
         mean = _weighted_mean(results, weights, link_ids)
         residual = gap(prior, mean, results)
         priors.append(mean)
@@ -230,7 +239,7 @@ def estimate_costs(
     return _fixed_point(
         observations,
         [l.id for l in net.links],
-        lambda prior, key: infer_link_costs(net, prior, key[0], key[1]),
+        lambda prior, key, memo: infer_link_costs(net, prior, key[0], key[1], memo),
         dict(initial_prior),
         tol,
         max_iter,
@@ -261,7 +270,9 @@ def recover_prices(
     return _fixed_point(
         observations,
         priced_ids,
-        lambda prior, key: infer_dual_prices(net, costs, priced, prior, key[0], key[1]),
+        lambda prior, key, memo: infer_dual_prices(
+            net, costs, priced, prior, key[0], key[1], memo
+        ),
         {lid: 0.0 for lid in priced_ids} if initial_prior is None else dict(initial_prior),
         tol,
         max_iter,
@@ -279,15 +290,17 @@ def online_update(
     """Fold one observation into the online price state.
 
     The newly arrived agent's inverse problem is solved from the current
-    prices and its posterior becomes the new common prior.  An observation
-    that cannot be rationalized leaves the prices unchanged and is logged as
-    skipped.  A route that is already optimal under the current prices also
-    leaves them unchanged (its minimum deviation is zero).
+    prices and its posterior becomes the new common prior.  The posterior
+    covers the priced links of the observation's subnetwork; priced links
+    outside it keep their current prices.  An observation that cannot be
+    rationalized leaves the prices unchanged and is logged as skipped.  A
+    route that is already optimal under the current prices also leaves them
+    unchanged (its minimum deviation is zero).
     """
 
     try:
         result = infer_dual_prices(net, costs, priced, state.prices, ob.path, ob.subnetwork)
-        prices = dict(result.posterior)
+        prices = {**state.prices, **result.posterior}
         entry = OnlineLogEntry(
             state.update_count + 1, ob.agent_id, ob.timestamp, result.objective, prices
         )

@@ -6,7 +6,10 @@ reproducibility, and availability of duals matter more than raw speed.
 The basis is held as a dense LU factorisation with product-form updates,
 refactorised every ``_REFACTOR_EVERY`` pivots.  Primal values, duals and
 the certificate come from a fresh LU of the final basis, so they never
-depend on the update history.
+depend on the update history.  Each solve keeps the LU it factorised last,
+so a basis is not factorised again while it stays unchanged between the
+pivot loop, the phase-1 infeasibility test, the removal of artificials,
+phase 2's start and the certificate.
 
 Every factorisation and solve calls LAPACK ``getrf``/``getrs`` directly
 (looked up once at import), through :func:`_lu_factor` and
@@ -16,6 +19,29 @@ the same.  A non-finite matrix or right-hand side and a nonzero LAPACK
 ``info`` (from ``getrf``: an exactly singular basis) raise
 :class:`SolverError`, so :func:`solve` restarts under Bland's rule and, if
 that fails too, reports NUMERICAL_FAILURE.
+
+Re-solves with a changed right-hand side
+----------------------------------------
+A caller that solves one LP many times with only the right-hand side ``b``
+changing (the inverse problems of a fixed point, whose prior enters only
+through ``b``) can pass the same :class:`PivotMemo` to every :func:`solve`.
+The memo holds what depends only on the standardised matrix ``A``, the costs
+``c`` and the sequence of bases: the LU of each factorised basis, each
+pricing step's outcome (the entering column or "optimal", with its FTRAN'd
+column) keyed by the basis at the last refactorisation, the ``(leave,
+enter)`` pairs since then, the Bland flag and the phase, and the final
+duals keyed by the final basis.  Everything that depends on ``b`` is
+computed on every solve: basic values, the ratio test and leaving choice,
+the degeneracy counter and the Bland switch, the phase-1 infeasibility
+test, primal values, objectives and the certificate check.  A re-solve thus
+follows a recorded path only while its own ``b`` makes the same leaving
+choices; the first different choice reaches a state the memo does not hold,
+and from there it computes as a solve without a memo does.  The values it
+takes from the memo are the ones it would have computed, so every pivot and
+every result is the same, bit for bit, with or without a memo.  A record is
+used only while ``A`` (with its artificial columns), ``c``, the starting
+basis and the Bland flag equal the recorded ones exactly; otherwise it is
+replaced.  The memo keeps only the states the latest solve of each LP used.
 
 Conventions
 -----------
@@ -346,47 +372,153 @@ def _lu_solve(
     return x
 
 
+class PivotMemo:
+    """Pivot decisions of earlier solves, replayed by re-solves of the same LP.
+
+    Pass one memo to every :func:`solve` of LPs that differ only in their
+    right-hand sides; what it reuses and why the results cannot change is
+    set out in the module docstring.  ``steps_reused`` and
+    ``steps_computed`` count the pricing steps taken from the memo and
+    computed afresh over its lifetime.
+    """
+
+    def __init__(self) -> None:
+        self._records: dict[tuple, _Record] = {}
+        self.steps_reused = 0
+        self.steps_computed = 0
+
+    def __len__(self) -> int:
+        """The number of states held: LU factorisations, pricing steps, duals."""
+
+        return sum(len(r.lus) + len(r.steps) + len(r.duals) for r in self._records.values())
+
+
+@dataclass
+class _Record:
+    """The states one solve of one LP used, with what they depend on."""
+
+    a: np.ndarray
+    c: np.ndarray
+    basis: list[int]
+    lus: dict = field(default_factory=dict)    # basis -> LU
+    steps: dict = field(default_factory=dict)  # ((phase, basis), pairs, bland) -> (enter, column)
+    duals: dict = field(default_factory=dict)  # final basis -> y
+
+
+class _Replay:
+    """One solve's use of a memo.
+
+    Looks states up in the LP's last record and records every state this
+    solve uses in a new record, which replaces the last one at once.
+    """
+
+    def __init__(
+        self,
+        memo: PivotMemo,
+        a: np.ndarray,
+        c: np.ndarray,
+        n_real: int,
+        basis: list[int],
+        bland: bool,
+    ):
+        key = (a.shape, n_real, bland)
+        old = memo._records.get(key)
+        if old is not None and not (
+            np.array_equal(old.a, a) and np.array_equal(old.c, c) and old.basis == basis
+        ):
+            old = None
+        self.memo = memo
+        self.old = old
+        self.new = memo._records[key] = _Record(a, c, list(basis))
+
+    def recall(self, table: str, key, compute):
+        """State ``key`` of ``table`` from the memo if it holds it, else ``compute()``."""
+
+        new = getattr(self.new, table)
+        if key not in new:
+            old = getattr(self.old, table, {})  # {} when there is no old record
+            reused = key in old
+            new[key] = old[key] if reused else compute()
+            if table == "steps":
+                if reused:
+                    self.memo.steps_reused += 1
+                else:
+                    self.memo.steps_computed += 1
+        return new[key]
+
+
+class _Compute:
+    """Stands in for :class:`_Replay` when there is no memo: computes every state."""
+
+    @staticmethod
+    def recall(table: str, key, compute):
+        return compute()
+
+
 class _Pivoter:
     """Shared pivoting loop for both simplex phases.
 
     The basis is held in product form: an LU factorisation of the basis as it
     stood at the last refactorisation, followed by an eta file with one entry
     per pivot since then.  Entry ``(r, d)`` records that column ``r`` of the
-    basis was replaced by a column whose FTRAN'd image is ``d``.
+    basis was replaced by a column whose FTRAN'd image is ``d``.  The LU
+    factorised last is kept with its basis, so asking again for the LU of an
+    unchanged basis does not factorise it again.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, stall_limit: int):
+    def __init__(self, a: np.ndarray, b: np.ndarray, stall_limit: int, replay):
         self.a = a
         self.b = b
         self.stall_limit = stall_limit
+        self.replay = replay
         self.bland = False
         self.degenerate_run = 0
         self.pivots = 0
+        self._lu_basis: tuple[int, ...] | None = None
+        self._lu = None
 
-    def run(self, c: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
+    def factor(self, basis: list[int]):
+        """The LU of the basis matrix ``a[:, basis]``."""
+
+        key = tuple(basis)
+        if key != self._lu_basis:
+            self._lu = self.replay.recall("lus", key, lambda: _lu_factor(self.a[:, basis]))
+            self._lu_basis = key
+        return self._lu
+
+    def drop_row(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Continue on ``a`` and ``b``, which lack one row of the ones held so far.
+
+        Which row goes depends on the basis phase 1 ended on, so a recorded
+        state keyed by a basis of the smaller matrix may belong to another
+        row's removal: the rest of the solve computes every state.
+        """
+
+        self.a, self.b = a, b
+        self.replay = _Compute()
+
+    def run(self, c: np.ndarray, basis: list[int], allowed: np.ndarray, phase: int) -> str:
         """Pivot until optimal or unbounded; returns 'optimal' or 'unbounded'."""
 
-        a, b = self.a, self.b
+        b = self.b
         etas: list[tuple[int, np.ndarray]] = []
         lu = None
         while True:
             if self.pivots > _MAX_PIVOTS:
                 raise SolverError("pivot limit exceeded")
             if lu is None or len(etas) >= _REFACTOR_EVERY:
-                lu = _lu_factor(a[:, basis])
+                lu = self.factor(basis)
                 etas.clear()
                 x_b = _lu_solve(lu, b)
-            y = _btran(lu, etas, c[basis])
-            reduced = c - a.T @ y
-            candidates = np.flatnonzero((reduced < -OPT_TOL) & allowed)
-            if candidates.size == 0:
+                root = (phase, tuple(basis))
+                pairs: tuple[tuple[int, int], ...] = ()
+            enter, direction = self.replay.recall(
+                "steps",
+                (root, pairs, self.bland),
+                lambda: self._price(c, lu, etas, basis, allowed),
+            )
+            if enter < 0:
                 return "optimal"
-            if self.bland:
-                enter = int(candidates[0])
-            else:
-                best = reduced[candidates].min()
-                enter = int(candidates[reduced[candidates] <= best + OPT_TOL][0])
-            direction = _ftran(lu, etas, a[:, enter])
             pos = np.flatnonzero(direction > _PIVOT_TOL)
             if pos.size == 0:
                 return "unbounded"
@@ -404,8 +536,24 @@ class _Pivoter:
             x_b -= theta * direction
             x_b[leave] = theta
             etas.append((leave, direction))
+            pairs += ((leave, enter),)
             basis[leave] = enter
             self.pivots += 1
+
+    def _price(self, c, lu, etas, basis, allowed) -> tuple[int, np.ndarray | None]:
+        """The entering column and its FTRAN'd image, or ``(-1, None)`` at the optimum."""
+
+        y = _btran(lu, etas, c[basis])
+        reduced = c - self.a.T @ y
+        candidates = np.flatnonzero((reduced < -OPT_TOL) & allowed)
+        if candidates.size == 0:
+            return -1, None
+        if self.bland:
+            enter = int(candidates[0])
+        else:
+            best = reduced[candidates].min()
+            enter = int(candidates[reduced[candidates] <= best + OPT_TOL][0])
+        return enter, _ftran(lu, etas, self.a[:, enter])
 
 
 def _ftran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
@@ -432,7 +580,7 @@ def _drive_out_artificials(
     std: _Standardized,
     basis: list[int],
     n_real: int,
-    art_of_row: list[int],
+    pivoter: _Pivoter,
 ) -> None:
     """Pivot artificial variables out of the basis; drop redundant rows.
 
@@ -447,7 +595,7 @@ def _drive_out_artificials(
         if not art_rows:
             return
         i = art_rows[0]
-        lu = _lu_factor(std.a[:, basis])
+        lu = pivoter.factor(basis)
         e = np.zeros(len(basis))
         e[i] = 1.0
         w = _lu_solve(lu, e, trans=1)
@@ -469,11 +617,12 @@ def _drive_out_artificials(
         std.bound_row_var = [std.bound_row_var[k] for k in keep]
         std.slack_of_row = [std.slack_of_row[k] for k in keep]
         del basis[i]
+        pivoter.drop_row(std.a, std.b)
         # artificial column indices shift as rows disappear; art columns are
         # only referenced through `basis`, which no longer contains this one
 
 
-def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
+def _solve_once(lp: LinearProgram, force_bland: bool, memo: PivotMemo | None) -> LpSolution:
     std = _standardize(lp)
     m, n_real = std.a.shape[0], std.a.shape[1]
 
@@ -502,7 +651,11 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
         if art_of_row[i] >= 0:
             a_full[i, art_of_row[i]] = 1.0
 
-    pivoter = _Pivoter(a_full, std.b, stall_limit=max(50, 2 * m))
+    if memo is None:
+        replay = _Compute()
+    else:
+        replay = _Replay(memo, a_full, std.c, n_real, basis, force_bland)
+    pivoter = _Pivoter(a_full, std.b, stall_limit=max(50, 2 * m), replay=replay)
     pivoter.bland = force_bland
     std.a = a_full
 
@@ -511,36 +664,33 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
         c1[n_real:] = 1.0
         allowed = np.zeros(a_full.shape[1], dtype=bool)
         allowed[:n_real] = True
-        outcome = pivoter.run(c1, basis, allowed)
+        outcome = pivoter.run(c1, basis, allowed, phase=1)
         if outcome != "optimal":
             raise SolverError("phase 1 reported unbounded")
-        lu = _lu_factor(a_full[:, basis])
-        x_b = _lu_solve(lu, std.b)
+        x_b = _lu_solve(pivoter.factor(basis), std.b)
         infeas = sum(x_b[i] for i in range(m) if basis[i] >= n_real)
         if infeas > FEAS_TOL * max(1.0, float(np.max(std.b, initial=0.0))):
             return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
-        _drive_out_artificials(std, basis, n_real, art_of_row)
+        _drive_out_artificials(std, basis, n_real, pivoter)
         a_full = std.a
         m = a_full.shape[0]
-        pivoter.a = a_full
-        pivoter.b = std.b
 
     # phase 2
     c2 = np.zeros(a_full.shape[1])
     c2[:n_real] = std.c
     allowed = np.zeros(a_full.shape[1], dtype=bool)
     allowed[:n_real] = True
-    outcome = pivoter.run(c2, basis, allowed)
+    outcome = pivoter.run(c2, basis, allowed, phase=2)
     if outcome == "unbounded":
         return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
 
-    lu = _lu_factor(a_full[:, basis])
+    lu = pivoter.factor(basis)
     x_b = _lu_solve(lu, std.b)
     x = np.zeros(n_real)
     for i, col in enumerate(basis):
         if col < n_real:
             x[col] = x_b[i]
-    y = _lu_solve(lu, c2[basis], trans=1)
+    y = pivoter.replay.recall("duals", tuple(basis), lambda: _lu_solve(lu, c2[basis], trans=1))
 
     primal = _recover_primal(lp, std, x)
     objective = sum(lp._objective[j] * primal[lp._variables[j].name] for j in range(lp.num_variables))
@@ -630,20 +780,23 @@ def _verify(lp: LinearProgram, sol: LpSolution) -> None:
         raise SolverError(f"duality gap {gap:g} exceeds tolerance")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
+def solve(lp: LinearProgram, memo: PivotMemo | None = None) -> LpSolution:
     """Solve a minimization LP, returning a certified solution.
 
     OPTIMAL results carry primal values, one dual per constraint, and a
     verified duality gap.  INFEASIBLE and UNBOUNDED results carry no
     certificates.  A solve that cannot be certified even after restarting
     under Bland's rule returns NUMERICAL_FAILURE rather than a wrong answer.
+    ``memo`` lets a re-solve of the same LP with another right-hand side
+    replay the pivot decisions of earlier solves; the result is the same
+    with or without it (see the module docstring).
     """
 
     try:
-        return _solve_once(lp, force_bland=False)
+        return _solve_once(lp, False, memo)
     except SolverError as exc:
         logger.warning("simplex solve failed (%s); restarting under Bland's rule", exc)
     try:
-        return _solve_once(lp, force_bland=True)
+        return _solve_once(lp, True, memo)
     except SolverError:
         return LpSolution(Status.NUMERICAL_FAILURE)

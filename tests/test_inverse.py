@@ -403,8 +403,8 @@ class TestRoundingBelowZero:
 
         real = inverse._lexicographic_solve
 
-        def overshooting(lp, deviation, secondary):
-            solution = real(lp, deviation, secondary)
+        def overshooting(lp, deviation, secondary, memo):
+            solution = real(lp, deviation, secondary, memo)
             primal = dict(solution.primal)
             primal[f"e[{link_id}]"] += amount
             return dataclasses.replace(solution, primal=primal)

@@ -1,5 +1,6 @@
 """Batch fixed-point runs, online updating, and exports."""
 
+import dataclasses
 import math
 from pathlib import Path as FilePath
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from netinverse import learner
 from netinverse.errors import DataError, NoUsableObservations
-from netinverse.flows import path_cost, shortest_path
+from netinverse.flows import path_cost, shortest_path, solve_multicommodity
 from netinverse.learner import (
     OnlineState,
     estimate_costs,
@@ -24,6 +25,8 @@ from netinverse.learner import (
     write_trace,
 )
 from netinverse.network import CapacitySpec, Link, Network, Observation, Path, enumerate_paths
+from netinverse.scenarios import decompose_path_flows
+from netinverse.simplex import PivotMemo
 
 
 def toy_observations(weights=(100.0, 200.0, 100.0)):
@@ -276,6 +279,19 @@ class TestOnlineUpdate:
         )
         assert folded == batched
 
+    def test_priced_links_outside_the_subnetwork_keep_their_prices(self):
+        net = Network([Link(1, "a", "b", 1.0), Link(2, "a", "b", 2.0), Link(3, "b", "c", 1.0)])
+        priced = CapacitySpec.priced_only([1, 2])
+        state = OnlineState({1: 0.25, 2: 0.5})
+        narrow = Observation("narrow", Path("a", "c", (2, 3)), subnetwork=frozenset({2, 3}))
+        state = online_update(state, narrow, net, net.base_costs(), priced)
+        assert state.prices == {1: 0.25, 2: 0.5}
+        # link 1 is still priced, so a route over it can be folded next
+        state = online_update(state, Observation("wide", Path("a", "c", (1, 3))), net,
+                              net.base_costs(), priced)
+        assert state.prices == {1: 0.25, 2: 0.5}
+        assert not state.log[-1].skipped
+
 
 class TestExports:
     def test_heterogeneity_homogeneous_population(self, toy_net, toy_priced):
@@ -387,17 +403,72 @@ class TestSubnetworkCoverage:
         raise AssertionError("the batch solved an inverse before checking its observations")
 
 
-@st.composite
-def batch_instances(draw):
-    """A random connected network of 3-6 nodes, agents observed on routes
-    between one OD pair, priced links and a prior."""
+class TestPivotMemos:
+    """The per-group memos of the batch fixed points change no result."""
+
+    @staticmethod
+    def run_with_and_without_memos(monkeypatch, run):
+        memos: list[PivotMemo] = []
+
+        def recorded():
+            memos.append(PivotMemo())
+            return memos[-1]
+
+        monkeypatch.setattr(learner, "PivotMemo", recorded)
+        with_memos = run()
+        assert sum(m.steps_reused for m in memos) > sum(m.steps_computed for m in memos)
+        monkeypatch.setattr(learner, "PivotMemo", lambda: None)
+        assert run() == with_memos
+        return with_memos
+
+    @staticmethod
+    def nd_route_groups(nd_net, nd_demand, caps_800):
+        solution = solve_multicommodity(nd_net, nd_demand, caps_800)
+        return [
+            Observation(f"grp{i}", route, weight=flow)
+            for i, (route, flow) in enumerate(
+                (route, flow)
+                for routes in decompose_path_flows(nd_net, solution).values()
+                for route, flow in routes.items()
+            )
+        ]
+
+    def test_recover_prices(self, monkeypatch, nd_net, nd_demand, caps_800, nd_priced):
+        obs = self.nd_route_groups(nd_net, nd_demand, caps_800)
+        trace = self.run_with_and_without_memos(
+            monkeypatch,
+            lambda: recover_prices(obs, nd_net, nd_net.base_costs(), nd_priced, tol=1e-6),
+        )
+        assert trace.converged and trace.iterations > 10
+
+    def test_estimate_costs(self, monkeypatch, nd_net, nd_demand, caps_800):
+        obs = self.nd_route_groups(nd_net, nd_demand, caps_800)
+        prior = {l.id: 0.5 for l in nd_net.links}
+        trace = self.run_with_and_without_memos(
+            monkeypatch, lambda: estimate_costs(obs, nd_net, prior, tol=1e-3, max_iter=300)
+        )
+        assert trace.iterations > 10
+
+
+COSTS = st.floats(0.0, 5.0, allow_subnormal=False)
+
+
+def connected_network(draw) -> tuple[Network, int]:
+    """A random network of 3-6 nodes, each reachable from node 0, and its node count."""
 
     n = draw(st.integers(3, 6))
     pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     pairs += draw(st.lists(extra, max_size=6))
-    cost = st.floats(0.0, 5.0, allow_subnormal=False)
-    net = Network(Link(k + 1, str(a), str(b), draw(cost)) for k, (a, b) in enumerate(pairs))
+    return Network(Link(k + 1, str(a), str(b), draw(COSTS)) for k, (a, b) in enumerate(pairs)), n
+
+
+@st.composite
+def batch_instances(draw):
+    """A random connected network of 3-6 nodes, agents observed on routes
+    between one OD pair, priced links and a prior."""
+
+    net, n = connected_network(draw)
     # the OD pair with the most routes out of node 0, so agents can disagree
     routes = max((enumerate_paths(net, ("0", str(d)), 50) for d in range(1, n)), key=len)
     picked = draw(st.permutations(routes))[: draw(st.integers(1, 4))]
@@ -407,7 +478,7 @@ def batch_instances(draw):
     ]
     link_ids = [l.id for l in net.links]
     priced = draw(st.lists(st.sampled_from(link_ids), min_size=1, unique=True))
-    prior = {lid: draw(cost) for lid in link_ids}
+    prior = {lid: draw(COSTS) for lid in link_ids}
     return net, observations, sorted(priced), prior
 
 
@@ -458,3 +529,63 @@ class TestBatchFoldProperties:
             lambda posterior: {lid: c + posterior.get(lid, 0.0) for lid, c in base.items()},
         )
         assert recover_prices(observations, net, base, priced, prior, max_iter=50) == trace
+
+
+@st.composite
+def online_instances(draw):
+    """A random connected network of 3-6 nodes, priced links with their
+    starting prices, and a stream of arrivals on routes between one OD pair,
+    some of them restricted to a subnetwork around their route."""
+
+    net, n = connected_network(draw)
+    link_ids = [l.id for l in net.links]
+    # the OD pair with the most routes out of node 0, taken in turn
+    routes = max((enumerate_paths(net, ("0", str(d)), 50) for d in range(1, n)), key=len)
+    routes = draw(st.permutations(routes))
+    stream = []
+    for arrival in range(draw(st.integers(1, 6))):
+        route = routes[arrival % len(routes)]
+        subnetwork = None
+        if draw(st.booleans()):
+            others = draw(st.lists(st.sampled_from(link_ids), unique=True))
+            subnetwork = frozenset(route.links) | frozenset(others)
+        stream.append(Observation(f"a{arrival}", route, subnetwork=subnetwork))
+    # most links priced, so that most routes can be priced into optimality
+    priced = [lid for lid in link_ids if draw(st.integers(0, 3))] or link_ids
+    prices = {lid: draw(COSTS) for lid in priced}
+    return net, CapacitySpec.priced_only(priced), prices, stream
+
+
+class TestOnlineFoldProperties:
+    """The online fold on random small connected networks."""
+
+    @BATCH_SETTINGS
+    @given(online_instances())
+    def test_online_update(self, instance):
+        net, priced, prices, stream = instance
+        base = net.base_costs()
+        state = OnlineState(prices)
+        for ob in stream:
+            before = state.prices
+            state = online_update(state, ob, net, base, priced)
+            entry = state.log[-1]
+            assert state.prices.keys() == before.keys()
+            assert all(v >= 0.0 for v in state.prices.values())
+            if entry.skipped:
+                assert state.prices == before
+                continue
+            costs = {lid: c + state.prices.get(lid, 0.0) for lid, c in base.items()}
+            od = (ob.path.origin, ob.path.destination)
+            _, best = shortest_path(net, costs, od, ob.subnetwork)
+            assert abs(path_cost(net, costs, ob.path) - best) < 1e-7
+            moved = sum(abs(state.prices[lid] - before[lid]) for lid in before)
+            assert abs(entry.objective - moved) < 1e-7
+        again = run_monitor(OnlineState(prices), stream, net, base, priced)
+        assert without_nan(again) == without_nan(state)
+
+
+def without_nan(state: OnlineState) -> OnlineState:
+    """``state`` with the NaN objective of each skipped entry replaced, so that ``==`` applies."""
+
+    log = tuple(dataclasses.replace(e, objective=None) if e.skipped else e for e in state.log)
+    return dataclasses.replace(state, log=log)

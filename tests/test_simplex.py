@@ -1,5 +1,6 @@
 """LP kernel: correctness against a vertex-enumeration oracle, duals, determinism."""
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -267,13 +268,15 @@ class TestCertificates:
                 assert first.objective == second.objective
 
 
-def grid_price_inverse(k: int, rng: np.random.Generator):
+def grid_price_inverse(k: int, rng: np.random.Generator, prior=None):
     """First-stage price-inverse LP on a bidirectional k-by-k grid.
 
-    Every link is priced from a zero prior, and the observed route runs
+    Every link is priced, from a zero prior unless ``prior`` gives one value
+    per link (in the order the links are built), and the observed route runs
     along two edges of the grid between opposite corners, so it has to be
-    priced into optimality against many shorter alternatives.  Returns the
-    LP with its decrease and increase variables.
+    priced into optimality against many shorter alternatives.  The prior
+    enters only the right-hand sides.  Returns the LP with its decrease and
+    increase variables.
     """
 
     links = []
@@ -284,13 +287,17 @@ def grid_price_inverse(k: int, rng: np.random.Generator):
                     cost = float(rng.integers(5, 16))
                     links.append(((i, j), (ni, nj), cost))
                     links.append(((ni, nj), (i, j), cost))
+    if prior is None:
+        prior = [0.0] * len(links)
     lp = LinearProgram()
     e = [lp.add_variable(f"e{n}", cost=1.0) for n in range(len(links))]
     f = [lp.add_variable(f"f{n}", cost=1.0) for n in range(len(links))]
     y = {(i, j): lp.add_variable(f"y{i}_{j}", lower=-math.inf) for i in range(k) for j in range(k)}
     for n, (tail, head, cost) in enumerate(links):
-        lp.add_constraint({y[head]: 1.0, y[tail]: -1.0, e[n]: 1.0, f[n]: -1.0}, "<=", cost)
-        lp.add_constraint({e[n]: 1.0, f[n]: -1.0}, "<=", 0.0)
+        lp.add_constraint(
+            {y[head]: 1.0, y[tail]: -1.0, e[n]: 1.0, f[n]: -1.0}, "<=", cost + prior[n]
+        )
+        lp.add_constraint({e[n]: 1.0, f[n]: -1.0}, "<=", prior[n])
     route = [(0, j) for j in range(k)] + [(i, k - 1) for i in range(1, k)]
     index = {(tail, head): n for n, (tail, head, _) in enumerate(links)}
     tight = {y[route[-1]]: 1.0, y[route[0]]: -1.0}
@@ -299,7 +306,7 @@ def grid_price_inverse(k: int, rng: np.random.Generator):
         n = index[(tail, head)]
         tight[e[n]] = 1.0
         tight[f[n]] = -1.0
-        rhs += links[n][2]
+        rhs += links[n][2] + prior[n]
     lp.add_constraint(tight, "=", rhs)
     return lp, e, f
 
@@ -340,11 +347,11 @@ class TestBlandRestart:
         real = simplex._solve_once
         attempts = []
 
-        def fail_first(lp, force_bland):
+        def fail_first(lp, force_bland, memo):
             attempts.append(force_bland)
             if len(attempts) == 1:
                 raise SolverError("row 0 violated by 0.001")
-            return real(lp, force_bland)
+            return real(lp, force_bland, memo)
 
         monkeypatch.setattr(simplex, "_solve_once", fail_first)
         with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
@@ -516,3 +523,167 @@ class TestVerify:
         with pytest.raises(SolverError, match="non-finite"):
             simplex._verify(lp, sol)
         simplex._verify(lp, simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (1.0,), 3.0))
+
+
+class TestFactoriseOnce:
+    """A solve factorises each basis once, however often it needs the LU."""
+
+    def test_grid_lp(self, monkeypatch):
+        lp, _, _ = grid_price_inverse(6, np.random.default_rng(1))
+        real = simplex._lu_factor
+
+        def counting(calls):
+            def lu_factor(a):
+                calls.append(a.copy())
+                return real(a)
+
+            return lu_factor
+
+        once: list[np.ndarray] = []
+        monkeypatch.setattr(simplex, "_lu_factor", counting(once))
+        solution = solve(lp)
+        # factorise afresh wherever an LU is asked for, held or not
+        every_time: list[np.ndarray] = []
+        monkeypatch.setattr(simplex, "_lu_factor", counting(every_time))
+        monkeypatch.setattr(
+            simplex._Pivoter, "factor", lambda self, basis: simplex._lu_factor(self.a[:, basis])
+        )
+        refactorised = solve(lp)
+        assert solution.status is Status.OPTIMAL
+        assert solution == refactorised
+        assert len(once) < len(every_time)
+        assert not any(np.array_equal(p, q) for p, q in itertools.combinations(once, 2))
+
+
+class TestPivotMemo:
+    """Re-solves with a memo give what solves without one give, bit for bit."""
+
+    K = 4
+    LINKS = 4 * K * (K - 1)
+
+    @classmethod
+    def lexicographic(cls, prior, memo=None):
+        """Both stages of the grid price inverse under ``prior``, as the inverses run them."""
+
+        lp, e, f = grid_price_inverse(cls.K, np.random.default_rng(1), prior)
+        first = solve(lp, memo)
+        lp.add_constraint({j: 1.0 for j in e + f}, "<=", first.objective)
+        lp.set_objective({j: 1.0 for j in e})
+        return first, solve(lp, memo)
+
+    @classmethod
+    def priors(cls, seed, count):
+        rng = np.random.default_rng(seed)
+        return [list(rng.uniform(0.0, 2.0, cls.LINKS)) for _ in range(count)]
+
+    def test_sequence_of_priors(self):
+        memo = simplex.PivotMemo()
+        for prior in self.priors(2, 8):
+            with_memo = self.lexicographic(prior, memo)
+            assert with_memo == self.lexicographic(prior)
+            assert all(s.status is Status.OPTIMAL for s in with_memo)
+        assert memo.steps_reused > 0 and memo.steps_computed > 0
+
+    def test_leaving_choice_changed_mid_path(self):
+        memo = simplex.PivotMemo()
+        prior = self.priors(5, 1)[0]
+        lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
+        solve(lp, memo)
+        reused, computed = memo.steps_reused, memo.steps_computed
+        prior = [p + 1.0 if n <= 8 else p for n, p in enumerate(prior)]
+        lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
+        replayed = solve(lp, memo)
+        # part of the path was replayed, then the new prior chose another row to leave
+        assert memo.steps_reused > reused and memo.steps_computed > computed
+        lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
+        assert replayed == solve(lp)
+
+    @staticmethod
+    def changed(lp: LinearProgram, row: int | None = None, cost=None, **changes) -> LinearProgram:
+        """A copy of ``lp`` with constraint ``row`` changed, or with objective ``cost``."""
+
+        copy = LinearProgram()
+        copy._variables = list(lp._variables)
+        copy._objective = list(lp._objective) if cost is None else cost
+        copy._constraints = list(lp._constraints)
+        if row is not None:
+            copy._constraints[row] = dataclasses.replace(lp._constraints[row], **changes)
+        return copy
+
+    def test_changed_lp_is_solved_fresh(self):
+        prior = self.priors(3, 1)[0]
+        lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
+        (j, value), *rest = lp._constraints[0].coeffs
+        tight = lp._constraints[-1]
+        variants = [
+            # one coefficient of the first potential row doubled
+            self.changed(lp, 0, coeffs=((j, 2.0 * value), *rest)),
+            # the tight row's right-hand side negated, so its standard-form row flips
+            self.changed(lp, lp.num_constraints - 1, rhs=-tight.rhs),
+            # one decrease variable costing twice as much
+            self.changed(lp, cost=[2.0] + lp._objective[1:]),
+        ]
+        standard = simplex._standardize(lp)
+        for variant in variants:
+            changed = simplex._standardize(variant)
+            assert changed.a.shape == standard.a.shape
+            assert not (
+                np.array_equal(changed.a, standard.a) and np.array_equal(changed.c, standard.c)
+            )
+            memo = simplex.PivotMemo()
+            solve(lp, memo)
+            reused = memo.steps_reused
+            assert solve(variant, memo) == solve(variant)
+            assert memo.steps_reused == reused
+
+    def test_memo_holds_the_latest_solve_only(self):
+        memo = simplex.PivotMemo()
+        for prior in self.priors(4, 30):
+            self.lexicographic(prior, memo)
+            alone = simplex.PivotMemo()
+            self.lexicographic(prior, alone)
+            assert len(memo) == len(alone)
+            assert len(memo) < 4 * self.LINKS
+
+    def test_refactorising_every_pivot(self, monkeypatch):
+        """Phase 2 may start from the basis phase 1 last factorised."""
+
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+        memo = simplex.PivotMemo()
+        for prior in self.priors(7, 3):
+            assert self.lexicographic(prior, memo) == self.lexicographic(prior)
+        # phase 1 ends with x basic and no artificial left; phase 2 pivots y in
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        solution = solve(lp, simplex.PivotMemo())
+        assert solution == solve(lp)
+        assert solution.primal == {"x": 0.0, "y": 2.0}
+
+    def test_bland_switch(self, monkeypatch):
+        """A re-solve that switches to Bland's rule sooner does not replay Dantzig steps."""
+
+        prior = [0.0] * self.LINKS  # every nonnegativity row degenerate
+        memo = simplex.PivotMemo()
+        dantzig = self.lexicographic(prior, memo)
+        real_init = simplex._Pivoter.__init__
+
+        def eager_bland(pivoter, *args, **kwargs):
+            real_init(pivoter, *args, **kwargs)
+            pivoter.stall_limit = 0  # Bland's rule from the first degenerate pivot
+
+        monkeypatch.setattr(simplex._Pivoter, "__init__", eager_bland)
+        bland = self.lexicographic(prior, memo)
+        assert bland == self.lexicographic(prior)
+        assert [s.pivots for s in bland] != [s.pivots for s in dantzig]
+
+    def test_unchanged_lp_computes_no_pricing_step(self):
+        memo = simplex.PivotMemo()
+        prior = self.priors(6, 1)[0]
+        first = self.lexicographic(prior, memo)
+        computed = memo.steps_computed
+        assert computed > 0 and memo.steps_reused == 0
+        assert self.lexicographic(prior, memo) == first
+        assert memo.steps_computed == computed
+        assert memo.steps_reused == computed
