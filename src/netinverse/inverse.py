@@ -27,12 +27,13 @@ settled by the LP kernel's deterministic pivoting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
 from .errors import DataError, InconsistentObservation, SolverError
 from .network import (
     CapacitySpec,
+    Link,
     LinkId,
     Network,
     NodeId,
@@ -41,7 +42,7 @@ from .network import (
     path_cost,
     validate_path,
 )
-from .simplex import FEAS_TOL, LinearProgram, PivotMemo, Status, solve
+from .simplex import FEAS_TOL, LinearProgram, Status, solve
 
 _SNAP_TOL = 1e-9
 
@@ -59,6 +60,22 @@ class InverseResult:
     posterior: PriceVector
     objective: float
     node_potentials: dict[NodeId, float]
+
+
+@dataclass
+class InverseLPs:
+    """One inverse problem's two stage LPs, kept for re-solves under other priors.
+
+    Pass one handle to every call for one (route, subnetwork) group.  A call
+    with the same route, links, adjustable links, costs and tie-break as the
+    last writes the new prior into the LPs' right-hand sides and re-solves
+    them, which replays their last solve (see :mod:`netinverse.simplex`);
+    any other call rebuilds them.
+    """
+
+    key: tuple | None = None
+    stage1: LinearProgram | None = None
+    stage2: LinearProgram | None = None
 
 
 def _restrict(net: Network, subnetwork: frozenset[LinkId] | None):
@@ -90,18 +107,19 @@ def infer_link_costs(
     prior: PriceVector,
     observed: Path,
     subnetwork: frozenset[LinkId] | None = None,
-    memo: PivotMemo | None = None,
+    lps: InverseLPs | None = None,
 ) -> InverseResult:
     """L1-nearest nonnegative cost vector to ``prior`` rationalizing ``observed``.
 
     The observed route need only tie the optimum; strict preference is not
     required (and is unattainable at an L1 minimum).  This problem is always
     feasible, because costs along the observed route can be driven to zero.
-    ``memo`` is passed to the LP solves (see :func:`_lexicographic_solve`).
+    ``lps`` keeps the LPs for re-solves under other priors (see
+    :class:`InverseLPs`).
     """
 
     zero = {l.id: 0.0 for l in net.links}
-    return _inverse(net, zero, zero.keys(), prior, observed, subnetwork, "f", memo)
+    return _inverse(net, zero, zero.keys(), prior, observed, subnetwork, "f", lps)
 
 
 def infer_dual_prices(
@@ -111,7 +129,7 @@ def infer_dual_prices(
     prior: PriceVector,
     observed: Path,
     subnetwork: frozenset[LinkId] | None = None,
-    memo: PivotMemo | None = None,
+    lps: InverseLPs | None = None,
 ) -> InverseResult:
     """L1-nearest nonnegative prices on the priced links rationalizing ``observed``.
 
@@ -119,11 +137,12 @@ def infer_dual_prices(
     move.  Raises :class:`InconsistentObservation` when no nonnegative
     pricing can make the observed route optimal (for example, a route that
     is strictly longer than an alternative sharing no priced link).
-    ``memo`` is passed to the LP solves (see :func:`_lexicographic_solve`).
+    ``lps`` keeps the LPs for re-solves under other priors (see
+    :class:`InverseLPs`).
     """
 
     priced.validate_against(net)
-    return _inverse(net, costs, priced.priced_links(), prior, observed, subnetwork, "e", memo)
+    return _inverse(net, costs, priced.priced_links(), prior, observed, subnetwork, "e", lps)
 
 
 def _inverse(
@@ -134,13 +153,13 @@ def _inverse(
     observed: Path,
     subnetwork: frozenset[LinkId] | None,
     tie_break: Literal["e", "f"],
-    memo: PivotMemo | None,
+    lps: InverseLPs | None,
 ) -> InverseResult:
-    """Build and solve the one inverse LP (see the module docstring).
+    """Build, or update, and solve the one inverse LP (see the module docstring).
 
     Links of the subnetwork in ``adjustable`` cost ``costs + prior - e + f``;
     the others keep ``costs``.  ``tie_break`` names the deviation set the
-    second stage minimises.
+    second stage minimises.  The prior enters only the right-hand sides.
     """
 
     validate_path(net, observed)
@@ -156,41 +175,28 @@ def _inverse(
         if link.id not in costs:
             raise DataError(f"no base cost for link {link.id}")
 
-    lp = LinearProgram()
-    e_var: dict[LinkId, int] = {}
-    f_var: dict[LinkId, int] = {}
-    for lid in priced_ids:
-        e_var[lid] = lp.add_variable(f"e[{lid}]", cost=1.0)
-        f_var[lid] = lp.add_variable(f"f[{lid}]", cost=1.0)
-    y_var = {n: lp.add_variable(f"y[{n}]", lower=float("-inf")) for n in nodes}
-
-    for link in links:
-        # y[head] - y[tail] <= cost + prior - e + f  (potential feasibility)
-        coeffs = {y_var[link.head]: 1.0, y_var[link.tail]: -1.0}
-        rhs = costs[link.id]
-        if link.id in e_var:
-            coeffs[e_var[link.id]] = 1.0
-            coeffs[f_var[link.id]] = -1.0
-            rhs += prior[link.id]
-        lp.add_constraint(coeffs, "<=", rhs, name=f"feas[{link.id}]")
-    for lid in priced_ids:
-        # posterior stays nonnegative: e - f <= prior
-        lp.add_constraint(
-            {e_var[lid]: 1.0, f_var[lid]: -1.0}, "<=", prior[lid], name=f"nonneg[{lid}]"
-        )
-    # observed route attains the potential difference (optimality)
-    coeffs = {y_var[observed.destination]: 1.0, y_var[observed.origin]: -1.0}
-    rhs = path_cost(net, costs, observed)
+    # right-hand sides: every feas[*] row, every nonneg[*] row, then tight
+    priced_set = set(priced_ids)
+    rhs = [costs[l.id] + prior[l.id] if l.id in priced_set else costs[l.id] for l in links]
+    rhs += [prior[lid] for lid in priced_ids]
+    tight = path_cost(net, costs, observed)
     for lid in observed.links:
-        if lid in e_var:
-            coeffs[e_var[lid]] = coeffs.get(e_var[lid], 0.0) + 1.0
-            coeffs[f_var[lid]] = coeffs.get(f_var[lid], 0.0) - 1.0
-            rhs += prior[lid]
-    lp.add_constraint(coeffs, "=", rhs, name="tight")
+        if lid in priced_set:
+            tight += prior[lid]
+    rhs.append(tight)
 
-    deviation = [e_var[lid] for lid in priced_ids] + [f_var[lid] for lid in priced_ids]
-    secondary = e_var if tie_break == "e" else f_var
-    solution = _lexicographic_solve(lp, deviation, [secondary[lid] for lid in priced_ids], memo)
+    lps = lps if lps is not None else InverseLPs()
+    key = (tuple(links), observed, tuple(priced_ids), tuple(costs[l.id] for l in links), tie_break)
+    if lps.key != key:
+        lps.key, lps.stage1, lps.stage2 = key, _build(links, nodes, priced_ids, observed), None
+    for lp in filter(None, (lps.stage1, lps.stage2)):
+        for i, value in enumerate(rhs):
+            lp.set_rhs(i, value)
+
+    # e[l] and f[l] of the n-th adjustable link are variables 2n and 2n + 1
+    e_vars = list(range(0, 2 * len(priced_ids), 2))
+    f_vars = [j + 1 for j in e_vars]
+    solution = _lexicographic_solve(lps, e_vars + f_vars, e_vars if tie_break == "e" else f_vars)
     if solution.status is Status.INFEASIBLE:
         raise InconsistentObservation(
             f"route {observed.links} cannot be rationalized by pricing links {priced_ids}"
@@ -208,38 +214,59 @@ def _inverse(
     return InverseResult(posterior, _snap(solution.objective), potentials)
 
 
-def _lexicographic_solve(
-    lp: LinearProgram, deviation: list[int], secondary: list[int], memo: PivotMemo | None
-):
+def _build(links: list[Link], nodes: list[NodeId], priced_ids: list[LinkId], observed: Path):
+    """The stage-1 LP with every right-hand side 0, for ``_inverse`` to set."""
+
+    lp = LinearProgram()
+    e_var: dict[LinkId, int] = {}
+    for lid in priced_ids:
+        e_var[lid] = lp.add_variable(f"e[{lid}]", cost=1.0)
+        lp.add_variable(f"f[{lid}]", cost=1.0)  # index e_var[lid] + 1
+    y_var = {n: lp.add_variable(f"y[{n}]", lower=float("-inf")) for n in nodes}
+
+    for link in links:
+        # y[head] - y[tail] <= cost + prior - e + f  (potential feasibility)
+        coeffs = {y_var[link.head]: 1.0, y_var[link.tail]: -1.0}
+        if link.id in e_var:
+            coeffs[e_var[link.id]] = 1.0
+            coeffs[e_var[link.id] + 1] = -1.0
+        lp.add_constraint(coeffs, "<=", 0.0, name=f"feas[{link.id}]")
+    for lid in priced_ids:
+        # posterior stays nonnegative: e - f <= prior
+        lp.add_constraint({e_var[lid]: 1.0, e_var[lid] + 1: -1.0}, "<=", 0.0, name=f"nonneg[{lid}]")
+    # observed route attains the potential difference (optimality)
+    coeffs = {y_var[observed.destination]: 1.0, y_var[observed.origin]: -1.0}
+    for lid in observed.links:
+        if lid in e_var:
+            coeffs[e_var[lid]] = coeffs.get(e_var[lid], 0.0) + 1.0
+            coeffs[e_var[lid] + 1] = coeffs.get(e_var[lid] + 1, 0.0) - 1.0
+    lp.add_constraint(coeffs, "=", 0.0, name="tight")
+    return lp
+
+
+def _lexicographic_solve(lps: InverseLPs, deviation: list[int], secondary: list[int]):
     """Minimize total deviation, then the given subset of deviation variables.
 
     The second stage restricts to the first stage's optimal set (total
     deviation pinned at its minimum) and minimizes the secondary sum alone,
-    selecting a reproducible representative among alternative optima.
-    Mutates ``lp``; callers construct a fresh program per solve.
-
-    Both stages are solved with ``memo``.  Across the iterations of a fixed
-    point, one agent group's two LPs keep their matrix and costs and change
-    only their right-hand sides (the prior, and the stage-1 minimum in the
-    second stage's extra row), so one memo per group lets every re-solve
-    replay the pivot decisions of the last one while the new right-hand side
-    leads to the same choices.  The results are the same with or without it.
+    selecting a reproducible representative among alternative optima.  It is
+    ``lps.stage1`` plus that pinning row, built on first use and afterwards
+    only given the new minimum, so both LPs keep their matrix and costs
+    across the calls that reuse ``lps``.
     """
 
-    first = solve(lp, memo)
+    first = solve(lps.stage1)
     if first.status is not Status.OPTIMAL or not secondary:
         return first
-    lp.add_constraint({j: 1.0 for j in deviation}, "<=", first.objective, name="stage1")
-    lp.set_objective({j: 1.0 for j in secondary})
-    second = solve(lp, memo)
+    if lps.stage2 is None:
+        lps.stage2 = lps.stage1.copy()
+        lps.stage2.add_constraint({j: 1.0 for j in deviation}, "<=", 0.0, name="stage1")
+        lps.stage2.set_objective({j: 1.0 for j in secondary})
+    lp = lps.stage2
+    lp.set_rhs(lp.num_constraints - 1, first.objective)
+    second = solve(lp)
     if second.status is not Status.OPTIMAL:
         return first
     # report the first-stage objective: the deviation metric, not the tie-break
-    return type(second)(
-        status=second.status,
-        objective=sum(second.primal[lp.variable_name(j)] for j in deviation),
-        primal=second.primal,
-        duals=second.duals,
-        dual_objective=second.dual_objective,
-        pivots=first.pivots + second.pivots,
-    )
+    objective = sum(second.primal[lp.variable_name(j)] for j in deviation)
+    return replace(second, objective=objective, pivots=first.pivots + second.pivots)

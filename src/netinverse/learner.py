@@ -33,7 +33,7 @@ from pathlib import Path as FilePath
 from typing import Callable, Iterable, Sequence
 
 from .errors import DataError, InconsistentObservation, NoUsableObservations
-from .inverse import InverseResult, infer_dual_prices, infer_link_costs
+from .inverse import InverseLPs, InverseResult, infer_dual_prices, infer_link_costs
 from .network import (
     CapacitySpec,
     LinkId,
@@ -42,7 +42,6 @@ from .network import (
     Path,
     PriceVector,
 )
-from .simplex import PivotMemo
 
 logger = logging.getLogger(__name__)
 
@@ -133,7 +132,7 @@ def _agents_off_prior(
 def _fixed_point(
     observations: Sequence[Observation],
     link_ids: Sequence[LinkId],
-    inverse: Callable[[PriceVector, _GroupKey, PivotMemo], InverseResult],
+    inverse: Callable[[PriceVector, _GroupKey, InverseLPs], InverseResult],
     prior0: PriceVector,
     tol: float,
     max_iter: int,
@@ -141,12 +140,13 @@ def _fixed_point(
 ) -> FixedPointTrace:
     """Iterate the weighted mean of per-group posteriors until ``gap < tol``.
 
-    ``inverse(prior, (route, subnetwork), memo)`` solves one group's inverse
-    problem.  Each group gets its own :class:`~netinverse.simplex.PivotMemo`
+    ``inverse(prior, (route, subnetwork), lps)`` solves one group's inverse
+    problem.  Each group gets its own :class:`~netinverse.inverse.InverseLPs`
     for the run: only the prior changes between iterations, and it enters
-    the group's LPs only through their right-hand sides, so each re-solve
-    replays the last one's pivot decisions as far as they still hold, with
-    the same results as without a memo.  The memos are dropped on return.
+    the group's LPs only through their right-hand sides, so the LPs are
+    built once and each re-solve replays the last one's pivot decisions as
+    far as they still hold, with the same results as fresh LPs give.  The
+    handles are dropped on return.
     An observation whose subnetwork leaves out one of ``link_ids``
     raises :class:`~netinverse.errors.DataError` before any solve.  Groups
     the inverse finds inconsistent under ``prior0`` are dropped, reported
@@ -174,16 +174,14 @@ def _fixed_point(
 
     # the consistency pass solves every group under prior0, which is exactly
     # iteration 1's work: its results are reused there
-    usable: list[_GroupKey] = []
-    memos: list[PivotMemo] = []
+    usable: list[tuple[_GroupKey, InverseLPs]] = []
     results: list[InverseResult] = []
     skipped: list[str] = []
     for key in keys:
-        memo = PivotMemo()
+        lps = InverseLPs()
         try:
-            results.append(inverse(prior0, key, memo))
-            usable.append(key)
-            memos.append(memo)
+            results.append(inverse(prior0, key, lps))
+            usable.append((key, lps))
         except InconsistentObservation:
             skipped.extend(ob.agent_id for ob in groups[key])
     if not usable:
@@ -195,14 +193,14 @@ def _fixed_point(
             len(skipped),
             len(observations),
         )
-    weights = [sum(ob.weight for ob in groups[k]) for k in usable]
+    weights = [sum(ob.weight for ob in groups[k]) for k, _ in usable]
 
     priors: list[PriceVector] = [prior0]
     converged = False
     for iteration in range(max_iter):
         prior = priors[-1]
         if iteration:
-            results = [inverse(prior, key, memo) for key, memo in zip(usable, memos)]
+            results = [inverse(prior, key, lps) for key, lps in usable]
         mean = _weighted_mean(results, weights, link_ids)
         residual = gap(prior, mean, results)
         priors.append(mean)
@@ -212,7 +210,7 @@ def _fixed_point(
 
     per_agent = {
         ob.agent_id: dict(res.posterior)
-        for key, res in zip(usable, results)
+        for (key, _), res in zip(usable, results)
         for ob in groups[key]
     }
     return FixedPointTrace(
@@ -239,7 +237,7 @@ def estimate_costs(
     return _fixed_point(
         observations,
         [l.id for l in net.links],
-        lambda prior, key, memo: infer_link_costs(net, prior, key[0], key[1], memo),
+        lambda prior, key, lps: infer_link_costs(net, prior, key[0], key[1], lps),
         dict(initial_prior),
         tol,
         max_iter,
@@ -270,9 +268,7 @@ def recover_prices(
     return _fixed_point(
         observations,
         priced_ids,
-        lambda prior, key, memo: infer_dual_prices(
-            net, costs, priced, prior, key[0], key[1], memo
-        ),
+        lambda prior, key, lps: infer_dual_prices(net, costs, priced, prior, key[0], key[1], lps),
         {lid: 0.0 for lid in priced_ids} if initial_prior is None else dict(initial_prior),
         tol,
         max_iter,

@@ -22,26 +22,24 @@ that fails too, reports NUMERICAL_FAILURE.
 
 Re-solves with a changed right-hand side
 ----------------------------------------
-A caller that solves one LP many times with only the right-hand side ``b``
-changing (the inverse problems of a fixed point, whose prior enters only
-through ``b``) can pass the same :class:`PivotMemo` to every :func:`solve`.
-The memo holds what depends only on the standardised matrix ``A``, the costs
-``c`` and the sequence of bases: the LU of each factorised basis, each
-pricing step's outcome (the entering column or "optimal", with its FTRAN'd
-column) keyed by the basis at the last refactorisation, the ``(leave,
-enter)`` pairs since then, the Bland flag and the phase, and the final
-duals keyed by the final basis.  Everything that depends on ``b`` is
-computed on every solve: basic values, the ratio test and leaving choice,
-the degeneracy counter and the Bland switch, the phase-1 infeasibility
-test, primal values, objectives and the certificate check.  A re-solve thus
-follows a recorded path only while its own ``b`` makes the same leaving
-choices; the first different choice reaches a state the memo does not hold,
-and from there it computes as a solve without a memo does.  The values it
-takes from the memo are the ones it would have computed, so every pivot and
-every result is the same, bit for bit, with or without a memo.  A record is
-used only while ``A`` (with its artificial columns), ``c``, the starting
-basis and the Bland flag equal the recorded ones exactly; otherwise it is
-replaced.  The memo keeps only the states the latest solve of each LP used.
+A :class:`LinearProgram` solved again after only :meth:`~LinearProgram.set_rhs`
+calls (the inverse problems of a fixed point, whose prior enters only
+through ``b``) keeps, from its second solve on, its standard form and a
+record of the states its latest solve used: the LU of each factorised
+basis, each pricing step's outcome (the entering column or "optimal", with
+its FTRAN'd column) keyed by the basis at the last refactorisation, the
+``(leave, enter)`` pairs since then, the Bland flag and the phase, and the
+final duals keyed by the final basis.  Whatever depends on ``b`` is computed
+on every solve: basic values, the ratio test and leaving choice, the
+degeneracy counter and the Bland switch, the phase-1 infeasibility test,
+primal values, objectives and the certificate check.  A re-solve follows the
+recorded path only while its ``b`` makes the same leaving choices, and takes
+from the record only values it would have computed, so every pivot and
+result is the same, bit for bit.  ``add_variable``, ``add_constraint``,
+``set_objective`` and a ``set_rhs`` that flips a row's sign normalisation
+drop the standard form and the record, so a record always belongs to the
+matrix and costs being solved.  A first solve keeps nothing (most programs
+are solved once), and a restart under Bland's rule records nothing.
 
 Conventions
 -----------
@@ -55,12 +53,14 @@ Conventions
   index (Bland-compatible).
 
 Every OPTIMAL result is verified internally (finite values, feasibility,
-duality gap, complementary slackness); a result that cannot be certified is
-reported as NUMERICAL_FAILURE, never returned as if correct.
+dual and reduced-cost signs, duality gap, complementary slackness); a result
+that cannot be certified is reported as NUMERICAL_FAILURE, never returned as
+if correct.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import logging
 import math
@@ -112,7 +112,8 @@ class LinearProgram:
 
     Variables are referenced by the integer index returned from
     :meth:`add_variable`.  Constraints may use relation ``"<="``, ``"="``,
-    or ``">="``.
+    or ``">="``.  A program re-solved after :meth:`set_rhs` calls only
+    replays its last solve (see the module docstring).
     """
 
     def __init__(self) -> None:
@@ -120,6 +121,14 @@ class LinearProgram:
         self._objective: list[float] = []
         self._constraints: list[_Constraint] = []
         self._names: set[str] = set()
+        self._changed()
+
+    def _changed(self) -> None:
+        """The structure changed: drop the standard form and the pivot record."""
+
+        self._std: _Standardized | None = None
+        self._record: dict | None = None
+        self._solved = False
 
     # -- construction -----------------------------------------------------
 
@@ -136,6 +145,7 @@ class LinearProgram:
             raise SolverError(f"variable {name!r} has lower {lower} > upper {upper}")
         if math.isnan(lower) or math.isnan(upper) or not math.isfinite(cost):
             raise SolverError(f"variable {name!r} has invalid bounds or cost")
+        self._changed()
         self._names.add(name)
         self._variables.append(_Variable(name, lower, upper))
         self._objective.append(cost)
@@ -158,12 +168,24 @@ class LinearProgram:
             if not math.isfinite(a):
                 raise SolverError(f"non-finite coefficient for variable index {j}")
         row = tuple(sorted(coeffs.items()))
+        self._changed()
         self._constraints.append(_Constraint(row, relation, rhs, name))
         return len(self._constraints) - 1
+
+    def set_rhs(self, row: int, value: float) -> None:
+        """Replace the right-hand side of constraint ``row``."""
+
+        if not 0 <= row < len(self._constraints):
+            raise SolverError(f"no constraint with index {row}")
+        if not math.isfinite(value):
+            raise SolverError(f"constraint rhs must be finite, got {value!r}")
+        con = self._constraints[row]
+        self._constraints[row] = _Constraint(con.coeffs, con.relation, value, con.name)
 
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
         """Replace the objective with the given (sparse) coefficient map."""
 
+        self._changed()
         self._objective = [0.0] * len(self._variables)
         for j, c in coeffs.items():
             if not 0 <= j < len(self._variables):
@@ -182,6 +204,16 @@ class LinearProgram:
 
     def variable_name(self, index: int) -> str:
         return self._variables[index].name
+
+    def copy(self) -> LinearProgram:
+        """A program with the same variables, objective and constraints."""
+
+        other = LinearProgram()
+        other._variables = list(self._variables)
+        other._objective = list(self._objective)
+        other._constraints = list(self._constraints)
+        other._names = set(self._names)
+        return other
 
     def dump(self) -> str:
         """Human-readable text form of the LP, for bug reports."""
@@ -226,63 +258,74 @@ class LpSolution:
 
 @dataclass
 class _Standardized:
-    a: np.ndarray              # m x n, structural + slack columns
+    """The equality form ``a x = b, x >= 0`` of a program, with the maps back.
+
+    A solve works on a shallow copy: it replaces ``a``, ``b`` and the row
+    arrays when it drops a redundant row and never writes into them, so a
+    kept form changes only where :func:`_kept_form` writes new right-hand
+    sides.
+    """
+
+    a: np.ndarray              # m x n, structural, slack and artificial columns
     b: np.ndarray              # m, nonnegative
-    c: np.ndarray              # n
-    row_flip: list[bool]       # row was negated during normalization
-    row_origin: list[int]      # original constraint index, -1 for bound rows
-    bound_row_var: list[int]   # original variable index for bound rows, -1 otherwise
-    slack_of_row: list[int]    # column of the slack/surplus for each row, -1 if none
-    col_var: list[int]         # original variable index per structural column
-    col_sign: list[float]      # +1 / -1 multiplier applied to the column
-    col_shift: list[float]     # original value = shift + sign * column value
+    c: np.ndarray              # n, zero past the structural columns
+    n_real: int                # the columns before the artificial ones
+    basis: list[int]           # phase 1's start: each row's slack, or its artificial
+    row_flip: np.ndarray       # row was negated during normalization
+    row_origin: np.ndarray     # original constraint index, -1 for bound rows
+    bound_row: np.ndarray      # the row is a variable's upper bound
+    row_shift: np.ndarray      # per constraint: its rhs minus b's row before the flip
+    col_var: np.ndarray        # original variable index per structural column
+    col_sign: np.ndarray       # +1 / -1 multiplier applied to the column
+    col_shift: np.ndarray      # original value = shift + sign * column value
     n_structural: int
-    const_offset: float
+    # the original program, for the certificate: row_le and row_ge mark the
+    # constraints that bound their left-hand side above and below ("=" both),
+    # bound_weight is each variable's shift (its lower bound, else its finite
+    # upper one, else 0), and nz_* list each nonzero coefficient
+    names: list[str]
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    bound_weight: np.ndarray
+    rhs: np.ndarray
+    row_le: np.ndarray
+    row_ge: np.ndarray
+    nz_con: np.ndarray
+    nz_var: np.ndarray
+    nz_coef: np.ndarray
 
 
 def _standardize(lp: LinearProgram) -> _Standardized:
-    n_orig = lp.num_variables
     col_var: list[int] = []
     col_sign: list[float] = []
     col_shift: list[float] = []
     var_cols: list[list[int]] = []
-    const_offset = 0.0
     upper_rows: list[tuple[int, float]] = []  # (original var, rhs u - l)
 
-    for j in range(n_orig):
-        v = lp._variables[j]
+    for j, v in enumerate(lp._variables):
         lo, hi = v.lower, v.upper
         if lo == -math.inf and hi == math.inf:
-            col_var += [j, j]
-            col_sign += [1.0, -1.0]
-            col_shift += [0.0, 0.0]
-            var_cols.append([len(col_var) - 2, len(col_var) - 1])
+            columns = [(1.0, 0.0), (-1.0, 0.0)]  # x = x' - x''
         elif lo == -math.inf:
-            # x = u - x'', x'' >= 0
-            col_var.append(j)
-            col_sign.append(-1.0)
-            col_shift.append(hi)
-            const_offset += lp._objective[j] * hi
-            var_cols.append([len(col_var) - 1])
+            columns = [(-1.0, hi)]  # x = u - x'', x'' >= 0
         else:
-            col_var.append(j)
-            col_sign.append(1.0)
-            col_shift.append(lo)
-            const_offset += lp._objective[j] * lo
-            var_cols.append([len(col_var) - 1])
+            columns = [(1.0, lo)]
             if hi != math.inf:
                 upper_rows.append((j, hi - lo))
+        var_cols.append(list(range(len(col_var), len(col_var) + len(columns))))
+        for sign, shift in columns:
+            col_var.append(j)
+            col_sign.append(sign)
+            col_shift.append(shift)
 
     n_struct = len(col_var)
     cons = lp._constraints
     m = len(cons) + len(upper_rows)
-    n_slack = sum(1 for con in cons if con.relation != "=") + len(upper_rows)
-    width = n_struct + n_slack
-    a = np.zeros((m, width))
     rhs: list[float] = []
+    row_shift: list[float] = []
     relations = [con.relation for con in cons] + ["<="] * len(upper_rows)
     row_origin = list(range(len(cons))) + [-1] * len(upper_rows)
-    bound_row_var = [-1] * len(cons) + [j for j, _ in upper_rows]
 
     # every entry is written once into a zero matrix; ``0.0 +`` keeps the
     # sign a zero product takes when accumulated into it
@@ -297,45 +340,74 @@ def _standardize(lp: LinearProgram) -> _Standardized:
                 nz_col.append(k)
                 nz_val.append(0.0 + coef * col_sign[k])
             shift_term += coef * col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
+        row_shift.append(shift_term)
         rhs.append(con.rhs - shift_term)
+    n_con_nz = len(nz_row)
     for i, (j, cap) in enumerate(upper_rows, start=len(cons)):
         nz_row.append(i)
         nz_col.append(var_cols[j][0])
         nz_val.append(1.0)
         rhs.append(cap)
+    nz_row, nz_col = np.array(nz_row, dtype=np.intp), np.array(nz_col, dtype=np.intp)
+    nz_val = np.array(nz_val)
+
+    # normalize rhs >= 0, then one slack (<=) or surplus (>=) column per
+    # inequality, then one artificial column per row no slack can start
+    row_flip = [r < 0 for r in rhs]
+    rhs = [-r if flip else r for r, flip in zip(rhs, row_flip)]
+    flipped = {"<=": ">=", ">=": "<=", "=": "="}
+    relations = [flipped[rel] if flip else rel for rel, flip in zip(relations, row_flip)]
+    n_real = n_struct + sum(rel != "=" for rel in relations)
+    a = np.zeros((m, n_real + sum(rel != "<=" for rel in relations)))
     a[nz_row, nz_col] = nz_val
-
-    # normalize rhs >= 0, then one slack (<=) or surplus (>=) column per inequality
-    row_flip = [False] * m
-    slack_of_row = [-1] * m
-    k = n_struct
-    for i in range(m):
-        if rhs[i] < 0:
+    slack, art = n_struct, n_real
+    basis: list[int] = []
+    for i, rel in enumerate(relations):
+        if row_flip[i]:
             a[i, :n_struct] = -a[i, :n_struct]
-            rhs[i] = -rhs[i]
-            relations[i] = {"<=": ">=", ">=": "<=", "=": "="}[relations[i]]
-            row_flip[i] = True
-        if relations[i] != "=":
-            a[i, k] = 1.0 if relations[i] == "<=" else -1.0
-            slack_of_row[i] = k
-            k += 1
+        if rel != "=":
+            a[i, slack] = 1.0 if rel == "<=" else -1.0
+            slack += 1
+        if rel != "<=":
+            a[i, art] = 1.0
+            art += 1
+        basis.append(slack - 1 if rel == "<=" else art - 1)
 
-    c = np.zeros(width)
+    c = np.zeros(a.shape[1])
     c[:n_struct] = [lp._objective[j] * sign for j, sign in zip(col_var, col_sign)]
+    variables = lp._variables
+    col_var_a, col_sign_a = np.array(col_var, dtype=np.intp), np.array(col_sign)
+    # the original constraints' nonzeros: one per variable, not the x'' column of a free one
+    second = np.zeros(n_struct, dtype=bool)
+    second[[cols[1] for cols in var_cols if len(cols) == 2]] = True
+    first = ~second[nz_col[:n_con_nz]]
+    k = nz_col[:n_con_nz][first]
 
     return _Standardized(
         a=a,
         b=np.asarray(rhs, dtype=float),
         c=c,
-        row_flip=row_flip,
-        row_origin=row_origin,
-        bound_row_var=bound_row_var,
-        slack_of_row=slack_of_row,
-        col_var=col_var,
-        col_sign=col_sign,
-        col_shift=col_shift,
+        n_real=n_real,
+        basis=basis,
+        row_flip=np.array(row_flip, dtype=bool),
+        row_origin=np.array(row_origin, dtype=np.intp),
+        bound_row=np.array([origin < 0 for origin in row_origin], dtype=bool),
+        row_shift=np.array(row_shift),
+        col_var=col_var_a,
+        col_sign=col_sign_a,
+        col_shift=np.array(col_shift),
         n_structural=n_struct,
-        const_offset=const_offset,
+        names=[v.name for v in variables],
+        cost=np.array(lp._objective, dtype=float),
+        lower=np.array([v.lower for v in variables], dtype=float),
+        upper=np.array([v.upper for v in variables], dtype=float),
+        bound_weight=np.array(col_shift)[[cols[0] for cols in var_cols]],
+        rhs=np.array([con.rhs for con in cons], dtype=float),
+        row_le=np.array([con.relation != ">=" for con in cons], dtype=bool),
+        row_ge=np.array([con.relation != "<=" for con in cons], dtype=bool),
+        nz_con=nz_row[:n_con_nz][first],
+        nz_var=col_var_a[k],
+        nz_coef=nz_val[:n_con_nz][first] * col_sign_a[k],
     )
 
 
@@ -372,87 +444,27 @@ def _lu_solve(
     return x
 
 
-class PivotMemo:
-    """Pivot decisions of earlier solves, replayed by re-solves of the same LP.
-
-    Pass one memo to every :func:`solve` of LPs that differ only in their
-    right-hand sides; what it reuses and why the results cannot change is
-    set out in the module docstring.  ``steps_reused`` and
-    ``steps_computed`` count the pricing steps taken from the memo and
-    computed afresh over its lifetime.
-    """
-
-    def __init__(self) -> None:
-        self._records: dict[tuple, _Record] = {}
-        self.steps_reused = 0
-        self.steps_computed = 0
-
-    def __len__(self) -> int:
-        """The number of states held: LU factorisations, pricing steps, duals."""
-
-        return sum(len(r.lus) + len(r.steps) + len(r.duals) for r in self._records.values())
-
-
-@dataclass
-class _Record:
-    """The states one solve of one LP used, with what they depend on."""
-
-    a: np.ndarray
-    c: np.ndarray
-    basis: list[int]
-    lus: dict = field(default_factory=dict)    # basis -> LU
-    steps: dict = field(default_factory=dict)  # ((phase, basis), pairs, bland) -> (enter, column)
-    duals: dict = field(default_factory=dict)  # final basis -> y
-
-
 class _Replay:
-    """One solve's use of a memo.
+    """One solve's pivoting states, from the record of the program's last solve.
 
-    Looks states up in the LP's last record and records every state this
-    solve uses in a new record, which replaces the last one at once.
+    A state ``old`` lacks is computed; every state goes into ``new``, the
+    record this solve leaves.  Without a ``new`` record all are computed.
     """
 
-    def __init__(
-        self,
-        memo: PivotMemo,
-        a: np.ndarray,
-        c: np.ndarray,
-        n_real: int,
-        basis: list[int],
-        bland: bool,
-    ):
-        key = (a.shape, n_real, bland)
-        old = memo._records.get(key)
-        if old is not None and not (
-            np.array_equal(old.a, a) and np.array_equal(old.c, c) and old.basis == basis
-        ):
-            old = None
-        self.memo = memo
-        self.old = old
-        self.new = memo._records[key] = _Record(a, c, list(basis))
+    def __init__(self, old: dict | None = None, new: dict | None = None):
+        self.old = old or {}
+        self.new = new
 
-    def recall(self, table: str, key, compute):
-        """State ``key`` of ``table`` from the memo if it holds it, else ``compute()``."""
-
-        new = getattr(self.new, table)
-        if key not in new:
-            old = getattr(self.old, table, {})  # {} when there is no old record
-            reused = key in old
-            new[key] = old[key] if reused else compute()
-            if table == "steps":
-                if reused:
-                    self.memo.steps_reused += 1
-                else:
-                    self.memo.steps_computed += 1
-        return new[key]
-
-
-class _Compute:
-    """Stands in for :class:`_Replay` when there is no memo: computes every state."""
-
-    @staticmethod
-    def recall(table: str, key, compute):
-        return compute()
+    def recall(self, key: tuple, compute):
+        if self.new is None:
+            return compute()
+        state = self.new.get(key)
+        if state is None:
+            state = self.old.get(key)
+            if state is None:
+                state = compute()
+            self.new[key] = state
+        return state
 
 
 class _Pivoter:
@@ -466,9 +478,10 @@ class _Pivoter:
     unchanged basis does not factorise it again.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, stall_limit: int, replay):
+    def __init__(self, a: np.ndarray, b: np.ndarray, n_real: int, stall_limit: int, replay):
         self.a = a
         self.b = b
+        self.n_real = n_real  # the columns past it are artificial
         self.stall_limit = stall_limit
         self.replay = replay
         self.bland = False
@@ -482,22 +495,11 @@ class _Pivoter:
 
         key = tuple(basis)
         if key != self._lu_basis:
-            self._lu = self.replay.recall("lus", key, lambda: _lu_factor(self.a[:, basis]))
+            self._lu = self.replay.recall(("lu", key), lambda: _lu_factor(self.a[:, basis]))
             self._lu_basis = key
         return self._lu
 
-    def drop_row(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Continue on ``a`` and ``b``, which lack one row of the ones held so far.
-
-        Which row goes depends on the basis phase 1 ended on, so a recorded
-        state keyed by a basis of the smaller matrix may belong to another
-        row's removal: the rest of the solve computes every state.
-        """
-
-        self.a, self.b = a, b
-        self.replay = _Compute()
-
-    def run(self, c: np.ndarray, basis: list[int], allowed: np.ndarray, phase: int) -> str:
+    def run(self, c: np.ndarray, basis: list[int], phase: int) -> str:
         """Pivot until optimal or unbounded; returns 'optimal' or 'unbounded'."""
 
         b = self.b
@@ -513,9 +515,8 @@ class _Pivoter:
                 root = (phase, tuple(basis))
                 pairs: tuple[tuple[int, int], ...] = ()
             enter, direction = self.replay.recall(
-                "steps",
-                (root, pairs, self.bland),
-                lambda: self._price(c, lu, etas, basis, allowed),
+                ("step", root, pairs, self.bland),
+                lambda: self._price(c, lu, etas, basis),
             )
             if enter < 0:
                 return "optimal"
@@ -540,12 +541,12 @@ class _Pivoter:
             basis[leave] = enter
             self.pivots += 1
 
-    def _price(self, c, lu, etas, basis, allowed) -> tuple[int, np.ndarray | None]:
+    def _price(self, c, lu, etas, basis) -> tuple[int, np.ndarray | None]:
         """The entering column and its FTRAN'd image, or ``(-1, None)`` at the optimum."""
 
         y = _btran(lu, etas, c[basis])
         reduced = c - self.a.T @ y
-        candidates = np.flatnonzero((reduced < -OPT_TOL) & allowed)
+        candidates = np.flatnonzero(reduced[: self.n_real] < -OPT_TOL)
         if candidates.size == 0:
             return -1, None
         if self.bland:
@@ -590,7 +591,6 @@ def _drive_out_artificials(
     """
 
     while True:
-        row_of = {col: i for i, col in enumerate(basis)}
         art_rows = [i for i, col in enumerate(basis) if col >= n_real]
         if not art_rows:
             return
@@ -599,72 +599,63 @@ def _drive_out_artificials(
         e = np.zeros(len(basis))
         e[i] = 1.0
         w = _lu_solve(lu, e, trans=1)
-        tableau_row = w @ std.a[:, :n_real]
-        eligible = [
-            j
-            for j in range(n_real)
-            if abs(tableau_row[j]) > _DROP_TOL and j not in row_of
-        ]
+        in_basis = set(basis)
+        candidates = np.flatnonzero(np.abs(w @ std.a[:, :n_real]) > _DROP_TOL).tolist()
+        eligible = [j for j in candidates if j not in in_basis]
         if eligible:
             basis[i] = eligible[0]
             continue
         # redundant row: remove it together with its artificial column
-        keep = [k for k in range(std.a.shape[0]) if k != i]
-        std.a = std.a[keep, :]
-        std.b = std.b[keep]
-        std.row_flip = [std.row_flip[k] for k in keep]
-        std.row_origin = [std.row_origin[k] for k in keep]
-        std.bound_row_var = [std.bound_row_var[k] for k in keep]
-        std.slack_of_row = [std.slack_of_row[k] for k in keep]
+        keep = np.arange(std.a.shape[0]) != i
+        std.a, std.b = std.a[keep], std.b[keep]
+        std.row_flip, std.row_origin, std.bound_row = (
+            std.row_flip[keep], std.row_origin[keep], std.bound_row[keep])
         del basis[i]
-        pivoter.drop_row(std.a, std.b)
+        # which row goes depends on the basis phase 1 ended on, so a recorded state
+        # keyed by a basis of the smaller matrix may belong to another row's
+        # removal: the rest of the solve computes every state
+        pivoter.a, pivoter.b, pivoter.replay = std.a, std.b, _Replay()
         # artificial column indices shift as rows disappear; art columns are
         # only referenced through `basis`, which no longer contains this one
 
 
-def _solve_once(lp: LinearProgram, force_bland: bool, memo: PivotMemo | None) -> LpSolution:
-    std = _standardize(lp)
-    m, n_real = std.a.shape[0], std.a.shape[1]
+def _kept_form(lp: LinearProgram) -> _Standardized:
+    """``lp``'s kept standard form with the right-hand sides ``set_rhs`` wrote."""
 
-    if m == 0:
-        if np.any(std.c < -OPT_TOL):
-            return LpSolution(Status.UNBOUNDED)
-        primal = _recover_primal(lp, std, np.zeros(n_real))
-        obj = std.const_offset
-        return LpSolution(Status.OPTIMAL, obj, primal, (), obj, 0)
+    std = lp._std
+    if std is not None:
+        rhs = np.array([con.rhs for con in lp._constraints], dtype=float)
+        b = rhs - std.row_shift  # the arithmetic of _standardize
+        flip = b < 0
+        if np.array_equal(flip, std.row_flip[: len(rhs)]):
+            b[flip] = -b[flip]
+            std.b[: len(rhs)] = b
+            std.rhs = rhs
+            return std
+        lp._record = None  # a row's sign normalisation changed, and with it the matrix
+    lp._std = _standardize(lp)
+    return lp._std
 
-    # phase 1: artificials for rows without a usable slack basis
-    art_of_row: list[int] = [-1] * m
-    art_cols: list[int] = []
-    basis: list[int] = [-1] * m
-    for i in range(m):
-        slack = std.slack_of_row[i]
-        if slack >= 0 and std.a[i, slack] > 0:
-            basis[i] = slack
-        else:
-            col = n_real + len(art_cols)
-            art_of_row[i] = col
-            art_cols.append(col)
-            basis[i] = col
-    a_full = np.hstack([std.a, np.zeros((m, len(art_cols)))])
-    for i in range(m):
-        if art_of_row[i] >= 0:
-            a_full[i, art_of_row[i]] = 1.0
 
-    if memo is None:
-        replay = _Compute()
-    else:
-        replay = _Replay(memo, a_full, std.c, n_real, basis, force_bland)
-    pivoter = _Pivoter(a_full, std.b, stall_limit=max(50, 2 * m), replay=replay)
+def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
+    keep = lp._solved  # a first solve keeps nothing: most programs are solved once
+    lp._solved = True
+    # a solve replaces arrays of the form it works on, so it gets a shallow copy
+    std = copy.copy(_kept_form(lp)) if keep else _standardize(lp)
+    (m, width), n_real, basis = std.a.shape, std.n_real, list(std.basis)
+
+    replay = _Replay()
+    if keep and not force_bland:
+        replay = _Replay(lp._record, {})
+        lp._record = replay.new
+    pivoter = _Pivoter(std.a, std.b, n_real, stall_limit=max(50, 2 * m), replay=replay)
     pivoter.bland = force_bland
-    std.a = a_full
 
-    if art_cols:
-        c1 = np.zeros(a_full.shape[1])
+    # phase 1, from the artificial columns of the rows no slack can start
+    if width > n_real:
+        c1 = np.zeros(width)
         c1[n_real:] = 1.0
-        allowed = np.zeros(a_full.shape[1], dtype=bool)
-        allowed[:n_real] = True
-        outcome = pivoter.run(c1, basis, allowed, phase=1)
+        outcome = pivoter.run(c1, basis, phase=1)
         if outcome != "optimal":
             raise SolverError("phase 1 reported unbounded")
         x_b = _lu_solve(pivoter.factor(basis), std.b)
@@ -672,15 +663,9 @@ def _solve_once(lp: LinearProgram, force_bland: bool, memo: PivotMemo | None) ->
         if infeas > FEAS_TOL * max(1.0, float(np.max(std.b, initial=0.0))):
             return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
         _drive_out_artificials(std, basis, n_real, pivoter)
-        a_full = std.a
-        m = a_full.shape[0]
 
     # phase 2
-    c2 = np.zeros(a_full.shape[1])
-    c2[:n_real] = std.c
-    allowed = np.zeros(a_full.shape[1], dtype=bool)
-    allowed[:n_real] = True
-    outcome = pivoter.run(c2, basis, allowed, phase=2)
+    outcome = pivoter.run(std.c, basis, phase=2)
     if outcome == "unbounded":
         return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
 
@@ -690,113 +675,101 @@ def _solve_once(lp: LinearProgram, force_bland: bool, memo: PivotMemo | None) ->
     for i, col in enumerate(basis):
         if col < n_real:
             x[col] = x_b[i]
-    y = pivoter.replay.recall("duals", tuple(basis), lambda: _lu_solve(lu, c2[basis], trans=1))
+    y = pivoter.replay.recall(("y", tuple(basis)), lambda: _lu_solve(lu, std.c[basis], trans=1))
 
-    primal = _recover_primal(lp, std, x)
-    objective = sum(lp._objective[j] * primal[lp._variables[j].name] for j in range(lp.num_variables))
+    values = _recover_primal(std, x)
+    objective = float(sum((std.cost * values).tolist()))
+    y = y.copy()  # the record may hold this array
+    y[std.row_flip] = -y[std.row_flip]
+    duals = np.zeros(lp.num_constraints)
+    bound = std.bound_row
+    duals[std.row_origin[~bound]] = y[~bound]
+    # upper-bound rows are never flipped: their right-hand side u - l is >= 0
+    bound_row_term = y[bound] @ std.b[bound]
 
-    duals = [0.0] * lp.num_constraints
-    bound_row_term = 0.0
-    for i in range(m):
-        value = -y[i] if std.row_flip[i] else y[i]
-        orig = std.row_origin[i]
-        if orig >= 0:
-            duals[orig] = float(value)
-        else:
-            rhs = std.b[i] if not std.row_flip[i] else -std.b[i]
-            bound_row_term += value * rhs
-
-    dual_objective = _dual_objective(lp, duals, bound_row_term)
+    primal = dict(zip(std.names, values.tolist()))
+    dual_objective = _dual_objective(std, duals, bound_row_term)
     solution = LpSolution(
-        Status.OPTIMAL,
-        float(objective),
-        primal,
-        tuple(duals),
-        float(dual_objective),
-        pivoter.pivots,
+        Status.OPTIMAL, objective, primal, tuple(duals.tolist()), dual_objective, pivoter.pivots
     )
-    _verify(lp, solution)
+    _verify(std, solution)
     return solution
 
 
-def _recover_primal(lp: LinearProgram, std: _Standardized, x: np.ndarray) -> dict[str, float]:
-    values = [0.0] * lp.num_variables
-    seen_shift = [False] * lp.num_variables
-    for k in range(std.n_structural):
-        j = std.col_var[k]
-        if not seen_shift[j]:
-            values[j] += std.col_shift[k]
-            seen_shift[j] = True
-        values[j] += std.col_sign[k] * x[k]
-    return {lp._variables[j].name: float(values[j]) for j in range(lp.num_variables)}
+def _recover_primal(std: _Standardized, x: np.ndarray) -> np.ndarray:
+    """The original variables' values from the standard form's values ``x``."""
+
+    values = np.zeros(len(std.names))
+    n = std.n_structural
+    np.add.at(values, std.col_var, std.col_shift + std.col_sign * x[:n])
+    return values
 
 
-def _dual_objective(
-    lp: LinearProgram,
-    duals: list[float],
-    bound_row_term: float,
-) -> float:
-    # c.x = sum_i y_i b_i + l.(c - A'y) + sum_{upper rows} y_r (u - l)
-    total = bound_row_term
-    for i, con in enumerate(lp._constraints):
-        total += duals[i] * con.rhs
-    reduced = list(lp._objective)
-    for i, con in enumerate(lp._constraints):
-        for j, a in con.coeffs:
-            reduced[j] -= duals[i] * a
-    for j, v in enumerate(lp._variables):
-        if v.lower not in (0.0, -math.inf):
-            total += v.lower * reduced[j]
-    return total
+def _reduced_costs(std: _Standardized, duals: np.ndarray) -> np.ndarray:
+    """``c - A'y`` over the original variables and constraints."""
+
+    at_y = np.bincount(std.nz_var, std.nz_coef * duals[std.nz_con], minlength=len(std.cost))
+    return std.cost - at_y
 
 
-def _verify(lp: LinearProgram, sol: LpSolution) -> None:
-    x = [sol.primal[v.name] for v in lp._variables]
+def _dual_objective(std: _Standardized, duals: np.ndarray, bound_row_term: float) -> float:
+    # c.x = b.y + w.(c - A'y) + sum over upper rows y_r (u - l), w = bound_weight
+    return float(bound_row_term + std.rhs @ duals + std.bound_weight @ _reduced_costs(std, duals))
+
+
+def _verify(std: _Standardized, sol: LpSolution) -> None:
+    """Raise :class:`SolverError` unless ``sol`` certifies an optimum of ``std``'s program."""
+
+    x = np.array([sol.primal[name] for name in std.names], dtype=float)
+    y = np.array(sol.duals, dtype=float)
     # every comparison below is false for NaN, so non-finite values must fail first
-    if not all(map(math.isfinite, (sol.objective, sol.dual_objective, *sol.duals, *x))):
+    finite = math.isfinite(sol.objective) and math.isfinite(sol.dual_objective)
+    if not (finite and np.isfinite(x).all() and np.isfinite(y).all()):
         raise SolverError("certificate has a non-finite value")
-    scale = max(1.0, max((abs(c.rhs) for c in lp._constraints), default=1.0))
-    for i, con in enumerate(lp._constraints):
-        lhs = sum(a * x[j] for j, a in con.coeffs)
-        resid = lhs - con.rhs
-        if con.relation == "<=" and resid > FEAS_TOL * scale:
-            raise SolverError(f"row {i} violated by {resid:g}")
-        if con.relation == ">=" and resid < -FEAS_TOL * scale:
-            raise SolverError(f"row {i} violated by {resid:g}")
-        if con.relation == "=" and abs(resid) > FEAS_TOL * scale:
-            raise SolverError(f"row {i} violated by {resid:g}")
-        y_i = sol.duals[i]
-        if con.relation == "<=" and y_i > GAP_TOL:
-            raise SolverError(f"row {i} has wrong dual sign {y_i:g}")
-        if con.relation == ">=" and y_i < -GAP_TOL:
-            raise SolverError(f"row {i} has wrong dual sign {y_i:g}")
-        if con.relation != "=" and abs(y_i) > GAP_TOL and abs(resid) > FEAS_TOL * scale * 10:
-            raise SolverError(f"row {i} breaks complementary slackness")
-    for j, v in enumerate(lp._variables):
-        if x[j] < v.lower - FEAS_TOL * scale or x[j] > v.upper + FEAS_TOL * scale:
-            raise SolverError(f"variable {v.name} out of bounds: {x[j]:g}")
+    tol = FEAS_TOL * max(1.0, float(np.abs(std.rhs).max(initial=1.0)))
+    resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=len(y)) - std.rhs
+    reduced = _reduced_costs(std, y)
+    slack = GAP_TOL * (1.0 + np.abs(std.cost))
+    le, ge, lower, upper, names = std.row_le, std.row_ge, std.lower, std.upper, std.names
+    checks = [
+        ((le & (resid > tol)) | (ge & (resid < -tol)),
+         lambda i: f"row {i} violated by {resid[i]:g}"),
+        ((le & ~ge & (y > GAP_TOL)) | (ge & ~le & (y < -GAP_TOL)),
+         lambda i: f"row {i} has wrong dual sign {y[i]:g}"),
+        (~(le & ge) & (np.abs(y) > GAP_TOL) & (np.abs(resid) > tol * 10),
+         lambda i: f"row {i} breaks complementary slackness"),
+        ((x < lower - tol) | (x > upper + tol),
+         lambda j: f"variable {names[j]} out of bounds: {x[j]:g}"),
+        # a reduced cost may be negative only where x can sit at an upper
+        # bound, positive only where it can sit at a lower one
+        (((reduced < -slack) & (upper == math.inf)) | ((reduced > slack) & (lower == -math.inf)),
+         lambda j: f"variable {names[j]} has reduced cost {reduced[j]:g} of the wrong sign"),
+    ]
+    if np.concatenate([mask for mask, _ in checks]).any():
+        mask, message = next(check for check in checks if check[0].any())
+        raise SolverError(message(int(np.flatnonzero(mask)[0])))
     gap = abs(sol.objective - sol.dual_objective)
     if gap > GAP_TOL * (1.0 + abs(sol.objective)):
         raise SolverError(f"duality gap {gap:g} exceeds tolerance")
 
 
-def solve(lp: LinearProgram, memo: PivotMemo | None = None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve a minimization LP, returning a certified solution.
 
     OPTIMAL results carry primal values, one dual per constraint, and a
     verified duality gap.  INFEASIBLE and UNBOUNDED results carry no
     certificates.  A solve that cannot be certified even after restarting
     under Bland's rule returns NUMERICAL_FAILURE rather than a wrong answer.
-    ``memo`` lets a re-solve of the same LP with another right-hand side
-    replay the pivot decisions of earlier solves; the result is the same
-    with or without it (see the module docstring).
+    A program solved again after only :meth:`LinearProgram.set_rhs` calls
+    replays the pivot decisions of its last solve; the result is the same as
+    a fresh solve's (see the module docstring).
     """
 
     try:
-        return _solve_once(lp, False, memo)
+        return _solve_once(lp, False)
     except SolverError as exc:
         logger.warning("simplex solve failed (%s); restarting under Bland's rule", exc)
     try:
-        return _solve_once(lp, True, memo)
+        return _solve_once(lp, True)
     except SolverError:
         return LpSolution(Status.NUMERICAL_FAILURE)

@@ -1,0 +1,45 @@
+"""The benchmark's own scripts still run against the package's entry points."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
+
+from netinverse import learner
+from netinverse.network import Observation, Path
+
+ROOT = FilePath(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def test_grid_curve_runs_at_4x4():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "grid_curve.py"), "4"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert " 4x4 " in proc.stdout
+
+
+def test_tracer_counts_inverse_calls_and_solves(monkeypatch, toy_net, toy_priced):
+    """The tracer wraps the names the learner and the inverse look up."""
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    for module, attr, _ in tracing.ENTRY_POINTS:
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored afterwards
+    tracer = tracing.Tracer()
+    tracer.install()
+    obs = [
+        Observation("g1", Path("O", "D", (1,)), weight=100.0),
+        Observation("g2", Path("O", "D", (2,)), weight=200.0),
+    ]
+    trace = learner.recover_prices(obs, toy_net, toy_net.base_costs(), toy_priced)
+    summary = tracer.summary()
+    assert summary["learner.iterations"] == trace.iterations > 1
+    assert summary["inverse.calls"] == 2 * trace.iterations
+    assert summary["simplex.solves"] == 2 * summary["inverse.calls"]
+    assert summary["simplex.stage2_solves"] == summary["inverse.calls"]
+    assert summary["simplex.pivots"] > 0

@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 from netinverse import inverse
 from netinverse.errors import DataError, InconsistentObservation, SolverError
 from netinverse.flows import shortest_path
-from netinverse.inverse import infer_dual_prices, infer_link_costs
+from netinverse.inverse import InverseLPs, infer_dual_prices, infer_link_costs
 from netinverse.network import (
     CapacitySpec,
     Link,
@@ -394,6 +394,52 @@ class TestInferDualPrices:
                     assert abs(mine.objective - oracle) < 1e-7, (od, observed.links)
 
 
+class TestInverseLPs:
+    """A handle reused across calls gives what fresh LPs give, and is rebuilt when it must."""
+
+    ROUTES = (Path("1", "2", (2, 18, 11)), Path("1", "3", (2, 17, 8, 14, 16)))
+
+    def test_reused_handle_matches_fresh_lps(self, nd_net, nd_priced):
+        base = nd_net.base_costs()
+        lps = InverseLPs()
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            prior = {1: float(rng.uniform(0, 6)), 7: float(rng.uniform(0, 6))}
+            reused = infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0], None, lps)
+            assert reused == infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0])
+        assert lps.stage1._record and lps.stage2._record
+        costs = infer_link_costs(nd_net, base, self.ROUTES[1], None, lps)
+        assert costs == infer_link_costs(nd_net, base, self.ROUTES[1])
+
+    @pytest.mark.parametrize("change", ["route", "costs", "subnetwork", "tie-break"])
+    def test_handle_for_another_problem_is_rebuilt(self, nd_net, change):
+        # the price inverse with zero costs and every link priced differs from
+        # the cost inverse in its tie-break only
+        zero = {l.id: 0.0 for l in nd_net.links}
+        every = CapacitySpec.priced_only(zero)
+        prior = {lid: 1.0 + lid % 3 for lid in zero}
+
+        def price(lps=None, route=self.ROUTES[0], costs=zero, sub=None):
+            return infer_dual_prices(nd_net, costs, every, prior, route, sub, lps)
+
+        lps = InverseLPs()
+        for _ in range(3):
+            price(lps)
+        stage1, key = lps.stage1, lps.key
+        if change == "tie-break":
+            result = infer_link_costs(nd_net, prior, self.ROUTES[0], None, lps)
+            assert result == infer_link_costs(nd_net, prior, self.ROUTES[0])
+        else:
+            problem = {
+                "route": {"route": self.ROUTES[1]},
+                "costs": {"costs": {**zero, 18: 0.5}},
+                "subnetwork": {"sub": frozenset(lid for lid in zero if lid != 5)},
+            }[change]
+            assert price(lps, **problem) == price(**problem)
+        assert lps.key != key and lps.stage1 is not stage1
+        assert lps.stage1._record is None
+
+
 class TestRoundingBelowZero:
     """Posteriors the LP leaves a rounding error below zero are clamped to 0."""
 
@@ -403,8 +449,8 @@ class TestRoundingBelowZero:
 
         real = inverse._lexicographic_solve
 
-        def overshooting(lp, deviation, secondary, memo):
-            solution = real(lp, deviation, secondary, memo)
+        def overshooting(lps, deviation, secondary):
+            solution = real(lps, deviation, secondary)
             primal = dict(solution.primal)
             primal[f"e[{link_id}]"] += amount
             return dataclasses.replace(solution, primal=primal)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netinverse import learner
+from netinverse import learner, simplex
 from netinverse.errors import DataError, NoUsableObservations
 from netinverse.flows import path_cost, shortest_path, solve_multicommodity
 from netinverse.learner import (
@@ -26,7 +26,7 @@ from netinverse.learner import (
 )
 from netinverse.network import CapacitySpec, Link, Network, Observation, Path, enumerate_paths
 from netinverse.scenarios import decompose_path_flows
-from netinverse.simplex import PivotMemo
+from netinverse.inverse import InverseLPs
 
 
 def toy_observations(weights=(100.0, 200.0, 100.0)):
@@ -404,21 +404,35 @@ class TestSubnetworkCoverage:
 
 
 class TestPivotMemos:
-    """The per-group memos of the batch fixed points change no result."""
+    """The per-group LP handles of the batch fixed points change no result."""
 
     @staticmethod
     def run_with_and_without_memos(monkeypatch, run):
-        memos: list[PivotMemo] = []
+        """Run with the handles, then with fresh LPs for every call, and compare."""
+
+        handles: list[InverseLPs] = []
+        pricing: list[int] = []
+        real_price = simplex._Pivoter._price
 
         def recorded():
-            memos.append(PivotMemo())
-            return memos[-1]
+            handles.append(InverseLPs())
+            return handles[-1]
 
-        monkeypatch.setattr(learner, "PivotMemo", recorded)
+        def counting(self, *args):
+            pricing.append(1)
+            return real_price(self, *args)
+
+        monkeypatch.setattr(simplex._Pivoter, "_price", counting)
+        monkeypatch.setattr(learner, "InverseLPs", recorded)
         with_memos = run()
-        assert sum(m.steps_reused for m in memos) > sum(m.steps_computed for m in memos)
-        monkeypatch.setattr(learner, "PivotMemo", lambda: None)
+        computed = len(pricing)
+        # every handle kept its LPs and their record across the iterations
+        assert handles and all(lps.stage1._record is not None for lps in handles)
+        monkeypatch.setattr(learner, "InverseLPs", lambda: None)
         assert run() == with_memos
+        total = len(pricing) - computed
+        # the steps replayed outnumber those computed
+        assert total - computed > computed
         return with_memos
 
     @staticmethod

@@ -347,11 +347,11 @@ class TestBlandRestart:
         real = simplex._solve_once
         attempts = []
 
-        def fail_first(lp, force_bland, memo):
+        def fail_first(lp, force_bland):
             attempts.append(force_bland)
             if len(attempts) == 1:
                 raise SolverError("row 0 violated by 0.001")
-            return real(lp, force_bland, memo)
+            return real(lp, force_bland)
 
         monkeypatch.setattr(simplex, "_solve_once", fail_first)
         with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
@@ -466,7 +466,7 @@ def reference_standardize(lp: LinearProgram):
         rows.append(row)
         rhs.append(con.rhs - shift_term)
         relations.append(con.relation)
-    for j in std.bound_row_var[lp.num_constraints:]:
+    for j in [j for j, v in enumerate(lp._variables) if -math.inf < v.lower and v.upper < math.inf]:
         row = np.zeros(std.n_structural)
         row[var_cols[j][0]] = 1.0
         rows.append(row)
@@ -490,23 +490,67 @@ def reference_standardize(lp: LinearProgram):
     return std, a, np.asarray(rhs, dtype=float)
 
 
+def random_bounds_lp(rng: np.random.Generator) -> LinearProgram:
+    """A random LP over variables of every kind of bounds, with signed zero coefficients."""
+
+    lp = LinearProgram()
+    n = int(rng.integers(1, 6))
+    for j in range(n):
+        kind = int(rng.integers(0, 4))
+        lower, upper = [(0.0, math.inf), (-math.inf, math.inf), (-math.inf, 2.0), (-1.0, 3.0)][kind]
+        lp.add_variable(f"x{j}", lower, upper, cost=float(rng.uniform(-2, 2)))
+    for _ in range(int(rng.integers(0, 6))):
+        picked = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        coeffs = {int(j): float(rng.choice([0.0, -0.0, rng.uniform(-3, 3)])) for j in picked}
+        lp.add_constraint(coeffs, str(rng.choice(["<=", ">=", "="])), float(rng.uniform(-4, 4)))
+    return lp
+
+
 class TestStandardForm:
     def test_one_matrix_equals_row_by_row_build(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            lp = LinearProgram()
-            n = int(rng.integers(1, 6))
-            for j in range(n):
-                kind = int(rng.integers(0, 4))
-                lower, upper = [(0.0, math.inf), (-math.inf, math.inf), (-math.inf, 2.0), (-1.0, 3.0)][kind]
-                lp.add_variable(f"x{j}", lower, upper, cost=float(rng.uniform(-2, 2)))
-            for _ in range(int(rng.integers(0, 6))):
-                picked = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-                coeffs = {int(j): float(rng.choice([0.0, -0.0, rng.uniform(-3, 3)])) for j in picked}
-                lp.add_constraint(coeffs, str(rng.choice(["<=", ">=", "="])), float(rng.uniform(-4, 4)))
-            std, a, b = reference_standardize(lp)
-            assert np.array_equal(std.a, a) and np.array_equal(np.signbit(std.a), np.signbit(a))
+            std, a, b = reference_standardize(random_bounds_lp(rng))
+            real, artificial = std.a[:, : std.n_real], std.a[:, std.n_real :]
+            assert np.array_equal(real, a) and np.array_equal(np.signbit(real), np.signbit(a))
             assert np.array_equal(std.b, b) and np.array_equal(np.signbit(std.b), np.signbit(b))
+            # one artificial column per row phase 1 cannot start from a slack of
+            rows = [i for i, col in enumerate(std.basis) if col >= std.n_real]
+            assert np.array_equal(artificial[rows], np.eye(len(rows)))
+            assert all(a[i, col] == 1.0 for i, col in enumerate(std.basis) if col < std.n_real)
+
+    def test_array_certificate_pieces_equal_loops_over_variables_and_rows(self):
+        """Primal recovery bit for bit, and the dual objective to rounding, against loops."""
+
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            lp = random_bounds_lp(rng)
+            std = simplex._standardize(lp)
+            x = rng.choice([0.0, -0.0, 1.5, rng.uniform(0, 3)], size=std.a.shape[1])
+            values = [0.0] * lp.num_variables
+            seen = [False] * lp.num_variables
+            for k in range(std.n_structural):
+                j = std.col_var[k]
+                if not seen[j]:
+                    values[j] += std.col_shift[k]
+                    seen[j] = True
+                values[j] += std.col_sign[k] * x[k]
+            recovered = simplex._recover_primal(std, x)
+            assert np.array_equal(recovered, values)
+            assert np.array_equal(np.signbit(recovered), np.signbit(values))
+
+            duals = rng.uniform(-2, 2, lp.num_constraints)
+            reduced = list(lp._objective)
+            for i, con in enumerate(lp._constraints):
+                for j, a in con.coeffs:
+                    reduced[j] -= duals[i] * a
+            total = 0.5 + sum(d * con.rhs for d, con in zip(duals, lp._constraints))
+            for j, v in enumerate(lp._variables):
+                bound = v.lower if v.lower != -math.inf else v.upper
+                if math.isfinite(bound):
+                    total += bound * reduced[j]
+            dual_objective = simplex._dual_objective(std, duals, 0.5)
+            assert dual_objective == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 class TestVerify:
@@ -514,15 +558,40 @@ class TestVerify:
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
         lp.add_constraint({x: 1.0}, ">=", 3.0)
+        std = simplex._standardize(lp)
         nan = math.nan
         sol = simplex.LpSolution(Status.OPTIMAL, nan, {"x": nan}, (nan,), nan)
         with pytest.raises(SolverError, match="non-finite"):
-            simplex._verify(lp, sol)
+            simplex._verify(std, sol)
         # one non-finite value among finite ones is enough
         sol = simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (math.inf,), 3.0)
         with pytest.raises(SolverError, match="non-finite"):
-            simplex._verify(lp, sol)
-        simplex._verify(lp, simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (1.0,), 3.0))
+            simplex._verify(std, sol)
+        simplex._verify(std, simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (1.0,), 3.0))
+
+    def test_reduced_cost_of_the_wrong_sign_is_rejected(self):
+        """A feasible vertex that is not optimal has zero gap with its basic dual."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        std = simplex._standardize(lp)
+        sol = simplex.LpSolution(Status.OPTIMAL, 2.0, {"x": 2.0, "y": 0.0}, (1.0,), 2.0)
+        with pytest.raises(SolverError, match="reduced cost"):
+            simplex._verify(std, sol)
+        optimal = simplex.LpSolution(Status.OPTIMAL, 0.0, {"x": 0.0, "y": 2.0}, (0.0,), 0.0)
+        simplex._verify(std, optimal)
+
+    def test_variable_bounded_above_only(self):
+        """``x <= u`` with no lower bound: the certificate counts ``u`` times its reduced cost."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", lower=-math.inf, upper=3.0, cost=-1.0)
+        lp.add_constraint({x: 1.0}, "<=", 5.0)
+        sol = solve(lp)
+        assert sol.status is Status.OPTIMAL
+        assert sol.primal == {"x": 3.0} and sol.objective == sol.dual_objective == -3.0
 
 
 class TestFactoriseOnce:
@@ -555,48 +624,86 @@ class TestFactoriseOnce:
         assert not any(np.array_equal(p, q) for p, q in itertools.combinations(once, 2))
 
 
+def count_pricing(monkeypatch) -> list[int]:
+    """Count the pricing steps solves compute rather than take from a record."""
+
+    calls: list[int] = []
+    real = simplex._Pivoter._price
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(simplex._Pivoter, "_price", counting)
+    return calls
+
+
 class TestPivotMemo:
-    """Re-solves with a memo give what solves without one give, bit for bit."""
+    """Re-solves after ``set_rhs`` give what fresh programs give, bit for bit."""
 
     K = 4
     LINKS = 4 * K * (K - 1)
 
     @classmethod
-    def lexicographic(cls, prior, memo=None):
-        """Both stages of the grid price inverse under ``prior``, as the inverses run them."""
+    def lexicographic(cls, prior, lps=None):
+        """Both stages of the grid price inverse under ``prior``, as the inverses run them.
 
-        lp, e, f = grid_price_inverse(cls.K, np.random.default_rng(1), prior)
-        first = solve(lp, memo)
-        lp.add_constraint({j: 1.0 for j in e + f}, "<=", first.objective)
-        lp.set_objective({j: 1.0 for j in e})
-        return first, solve(lp, memo)
+        ``lps`` keeps the two stage LPs between calls: the first call builds
+        them into it, later ones write the new prior with ``set_rhs``.
+        """
+
+        fresh, e, f = grid_price_inverse(cls.K, np.random.default_rng(1), prior)
+        lps = [] if lps is None else lps
+        if not lps:
+            lps += [fresh, None]
+        for lp in filter(None, lps):
+            for i, con in enumerate(fresh._constraints):
+                lp.set_rhs(i, con.rhs)
+        first = solve(lps[0])
+        if lps[1] is None:
+            lps[1] = lps[0].copy()
+            lps[1].add_constraint({j: 1.0 for j in e + f}, "<=", first.objective)
+            lps[1].set_objective({j: 1.0 for j in e})
+        else:
+            lps[1].set_rhs(lps[1].num_constraints - 1, first.objective)
+        return first, solve(lps[1])
 
     @classmethod
     def priors(cls, seed, count):
         rng = np.random.default_rng(seed)
         return [list(rng.uniform(0.0, 2.0, cls.LINKS)) for _ in range(count)]
 
-    def test_sequence_of_priors(self):
-        memo = simplex.PivotMemo()
+    def test_sequence_of_priors(self, monkeypatch):
+        pricing = count_pricing(monkeypatch)
+        lps: list = []
+        resolved = fresh = 0
         for prior in self.priors(2, 8):
-            with_memo = self.lexicographic(prior, memo)
-            assert with_memo == self.lexicographic(prior)
-            assert all(s.status is Status.OPTIMAL for s in with_memo)
-        assert memo.steps_reused > 0 and memo.steps_computed > 0
+            start = len(pricing)
+            with_record = self.lexicographic(prior, lps)
+            resolved += len(pricing) - start
+            start = len(pricing)
+            assert with_record == self.lexicographic(prior)
+            fresh += len(pricing) - start
+            assert all(s.status is Status.OPTIMAL for s in with_record)
+        assert 0 < resolved < fresh
 
-    def test_leaving_choice_changed_mid_path(self):
-        memo = simplex.PivotMemo()
+    def test_leaving_choice_changed_mid_path(self, monkeypatch):
+        pricing = count_pricing(monkeypatch)
         prior = self.priors(5, 1)[0]
         lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
-        solve(lp, memo)
-        reused, computed = memo.steps_reused, memo.steps_computed
-        prior = [p + 1.0 if n <= 8 else p for n, p in enumerate(prior)]
-        lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
-        replayed = solve(lp, memo)
+        solve(lp)
+        solve(lp)  # the second solve records its path
+        moved = [p + 1.0 if n <= 8 else p for n, p in enumerate(prior)]
+        fresh, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), moved)
+        for i, con in enumerate(fresh._constraints):
+            lp.set_rhs(i, con.rhs)
+        start = len(pricing)
+        replayed = solve(lp)
+        computed = len(pricing) - start
+        start = len(pricing)
+        assert replayed == solve(fresh)
         # part of the path was replayed, then the new prior chose another row to leave
-        assert memo.steps_reused > reused and memo.steps_computed > computed
-        lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
-        assert replayed == solve(lp)
+        assert 0 < computed < len(pricing) - start
 
     @staticmethod
     def changed(lp: LinearProgram, row: int | None = None, cost=None, **changes) -> LinearProgram:
@@ -610,63 +717,79 @@ class TestPivotMemo:
             copy._constraints[row] = dataclasses.replace(lp._constraints[row], **changes)
         return copy
 
-    def test_changed_lp_is_solved_fresh(self):
+    def test_changed_lp_is_solved_fresh(self, monkeypatch):
+        pricing = count_pricing(monkeypatch)
         prior = self.priors(3, 1)[0]
-        lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
-        (j, value), *rest = lp._constraints[0].coeffs
-        tight = lp._constraints[-1]
-        variants = [
-            # one coefficient of the first potential row doubled
-            self.changed(lp, 0, coeffs=((j, 2.0 * value), *rest)),
+        tight = grid_price_inverse(self.K, np.random.default_rng(1), prior)[0]._constraints[-1]
+
+        def flip_tight(lp):
             # the tight row's right-hand side negated, so its standard-form row flips
-            self.changed(lp, lp.num_constraints - 1, rhs=-tight.rhs),
+            lp.set_rhs(lp.num_constraints - 1, -tight.rhs)
+            return self.changed(lp)
+
+        def double_cost(lp):
             # one decrease variable costing twice as much
-            self.changed(lp, cost=[2.0] + lp._objective[1:]),
-        ]
-        standard = simplex._standardize(lp)
-        for variant in variants:
-            changed = simplex._standardize(variant)
-            assert changed.a.shape == standard.a.shape
-            assert not (
-                np.array_equal(changed.a, standard.a) and np.array_equal(changed.c, standard.c)
-            )
-            memo = simplex.PivotMemo()
-            solve(lp, memo)
-            reused = memo.steps_reused
-            assert solve(variant, memo) == solve(variant)
-            assert memo.steps_reused == reused
+            cost = [2.0] + lp._objective[1:]
+            lp.set_objective(dict(enumerate(cost)))
+            return self.changed(lp, cost=cost)
+
+        def add_row(lp):
+            lp.add_constraint({0: 1.0, 1: 1.0}, "<=", 5.0)
+            return self.changed(lp)
+
+        def add_variable(lp):
+            lp.add_variable("spare", cost=1.0)
+            return self.changed(lp)
+
+        for change in (flip_tight, double_cost, add_row, add_variable):
+            lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
+            solve(lp)
+            solve(lp)
+            assert lp._record
+            variant = change(lp)
+            start = len(pricing)
+            resolved = solve(lp)
+            computed = len(pricing) - start
+            start = len(pricing)
+            assert resolved == solve(variant)
+            # the re-solve replayed nothing
+            assert computed == len(pricing) - start
 
     def test_memo_holds_the_latest_solve_only(self):
-        memo = simplex.PivotMemo()
-        for prior in self.priors(4, 30):
-            self.lexicographic(prior, memo)
-            alone = simplex.PivotMemo()
+        lps: list = []
+        priors = self.priors(4, 30)
+        self.lexicographic(priors[0], lps)
+        for prior in priors:
+            self.lexicographic(prior, lps)
+            alone: list = []
             self.lexicographic(prior, alone)
-            assert len(memo) == len(alone)
-            assert len(memo) < 4 * self.LINKS
+            self.lexicographic(prior, alone)
+            assert [len(lp._record) for lp in lps] == [len(lp._record) for lp in alone]
+            assert sum(len(lp._record) for lp in lps) < 4 * self.LINKS
 
     def test_refactorising_every_pivot(self, monkeypatch):
         """Phase 2 may start from the basis phase 1 last factorised."""
 
         monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
-        memo = simplex.PivotMemo()
+        lps: list = []
         for prior in self.priors(7, 3):
-            assert self.lexicographic(prior, memo) == self.lexicographic(prior)
+            assert self.lexicographic(prior, lps) == self.lexicographic(prior)
         # phase 1 ends with x basic and no artificial left; phase 2 pivots y in
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
         y = lp.add_variable("y")
         lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
-        solution = solve(lp, simplex.PivotMemo())
-        assert solution == solve(lp)
-        assert solution.primal == {"x": 0.0, "y": 2.0}
+        solutions = [solve(lp) for _ in range(3)]  # a first solve, a recording one, a replay
+        assert solutions == [solutions[0]] * 3
+        assert solutions[0].primal == {"x": 0.0, "y": 2.0}
 
     def test_bland_switch(self, monkeypatch):
         """A re-solve that switches to Bland's rule sooner does not replay Dantzig steps."""
 
         prior = [0.0] * self.LINKS  # every nonnegativity row degenerate
-        memo = simplex.PivotMemo()
-        dantzig = self.lexicographic(prior, memo)
+        lps: list = []
+        self.lexicographic(prior, lps)
+        dantzig = self.lexicographic(prior, lps)
         real_init = simplex._Pivoter.__init__
 
         def eager_bland(pivoter, *args, **kwargs):
@@ -674,16 +797,88 @@ class TestPivotMemo:
             pivoter.stall_limit = 0  # Bland's rule from the first degenerate pivot
 
         monkeypatch.setattr(simplex._Pivoter, "__init__", eager_bland)
-        bland = self.lexicographic(prior, memo)
+        bland = self.lexicographic(prior, lps)
         assert bland == self.lexicographic(prior)
         assert [s.pivots for s in bland] != [s.pivots for s in dantzig]
 
-    def test_unchanged_lp_computes_no_pricing_step(self):
-        memo = simplex.PivotMemo()
+    def test_unchanged_lp_computes_no_pricing_step(self, monkeypatch):
+        pricing = count_pricing(monkeypatch)
+        lps: list = []
         prior = self.priors(6, 1)[0]
-        first = self.lexicographic(prior, memo)
-        computed = memo.steps_computed
-        assert computed > 0 and memo.steps_reused == 0
-        assert self.lexicographic(prior, memo) == first
-        assert memo.steps_computed == computed
-        assert memo.steps_reused == computed
+        first = self.lexicographic(prior, lps)
+        computed = len(pricing)
+        assert computed > 0
+        assert self.lexicographic(prior, lps) == first  # computes again, and records
+        assert len(pricing) == 2 * computed
+        assert self.lexicographic(prior, lps) == first
+        assert len(pricing) == 2 * computed
+
+
+class TestSetRhs:
+    def test_bad_row_or_value_is_rejected(self):
+        lp = TestLapackKernel.two_row_lp()
+        for row in (-1, 2):
+            with pytest.raises(SolverError, match="no constraint"):
+                lp.set_rhs(row, 1.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SolverError, match="finite"):
+                lp.set_rhs(0, value)
+        assert [con.rhs for con in lp._constraints] == [3.0, 1.0]
+
+    def test_structural_change_drops_the_record(self):
+        for change in (
+            lambda lp: lp.add_variable("spare"),
+            lambda lp: lp.add_constraint({0: 1.0}, ">=", 0.0),
+            lambda lp: lp.set_objective({0: 2.0}),
+        ):
+            lp, _, _ = grid_price_inverse(3, np.random.default_rng(1))
+            solve(lp)
+            solve(lp)
+            change(lp)
+            assert lp._std is None and lp._record is None
+            solve(lp)
+            assert lp._std is None and lp._record is None
+
+    def test_lp_solved_once_holds_no_record(self):
+        lp, _, _ = grid_price_inverse(4, np.random.default_rng(1))
+        solve(lp)
+        assert lp._std is None and lp._record is None
+        solve(lp)
+        assert lp._std is not None and lp._record
+
+    def test_rhs_that_changes_sign(self):
+        """A row whose right-hand side changes sign flips in the standard form."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y", lower=-math.inf)
+        lp.add_constraint({x: 1.0, y: -1.0}, ">=", 2.0)
+        lp.add_constraint({y: 1.0}, "=", 1.0)
+        flips = []
+        for rhs in (2.0, 3.0, -4.0, -1.0, 0.0, 5.0):
+            lp.set_rhs(0, rhs)
+            lp.set_rhs(1, -rhs)
+            assert solve(lp) == solve(TestPivotMemo.changed(lp))
+            flips.append(bool(lp._std.row_flip[1]) if lp._std is not None else None)
+        assert flips == [None, True, False, False, False, True]
+
+    def test_cached_standard_form_is_not_mutated(self):
+        """Artificial columns and dropped redundant rows stay out of the kept form."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y", cost=2.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0)  # redundant
+        lp.add_constraint({x: 1.0}, "<=", 1.5)
+        solve(lp)
+        solve(lp)
+        kept = lp._std
+        a, b = kept.a.copy(), kept.b.copy()
+        for rhs in (3.0, 1.0, 2.5, 0.0):
+            lp.set_rhs(0, rhs)
+            lp.set_rhs(1, 2.0 * rhs)
+            fresh = TestPivotMemo.changed(lp)
+            assert solve(lp) == solve(fresh)
+            assert lp._std is kept and kept.a.shape == a.shape
+            assert np.array_equal(kept.a, a) and kept.b[0] == rhs and kept.b[2] == b[2]
