@@ -190,8 +190,7 @@ def _inverse(
     if lps.key != key:
         lps.key, lps.stage1, lps.stage2 = key, _build(links, nodes, priced_ids, observed), None
     for lp in filter(None, (lps.stage1, lps.stage2)):
-        for i, value in enumerate(rhs):
-            lp.set_rhs(i, value)
+        lp.set_rhs(0, rhs)
 
     # e[l] and f[l] of the n-th adjustable link are variables 2n and 2n + 1
     e_vars = list(range(0, 2 * len(priced_ids), 2))

@@ -30,7 +30,8 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError, InconsistentObservation, NoUsableObservations
 from .inverse import InverseLPs, InverseResult, infer_dual_prices, infer_link_costs
@@ -55,11 +56,12 @@ class FixedPointTrace:
     ``final_gap`` is the stopping residual: for cost estimation the largest
     componentwise move of the prior in the last iteration, for price
     recovery the largest deviation of any agent's posterior from the prior
-    (an upper bound on the prior move).
+    (an upper bound on the prior move).  The agents of one route group share
+    one read-only posterior.
     """
 
     priors: tuple[PriceVector, ...]
-    per_agent_posteriors: dict[str, PriceVector]
+    per_agent_posteriors: dict[str, Mapping[LinkId, float]]
     iterations: int
     converged: bool
     final_gap: float
@@ -208,11 +210,11 @@ def _fixed_point(
             converged = True
             break
 
-    per_agent = {
-        ob.agent_id: dict(res.posterior)
-        for (key, _), res in zip(usable, results)
-        for ob in groups[key]
-    }
+    per_agent: dict[str, Mapping[LinkId, float]] = {}
+    for (key, _), res in zip(usable, results):
+        posterior = MappingProxyType(dict(res.posterior))
+        for ob in groups[key]:
+            per_agent[ob.agent_id] = posterior
     return FixedPointTrace(
         tuple(priors), per_agent, len(priors) - 1, converged, residual, tuple(sorted(skipped))
     )
@@ -411,10 +413,17 @@ def write_trace(trace: FixedPointTrace, directory: FilePath | str) -> None:
     (d / "prior_trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     lines = ["agent_id,link_id,value"]
+    # agents sharing a posterior share its ",link_id,value" line tails
+    tails: dict[int, list[str]] = {}
     for agent_id in sorted(trace.per_agent_posteriors):
         posterior = trace.per_agent_posteriors[agent_id]
-        for lid in sorted(posterior):
-            lines.append(f"{agent_id},{lid},{posterior[lid]:.9g}")
+        tail = tails.get(id(posterior))
+        if tail is None:
+            tail = [f",{lid},{posterior[lid]:.9g}" for lid in sorted(posterior)]
+            tails[id(posterior)] = tail
+        if tail:
+            prefix = f"{agent_id}"
+            lines.append(prefix + ("\n" + prefix).join(tail))
     (d / "agent_posteriors.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     summary = [

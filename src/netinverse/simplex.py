@@ -22,24 +22,34 @@ that fails too, reports NUMERICAL_FAILURE.
 
 Re-solves with a changed right-hand side
 ----------------------------------------
-A :class:`LinearProgram` solved again after only :meth:`~LinearProgram.set_rhs`
-calls (the inverse problems of a fixed point, whose prior enters only
-through ``b``) keeps, from its second solve on, its standard form and a
-record of the states its latest solve used: the LU of each factorised
-basis, each pricing step's outcome (the entering column or "optimal", with
-its FTRAN'd column) keyed by the basis at the last refactorisation, the
-``(leave, enter)`` pairs since then, the Bland flag and the phase, and the
-final duals keyed by the final basis.  Whatever depends on ``b`` is computed
-on every solve: basic values, the ratio test and leaving choice, the
-degeneracy counter and the Bland switch, the phase-1 infeasibility test,
-primal values, objectives and the certificate check.  A re-solve follows the
-recorded path only while its ``b`` makes the same leaving choices, and takes
-from the record only values it would have computed, so every pivot and
-result is the same, bit for bit.  ``add_variable``, ``add_constraint``,
-``set_objective`` and a ``set_rhs`` that flips a row's sign normalisation
-drop the standard form and the record, so a record always belongs to the
-matrix and costs being solved.  A first solve keeps nothing (most programs
-are solved once), and a restart under Bland's rule records nothing.
+A :class:`LinearProgram` holds its right-hand sides in one array, which
+:meth:`~LinearProgram.set_rhs` writes into, one row or a run of rows per
+call.  Solved again after only ``set_rhs`` calls (the inverse problems of a
+fixed point, whose prior enters only through ``b``), it keeps, from its
+second solve on, two things.  The first is its standard form, which is built
+once per structure together with everything the certificate check compares
+against apart from ``b``: the nonzeros of the original rows, the reduced-cost
+slacks ``GAP_TOL (1 + |c_j|)``, the masks of the ``<=``-only, ``>=``-only and
+inequality rows, and the masks of the variables with an infinite upper or
+lower bound.  The second is a record of the states its latest solve used:
+the LU of each factorised basis, each pricing step's outcome (the entering
+column or "optimal", with its FTRAN'd column and the rows where that column
+is positive, the only rows the ratio test reads) keyed by the basis at the
+last refactorisation, the ``(leave, enter)`` pairs since then, the Bland
+flag and the phase, the column that replaces each artificial left basic
+after phase 1, and the final duals keyed by the final basis.  Whatever
+depends on ``b`` is computed on every solve: basic values, the ratio test
+and leaving choice, the degeneracy counter and the Bland switch, the phase-1
+infeasibility test, primal values, objectives and the certificate check.  A
+re-solve follows the recorded path only while its ``b`` makes the same
+leaving choices, and takes from the record only values it would have
+computed, so every pivot and result is the same, bit for bit.
+``add_variable``, ``add_constraint``, ``set_objective`` and a ``set_rhs``
+that flips a row's sign normalisation drop the standard form, with the
+arrays built alongside it, and the record, so both always belong to the
+matrix and costs being solved.  A first solve goes through the same code but
+keeps nothing (most programs are solved once), and a restart under Bland's
+rule records nothing.
 
 Conventions
 -----------
@@ -65,7 +75,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -103,7 +113,6 @@ class _Variable:
 class _Constraint:
     coeffs: tuple[tuple[int, float], ...]
     relation: str
-    rhs: float
     name: str
 
 
@@ -112,14 +121,16 @@ class LinearProgram:
 
     Variables are referenced by the integer index returned from
     :meth:`add_variable`.  Constraints may use relation ``"<="``, ``"="``,
-    or ``">="``.  A program re-solved after :meth:`set_rhs` calls only
-    replays its last solve (see the module docstring).
+    or ``">="``; their right-hand sides live in one array, in declaration
+    order.  A program re-solved after :meth:`set_rhs` calls only replays its
+    last solve (see the module docstring).
     """
 
     def __init__(self) -> None:
         self._variables: list[_Variable] = []
         self._objective: list[float] = []
         self._constraints: list[_Constraint] = []
+        self._rhs = np.zeros(0)
         self._names: set[str] = set()
         self._changed()
 
@@ -169,18 +180,26 @@ class LinearProgram:
                 raise SolverError(f"non-finite coefficient for variable index {j}")
         row = tuple(sorted(coeffs.items()))
         self._changed()
-        self._constraints.append(_Constraint(row, relation, rhs, name))
+        self._constraints.append(_Constraint(row, relation, name))
+        self._rhs = np.append(self._rhs, float(rhs))
         return len(self._constraints) - 1
 
-    def set_rhs(self, row: int, value: float) -> None:
-        """Replace the right-hand side of constraint ``row``."""
+    def set_rhs(self, row: int, value: float | Sequence[float]) -> None:
+        """Replace the right-hand side of constraint ``row``.
 
-        if not 0 <= row < len(self._constraints):
-            raise SolverError(f"no constraint with index {row}")
-        if not math.isfinite(value):
-            raise SolverError(f"constraint rhs must be finite, got {value!r}")
-        con = self._constraints[row]
-        self._constraints[row] = _Constraint(con.coeffs, con.relation, value, con.name)
+        A sequence of values replaces the right-hand sides of ``row`` and the
+        constraints after it, in one write.
+        """
+
+        values = np.asarray(value, dtype=float)
+        last = row + values.size - 1
+        if row < 0 or last >= len(self._constraints):
+            raise SolverError(f"no constraint with index {row if row < 0 else last}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[~finite].flat[0])
+            raise SolverError(f"constraint rhs must be finite, got {bad!r}")
+        self._rhs[row : last + 1] = values
 
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
         """Replace the objective with the given (sparse) coefficient map."""
@@ -212,6 +231,7 @@ class LinearProgram:
         other._variables = list(self._variables)
         other._objective = list(self._objective)
         other._constraints = list(self._constraints)
+        other._rhs = self._rhs.copy()
         other._names = set(self._names)
         return other
 
@@ -222,10 +242,10 @@ class LinearProgram:
             return f"{a:+g}*{self._variables[j].name}"
 
         lines = ["min " + " ".join(term(j, c) for j, c in enumerate(self._objective) if c)]
-        for i, con in enumerate(self._constraints):
+        for i, (con, rhs) in enumerate(zip(self._constraints, self._rhs.tolist())):
             label = con.name or f"r{i}"
             body = " ".join(term(j, a) for j, a in con.coeffs)
-            lines.append(f"  {label}: {body} {con.relation} {con.rhs:g}")
+            lines.append(f"  {label}: {body} {con.relation} {rhs:g}")
         for v in self._variables:
             lines.append(f"  {v.lower:g} <= {v.name} <= {v.upper:g}")
         return "\n".join(lines)
@@ -263,7 +283,8 @@ class _Standardized:
     A solve works on a shallow copy: it replaces ``a``, ``b`` and the row
     arrays when it drops a redundant row and never writes into them, so a
     kept form changes only where :func:`_kept_form` writes new right-hand
-    sides.
+    sides.  Everything but ``b`` and ``rhs`` depends on the program's
+    variables, objective, relations and row flips alone.
     """
 
     a: np.ndarray              # m x n, structural, slack and artificial columns
@@ -282,7 +303,8 @@ class _Standardized:
     # the original program, for the certificate: row_le and row_ge mark the
     # constraints that bound their left-hand side above and below ("=" both),
     # bound_weight is each variable's shift (its lower bound, else its finite
-    # upper one, else 0), and nz_* list each nonzero coefficient
+    # upper one, else 0), nz_* list each nonzero coefficient, and rhs is the
+    # program's own right-hand-side array, which set_rhs writes into
     names: list[str]
     cost: np.ndarray
     lower: np.ndarray
@@ -294,6 +316,15 @@ class _Standardized:
     nz_con: np.ndarray
     nz_var: np.ndarray
     nz_coef: np.ndarray
+    # what _verify compares against, built with the structure: each reduced
+    # cost's slack GAP_TOL (1 + |c_j|), the inequality rows by direction, the
+    # rows that are not equalities, and the variables with an infinite bound
+    cost_slack: np.ndarray
+    row_le_only: np.ndarray
+    row_ge_only: np.ndarray
+    row_not_eq: np.ndarray
+    upper_inf: np.ndarray
+    lower_inf: np.ndarray
 
 
 def _standardize(lp: LinearProgram) -> _Standardized:
@@ -321,6 +352,7 @@ def _standardize(lp: LinearProgram) -> _Standardized:
 
     n_struct = len(col_var)
     cons = lp._constraints
+    cons_rhs = lp._rhs.tolist()
     m = len(cons) + len(upper_rows)
     rhs: list[float] = []
     row_shift: list[float] = []
@@ -341,7 +373,7 @@ def _standardize(lp: LinearProgram) -> _Standardized:
                 nz_val.append(0.0 + coef * col_sign[k])
             shift_term += coef * col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
         row_shift.append(shift_term)
-        rhs.append(con.rhs - shift_term)
+        rhs.append(cons_rhs[i] - shift_term)
     n_con_nz = len(nz_row)
     for i, (j, cap) in enumerate(upper_rows, start=len(cons)):
         nz_row.append(i)
@@ -382,6 +414,11 @@ def _standardize(lp: LinearProgram) -> _Standardized:
     second[[cols[1] for cols in var_cols if len(cols) == 2]] = True
     first = ~second[nz_col[:n_con_nz]]
     k = nz_col[:n_con_nz][first]
+    cost = np.array(lp._objective, dtype=float)
+    lower = np.array([v.lower for v in variables], dtype=float)
+    upper = np.array([v.upper for v in variables], dtype=float)
+    row_le = np.array([con.relation != ">=" for con in cons], dtype=bool)
+    row_ge = np.array([con.relation != "<=" for con in cons], dtype=bool)
 
     return _Standardized(
         a=a,
@@ -398,16 +435,22 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         col_shift=np.array(col_shift),
         n_structural=n_struct,
         names=[v.name for v in variables],
-        cost=np.array(lp._objective, dtype=float),
-        lower=np.array([v.lower for v in variables], dtype=float),
-        upper=np.array([v.upper for v in variables], dtype=float),
+        cost=cost,
+        lower=lower,
+        upper=upper,
         bound_weight=np.array(col_shift)[[cols[0] for cols in var_cols]],
-        rhs=np.array([con.rhs for con in cons], dtype=float),
-        row_le=np.array([con.relation != ">=" for con in cons], dtype=bool),
-        row_ge=np.array([con.relation != "<=" for con in cons], dtype=bool),
+        rhs=lp._rhs,
+        row_le=row_le,
+        row_ge=row_ge,
         nz_con=nz_row[:n_con_nz][first],
         nz_var=col_var_a[k],
         nz_coef=nz_val[:n_con_nz][first] * col_sign_a[k],
+        cost_slack=GAP_TOL * (1.0 + np.abs(cost)),
+        row_le_only=row_le & ~row_ge,
+        row_ge_only=row_ge & ~row_le,
+        row_not_eq=~(row_le & row_ge),
+        upper_inf=upper == math.inf,
+        lower_inf=lower == -math.inf,
     )
 
 
@@ -514,26 +557,25 @@ class _Pivoter:
                 x_b = _lu_solve(lu, b)
                 root = (phase, tuple(basis))
                 pairs: tuple[tuple[int, int], ...] = ()
-            enter, direction = self.replay.recall(
+            enter, direction, pos, pos_direction = self.replay.recall(
                 ("step", root, pairs, self.bland),
                 lambda: self._price(c, lu, etas, basis),
             )
             if enter < 0:
                 return "optimal"
-            pos = np.flatnonzero(direction > _PIVOT_TOL)
             if pos.size == 0:
                 return "unbounded"
-            ratios = x_b[pos] / direction[pos]
-            rmin = ratios.min()
-            ties = pos[ratios <= rmin + FEAS_TOL]
-            leave = int(min(ties, key=lambda i: basis[i]))
-            if x_b[leave] <= FEAS_TOL:
+            ratios = x_b[pos] / pos_direction
+            ties = pos[ratios <= np.minimum.reduce(ratios) + FEAS_TOL]
+            leave = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
+            x_leave = x_b[leave]
+            if x_leave <= FEAS_TOL:
                 self.degenerate_run += 1
                 if self.degenerate_run > self.stall_limit:
                     self.bland = True
             else:
                 self.degenerate_run = 0
-            theta = x_b[leave] / direction[leave]
+            theta = x_leave / direction[leave]
             x_b -= theta * direction
             x_b[leave] = theta
             etas.append((leave, direction))
@@ -541,20 +583,27 @@ class _Pivoter:
             basis[leave] = enter
             self.pivots += 1
 
-    def _price(self, c, lu, etas, basis) -> tuple[int, np.ndarray | None]:
-        """The entering column and its FTRAN'd image, or ``(-1, None)`` at the optimum."""
+    def _price(self, c, lu, etas, basis) -> tuple:
+        """One pricing step: ``(enter, direction, pos, direction[pos])``.
+
+        ``direction`` is the entering column's FTRAN'd image and ``pos`` the
+        rows where it exceeds ``_PIVOT_TOL``, the rows the ratio test reads;
+        at the optimum ``enter`` is -1 and the rest ``None``.
+        """
 
         y = _btran(lu, etas, c[basis])
         reduced = c - self.a.T @ y
         candidates = np.flatnonzero(reduced[: self.n_real] < -OPT_TOL)
         if candidates.size == 0:
-            return -1, None
+            return -1, None, None, None
         if self.bland:
             enter = int(candidates[0])
         else:
             best = reduced[candidates].min()
             enter = int(candidates[reduced[candidates] <= best + OPT_TOL][0])
-        return enter, _ftran(lu, etas, self.a[:, enter])
+        direction = _ftran(lu, etas, self.a[:, enter])
+        pos = np.flatnonzero(direction > _PIVOT_TOL)
+        return enter, direction, pos, direction[pos]
 
 
 def _ftran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
@@ -587,23 +636,28 @@ def _drive_out_artificials(
 
     A basic artificial sits at value ~0 after a feasible phase 1.  If its row
     has no eligible real column to pivot on, the row is linearly dependent on
-    the others and is removed from the problem.
+    the others and is removed from the problem.  Each choice depends on the
+    basis and the matrix alone, so it is a recorded state.
     """
+
+    def eligible_column(i: int) -> int:
+        """The first real column that can replace row ``i``'s artificial, or -1."""
+
+        e = np.zeros(len(basis))
+        e[i] = 1.0
+        w = _lu_solve(pivoter.factor(basis), e, trans=1)
+        in_basis = set(basis)
+        candidates = np.flatnonzero(np.abs(w @ std.a[:, :n_real]) > _DROP_TOL).tolist()
+        return next((j for j in candidates if j not in in_basis), -1)
 
     while True:
         art_rows = [i for i, col in enumerate(basis) if col >= n_real]
         if not art_rows:
             return
         i = art_rows[0]
-        lu = pivoter.factor(basis)
-        e = np.zeros(len(basis))
-        e[i] = 1.0
-        w = _lu_solve(lu, e, trans=1)
-        in_basis = set(basis)
-        candidates = np.flatnonzero(np.abs(w @ std.a[:, :n_real]) > _DROP_TOL).tolist()
-        eligible = [j for j in candidates if j not in in_basis]
-        if eligible:
-            basis[i] = eligible[0]
+        enter = pivoter.replay.recall(("out", tuple(basis)), lambda: eligible_column(i))
+        if enter >= 0:
+            basis[i] = enter
             continue
         # redundant row: remove it together with its artificial column
         keep = np.arange(std.a.shape[0]) != i
@@ -624,13 +678,11 @@ def _kept_form(lp: LinearProgram) -> _Standardized:
 
     std = lp._std
     if std is not None:
-        rhs = np.array([con.rhs for con in lp._constraints], dtype=float)
-        b = rhs - std.row_shift  # the arithmetic of _standardize
+        b = lp._rhs - std.row_shift  # the arithmetic of _standardize
         flip = b < 0
-        if np.array_equal(flip, std.row_flip[: len(rhs)]):
+        if np.array_equal(flip, std.row_flip[: b.size]):
             b[flip] = -b[flip]
-            std.b[: len(rhs)] = b
-            std.rhs = rhs
+            std.b[: b.size] = b
             return std
         lp._record = None  # a row's sign normalisation changed, and with it the matrix
     lp._std = _standardize(lp)
@@ -659,7 +711,7 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
         if outcome != "optimal":
             raise SolverError("phase 1 reported unbounded")
         x_b = _lu_solve(pivoter.factor(basis), std.b)
-        infeas = sum(x_b[i] for i in range(m) if basis[i] >= n_real)
+        infeas = sum(x_b[[i for i, col in enumerate(basis) if col >= n_real]].tolist())
         if infeas > FEAS_TOL * max(1.0, float(np.max(std.b, initial=0.0))):
             return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
         _drive_out_artificials(std, basis, n_real, pivoter)
@@ -672,9 +724,8 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     lu = pivoter.factor(basis)
     x_b = _lu_solve(lu, std.b)
     x = np.zeros(n_real)
-    for i, col in enumerate(basis):
-        if col < n_real:
-            x[col] = x_b[i]
+    real = [i for i, col in enumerate(basis) if col < n_real]
+    x[[basis[i] for i in real]] = x_b[real]
     y = pivoter.replay.recall(("y", tuple(basis)), lambda: _lu_solve(lu, std.c[basis], trans=1))
 
     values = _recover_primal(std, x)
@@ -687,13 +738,13 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     # upper-bound rows are never flipped: their right-hand side u - l is >= 0
     bound_row_term = y[bound] @ std.b[bound]
 
+    reduced = _reduced_costs(std, duals)
+    dual_objective = _dual_objective(std, duals, reduced, bound_row_term)
+    _verify(std, values, duals, reduced, objective, dual_objective)
     primal = dict(zip(std.names, values.tolist()))
-    dual_objective = _dual_objective(std, duals, bound_row_term)
-    solution = LpSolution(
+    return LpSolution(
         Status.OPTIMAL, objective, primal, tuple(duals.tolist()), dual_objective, pivoter.pivots
     )
-    _verify(std, solution)
-    return solution
 
 
 def _recover_primal(std: _Standardized, x: np.ndarray) -> np.ndarray:
@@ -712,44 +763,55 @@ def _reduced_costs(std: _Standardized, duals: np.ndarray) -> np.ndarray:
     return std.cost - at_y
 
 
-def _dual_objective(std: _Standardized, duals: np.ndarray, bound_row_term: float) -> float:
+def _dual_objective(
+    std: _Standardized, duals: np.ndarray, reduced: np.ndarray, bound_row_term: float
+) -> float:
+    """The dual objective, from the duals and their ``_reduced_costs``."""
+
     # c.x = b.y + w.(c - A'y) + sum over upper rows y_r (u - l), w = bound_weight
-    return float(bound_row_term + std.rhs @ duals + std.bound_weight @ _reduced_costs(std, duals))
+    return float(bound_row_term + std.rhs @ duals + std.bound_weight @ reduced)
 
 
-def _verify(std: _Standardized, sol: LpSolution) -> None:
-    """Raise :class:`SolverError` unless ``sol`` certifies an optimum of ``std``'s program."""
+def _verify(
+    std: _Standardized,
+    x: np.ndarray,
+    y: np.ndarray,
+    reduced: np.ndarray,
+    objective: float,
+    dual_objective: float,
+) -> None:
+    """Raise :class:`SolverError` unless the values certify an optimum of ``std``'s program.
 
-    x = np.array([sol.primal[name] for name in std.names], dtype=float)
-    y = np.array(sol.duals, dtype=float)
+    ``x`` holds the original variables' values, ``y`` one dual per
+    constraint and ``reduced`` their ``_reduced_costs``.
+    """
+
     # every comparison below is false for NaN, so non-finite values must fail first
-    finite = math.isfinite(sol.objective) and math.isfinite(sol.dual_objective)
+    finite = math.isfinite(objective) and math.isfinite(dual_objective)
     if not (finite and np.isfinite(x).all() and np.isfinite(y).all()):
         raise SolverError("certificate has a non-finite value")
     tol = FEAS_TOL * max(1.0, float(np.abs(std.rhs).max(initial=1.0)))
     resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=len(y)) - std.rhs
-    reduced = _reduced_costs(std, y)
-    slack = GAP_TOL * (1.0 + np.abs(std.cost))
-    le, ge, lower, upper, names = std.row_le, std.row_ge, std.lower, std.upper, std.names
+    slack, names = std.cost_slack, std.names
     checks = [
-        ((le & (resid > tol)) | (ge & (resid < -tol)),
+        ((std.row_le & (resid > tol)) | (std.row_ge & (resid < -tol)),
          lambda i: f"row {i} violated by {resid[i]:g}"),
-        ((le & ~ge & (y > GAP_TOL)) | (ge & ~le & (y < -GAP_TOL)),
+        ((std.row_le_only & (y > GAP_TOL)) | (std.row_ge_only & (y < -GAP_TOL)),
          lambda i: f"row {i} has wrong dual sign {y[i]:g}"),
-        (~(le & ge) & (np.abs(y) > GAP_TOL) & (np.abs(resid) > tol * 10),
+        (std.row_not_eq & (np.abs(y) > GAP_TOL) & (np.abs(resid) > tol * 10),
          lambda i: f"row {i} breaks complementary slackness"),
-        ((x < lower - tol) | (x > upper + tol),
+        ((x < std.lower - tol) | (x > std.upper + tol),
          lambda j: f"variable {names[j]} out of bounds: {x[j]:g}"),
         # a reduced cost may be negative only where x can sit at an upper
         # bound, positive only where it can sit at a lower one
-        (((reduced < -slack) & (upper == math.inf)) | ((reduced > slack) & (lower == -math.inf)),
+        (((reduced < -slack) & std.upper_inf) | ((reduced > slack) & std.lower_inf),
          lambda j: f"variable {names[j]} has reduced cost {reduced[j]:g} of the wrong sign"),
     ]
     if np.concatenate([mask for mask, _ in checks]).any():
         mask, message = next(check for check in checks if check[0].any())
         raise SolverError(message(int(np.flatnonzero(mask)[0])))
-    gap = abs(sol.objective - sol.dual_objective)
-    if gap > GAP_TOL * (1.0 + abs(sol.objective)):
+    gap = abs(objective - dual_objective)
+    if gap > GAP_TOL * (1.0 + abs(objective)):
         raise SolverError(f"duality gap {gap:g} exceeds tolerance")
 
 

@@ -7,6 +7,7 @@ from pathlib import Path as FilePath
 
 from netinverse import learner
 from netinverse.network import Observation, Path
+from netinverse.scenarios import generate_observations, load_scenario
 
 ROOT = FilePath(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -43,3 +44,30 @@ def test_tracer_counts_inverse_calls_and_solves(monkeypatch, toy_net, toy_priced
     assert summary["simplex.solves"] == 2 * summary["inverse.calls"]
     assert summary["simplex.stage2_solves"] == summary["inverse.calls"]
     assert summary["simplex.pivots"] > 0
+
+
+def test_nd_recovery_work_is_pinned(monkeypatch, data_dir, nd_net, nd_priced):
+    """Price recovery on the shipped flow-sampling scenario does exactly this much work.
+
+    The counts are deterministic: a change to the pivot path, the grouping of
+    observations or the stopping rule moves them and fails here.
+    """
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    for module, attr, _ in tracing.ENTRY_POINTS:
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored afterwards
+    tracer = tracing.Tracer()
+    tracer.install()
+    observations, _ = generate_observations(
+        load_scenario(data_dir / "scenarios" / "flow_sampling_800.scn")
+    )
+    trace = learner.recover_prices(observations, nd_net, nd_net.base_costs(), nd_priced)
+    summary = tracer.summary()
+    assert trace.converged and trace.iterations == 202
+    assert summary["inverse.calls"] == 1212
+    assert summary["simplex.solves"] == 2424
+    assert summary["simplex.stage2_solves"] == 1212
+    assert summary["simplex.pivots"] == 24880
+    assert summary["simplex.non_optimal"] == 0

@@ -339,6 +339,46 @@ class TestExports:
         assert posts[0] == "agent_id,link_id,value"
         assert len(posts) == 1 + 3 * 2
 
+    def test_agent_posteriors_file_matches_one_line_per_agent_and_link(self, tmp_path):
+        """Byte for byte what formatting every agent's every link on its own writes."""
+
+        net = Network([Link(9, "O", "D", 2.0), Link(10, "O", "D", 1.0), Link(3, "O", "D", 1.5)])
+        obs = [Observation(f"a{i}", Path("O", "D", (10,))) for i in range(12)]
+        obs += [Observation(f"b{i}", Path("O", "D", (3,))) for i in range(3)]
+        obs.append(Observation("skipped", Path("O", "D", (9,))))  # 9 can only cost more than 3
+        trace = recover_prices(obs, net, net.base_costs(), CapacitySpec.priced_only([9, 10]))
+        assert trace.skipped_agents == ("skipped",)
+        posteriors = trace.per_agent_posteriors
+        assert posteriors["a0"] is posteriors["a11"] and posteriors["b0"] is posteriors["b2"]
+        assert set(posteriors["a0"]) == {9, 10}
+
+        write_trace(trace, tmp_path / "run")
+        reference = ["agent_id,link_id,value"]
+        for agent_id in sorted(posteriors):
+            posterior = posteriors[agent_id]
+            for lid in sorted(posterior):
+                reference.append(f"{agent_id},{lid},{posterior[lid]:.9g}")
+        written = (tmp_path / "run" / "agent_posteriors.csv").read_bytes()
+        assert written == ("\n".join(reference) + "\n").encode("utf-8")
+        assert b"\na10,9," in written and b"\nskipped," not in written
+
+    def test_agent_posteriors_do_not_change_each_other(self, toy_net, toy_priced):
+        many = [Observation(f"a{i}", Path("O", "D", (1 if i < 3 else 2,))) for i in range(6)]
+        trace = recover_prices(many, toy_net, toy_net.base_costs(), toy_priced)
+        before = {agent: dict(p) for agent, p in trace.per_agent_posteriors.items()}
+        posterior = trace.per_agent_posteriors["a0"]
+        with pytest.raises(TypeError):
+            posterior[1] = 99.0
+        with pytest.raises(TypeError):
+            del posterior[2]
+        changed = dict(posterior)
+        changed[1] = 99.0
+        trace.per_agent_posteriors["a0"] = changed
+        assert trace.per_agent_posteriors["a0"][1] == 99.0
+        for agent, p in trace.per_agent_posteriors.items():
+            if agent != "a0":
+                assert dict(p) == before[agent]
+
     def test_state_round_trip(self, tmp_path):
         state = OnlineState({1: 7.0, 7: 5.0}, update_count=12, last_timestamp=33.0)
         f = tmp_path / "state.json"

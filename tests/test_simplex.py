@@ -49,7 +49,7 @@ def brute_force_minimum(lp: LinearProgram) -> float | None:
             cols.append(e)
             costs.append(0.0)
     a = np.column_stack(cols)
-    b = np.array([con.rhs for con in lp._constraints], dtype=float)
+    b = lp._rhs.copy()
     c = np.array(costs)
     best = None
     for basis in itertools.combinations(range(a.shape[1]), m):
@@ -231,14 +231,14 @@ class TestCertificates:
                 1 + abs(sol.objective)
             )
             x = [sol.primal[f"x{j}"] for j in range(lp.num_variables)]
-            for con in lp._constraints:
+            for con, rhs in zip(lp._constraints, lp._rhs.tolist()):
                 lhs = sum(a * x[k] for k, a in con.coeffs)
                 if con.relation == "<=":
-                    assert lhs - con.rhs <= FEAS_TOL * max(1, abs(con.rhs))
+                    assert lhs - rhs <= FEAS_TOL * max(1, abs(rhs))
                 elif con.relation == ">=":
-                    assert con.rhs - lhs <= FEAS_TOL * max(1, abs(con.rhs))
+                    assert rhs - lhs <= FEAS_TOL * max(1, abs(rhs))
                 else:
-                    assert abs(lhs - con.rhs) <= FEAS_TOL * max(1, abs(con.rhs))
+                    assert abs(lhs - rhs) <= FEAS_TOL * max(1, abs(rhs))
 
     def test_dual_signs_and_complementary_slackness(self):
         lp = LinearProgram()
@@ -456,7 +456,7 @@ def reference_standardize(lp: LinearProgram):
     for k, j in enumerate(std.col_var):
         var_cols.setdefault(j, []).append(k)
     rows, rhs, relations = [], [], []
-    for con in lp._constraints:
+    for con, con_rhs in zip(lp._constraints, lp._rhs.tolist()):
         row = np.zeros(std.n_structural)
         shift_term = 0.0
         for j, a in con.coeffs:
@@ -464,7 +464,7 @@ def reference_standardize(lp: LinearProgram):
                 row[k] += a * std.col_sign[k]
             shift_term += a * std.col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
         rows.append(row)
-        rhs.append(con.rhs - shift_term)
+        rhs.append(con_rhs - shift_term)
         relations.append(con.relation)
     for j in [j for j, v in enumerate(lp._variables) if -math.inf < v.lower and v.upper < math.inf]:
         row = np.zeros(std.n_structural)
@@ -544,13 +544,23 @@ class TestStandardForm:
             for i, con in enumerate(lp._constraints):
                 for j, a in con.coeffs:
                     reduced[j] -= duals[i] * a
-            total = 0.5 + sum(d * con.rhs for d, con in zip(duals, lp._constraints))
+            total = 0.5 + sum(d * rhs for d, rhs in zip(duals, lp._rhs.tolist()))
             for j, v in enumerate(lp._variables):
                 bound = v.lower if v.lower != -math.inf else v.upper
                 if math.isfinite(bound):
                     total += bound * reduced[j]
-            dual_objective = simplex._dual_objective(std, duals, 0.5)
+            reduced_costs = simplex._reduced_costs(std, duals)
+            dual_objective = simplex._dual_objective(std, duals, reduced_costs, 0.5)
             assert dual_objective == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+
+def verify(std, sol: simplex.LpSolution) -> None:
+    """``_verify`` on a solution's values, as a solve hands them over."""
+
+    x = np.array([sol.primal[name] for name in std.names], dtype=float)
+    y = np.array(sol.duals, dtype=float)
+    reduced = simplex._reduced_costs(std, y)
+    simplex._verify(std, x, y, reduced, sol.objective, sol.dual_objective)
 
 
 class TestVerify:
@@ -562,12 +572,12 @@ class TestVerify:
         nan = math.nan
         sol = simplex.LpSolution(Status.OPTIMAL, nan, {"x": nan}, (nan,), nan)
         with pytest.raises(SolverError, match="non-finite"):
-            simplex._verify(std, sol)
+            verify(std, sol)
         # one non-finite value among finite ones is enough
         sol = simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (math.inf,), 3.0)
         with pytest.raises(SolverError, match="non-finite"):
-            simplex._verify(std, sol)
-        simplex._verify(std, simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (1.0,), 3.0))
+            verify(std, sol)
+        verify(std, simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (1.0,), 3.0))
 
     def test_reduced_cost_of_the_wrong_sign_is_rejected(self):
         """A feasible vertex that is not optimal has zero gap with its basic dual."""
@@ -579,9 +589,39 @@ class TestVerify:
         std = simplex._standardize(lp)
         sol = simplex.LpSolution(Status.OPTIMAL, 2.0, {"x": 2.0, "y": 0.0}, (1.0,), 2.0)
         with pytest.raises(SolverError, match="reduced cost"):
-            simplex._verify(std, sol)
+            verify(std, sol)
         optimal = simplex.LpSolution(Status.OPTIMAL, 0.0, {"x": 0.0, "y": 2.0}, (0.0,), 0.0)
-        simplex._verify(std, optimal)
+        verify(std, optimal)
+
+    @pytest.mark.parametrize(
+        "relation, rhs, lower, x, dual, objective, dual_objective, message",
+        [
+            (">=", 3.0, 0.0, 2.0, 1.0, 2.0, 3.0, "row 0 violated"),
+            ("<=", 3.0, 0.0, 4.0, 0.0, 4.0, 4.0, "row 0 violated"),
+            (">=", 3.0, 0.0, 3.0, -1.0, 3.0, -3.0, "row 0 has wrong dual sign"),
+            ("<=", 3.0, 0.0, 3.0, 1.0, 3.0, 3.0, "row 0 has wrong dual sign"),
+            (">=", 3.0, 0.0, 4.0, 1.0, 4.0, 3.0, "row 0 breaks complementary slackness"),
+            (">=", -5.0, 0.0, -1.0, 0.0, -1.0, 0.0, "variable x out of bounds"),
+            ("=", 3.0, -math.inf, 3.0, 0.0, 3.0, 0.0, "variable x has reduced cost"),
+            (">=", 3.0, 0.0, 3.0, 1.0, 3.0, 4.0, "duality gap"),
+            (">=", 3.0, 0.0, 3.0, 1.0, 3.0, 3.0, None),
+        ],
+    )
+    def test_every_failure_message(
+        self, relation, rhs, lower, x, dual, objective, dual_objective, message
+    ):
+        """One certificate of ``min x`` per check, each failing that check first."""
+
+        lp = LinearProgram()
+        lp.add_variable("x", lower=lower, cost=1.0)
+        lp.add_constraint({0: 1.0}, relation, rhs)
+        std = simplex._standardize(lp)
+        sol = simplex.LpSolution(Status.OPTIMAL, objective, {"x": x}, (dual,), dual_objective)
+        if message is None:
+            verify(std, sol)
+        else:
+            with pytest.raises(SolverError, match=message):
+                verify(std, sol)
 
     def test_variable_bounded_above_only(self):
         """``x <= u`` with no lower bound: the certificate counts ``u`` times its reduced cost."""
@@ -657,8 +697,7 @@ class TestPivotMemo:
         if not lps:
             lps += [fresh, None]
         for lp in filter(None, lps):
-            for i, con in enumerate(fresh._constraints):
-                lp.set_rhs(i, con.rhs)
+            lp.set_rhs(0, fresh._rhs)
         first = solve(lps[0])
         if lps[1] is None:
             lps[1] = lps[0].copy()
@@ -695,8 +734,7 @@ class TestPivotMemo:
         solve(lp)  # the second solve records its path
         moved = [p + 1.0 if n <= 8 else p for n, p in enumerate(prior)]
         fresh, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), moved)
-        for i, con in enumerate(fresh._constraints):
-            lp.set_rhs(i, con.rhs)
+        lp.set_rhs(0, fresh._rhs)
         start = len(pricing)
         replayed = solve(lp)
         computed = len(pricing) - start
@@ -709,10 +747,9 @@ class TestPivotMemo:
     def changed(lp: LinearProgram, row: int | None = None, cost=None, **changes) -> LinearProgram:
         """A copy of ``lp`` with constraint ``row`` changed, or with objective ``cost``."""
 
-        copy = LinearProgram()
-        copy._variables = list(lp._variables)
-        copy._objective = list(lp._objective) if cost is None else cost
-        copy._constraints = list(lp._constraints)
+        copy = lp.copy()
+        if cost is not None:
+            copy._objective = cost
         if row is not None:
             copy._constraints[row] = dataclasses.replace(lp._constraints[row], **changes)
         return copy
@@ -720,11 +757,11 @@ class TestPivotMemo:
     def test_changed_lp_is_solved_fresh(self, monkeypatch):
         pricing = count_pricing(monkeypatch)
         prior = self.priors(3, 1)[0]
-        tight = grid_price_inverse(self.K, np.random.default_rng(1), prior)[0]._constraints[-1]
+        tight = grid_price_inverse(self.K, np.random.default_rng(1), prior)[0]._rhs[-1]
 
         def flip_tight(lp):
             # the tight row's right-hand side negated, so its standard-form row flips
-            lp.set_rhs(lp.num_constraints - 1, -tight.rhs)
+            lp.set_rhs(lp.num_constraints - 1, -tight)
             return self.changed(lp)
 
         def double_cost(lp):
@@ -817,13 +854,65 @@ class TestPivotMemo:
 class TestSetRhs:
     def test_bad_row_or_value_is_rejected(self):
         lp = TestLapackKernel.two_row_lp()
-        for row in (-1, 2):
+        for row, value in ((-1, 1.0), (2, 1.0), (-1, [1.0, 1.0]), (1, [1.0, 1.0])):
             with pytest.raises(SolverError, match="no constraint"):
-                lp.set_rhs(row, 1.0)
-        for value in (math.nan, math.inf, -math.inf):
+                lp.set_rhs(row, value)
+        for value in (math.nan, math.inf, -math.inf, [2.0, math.nan]):
             with pytest.raises(SolverError, match="finite"):
                 lp.set_rhs(0, value)
-        assert [con.rhs for con in lp._constraints] == [3.0, 1.0]
+        assert lp._rhs.tolist() == [3.0, 1.0]
+        lp.set_rhs(0, [4.0, 2.0])
+        assert lp._rhs.tolist() == [4.0, 2.0]
+
+    def test_certificate_arrays_follow_the_structure(self):
+        """After a row flip, a new row or a new objective, a kept program certifies as fresh."""
+
+        def flip_tight(lp):
+            lp.set_rhs(lp.num_constraints - 1, -lp._rhs[-1] - 1.0)
+
+        def add_row(lp):
+            lp.add_constraint({0: 1.0, 1: -1.0}, ">=", -0.5)
+
+        def new_objective(lp):
+            lp.set_objective({j: 1.0 + j % 3 for j in range(lp.num_variables) if j < 24})
+
+        def certify(std, sol, dual_shift, primal_shift):
+            sol = dataclasses.replace(
+                sol,
+                primal={name: v + primal_shift for name, v in sol.primal.items()},
+                duals=tuple(d + dual_shift for d in sol.duals),
+            )
+            try:
+                verify(std, sol)
+            except SolverError as exc:
+                return str(exc)
+            return None
+
+        for change in (flip_tight, add_row, new_objective):
+            lp, _, _ = grid_price_inverse(3, np.random.default_rng(1), [0.5] * 24)
+            solve(lp)
+            solve(lp)
+            kept = lp._std
+            change(lp)
+            fresh = lp.copy()
+            expected = solve(fresh)
+            assert expected.status is Status.OPTIMAL
+            assert solve(lp) == expected
+            solve(lp)  # a program whose structure changed keeps its form from its second solve
+            assert lp._std is not None and lp._std is not kept
+            reference = simplex._standardize(fresh)
+            for name in ("cost_slack", "row_le_only", "row_ge_only", "row_not_eq",
+                         "upper_inf", "lower_inf", "row_le", "row_ge", "cost"):
+                assert np.array_equal(getattr(lp._std, name), getattr(reference, name)), name
+            outcomes = [
+                certify(lp._std, expected, d, p)
+                for d in (0.0, 0.5, -0.5) for p in (0.0, 0.25, -0.25)
+            ]
+            assert outcomes == [
+                certify(reference, expected, d, p)
+                for d in (0.0, 0.5, -0.5) for p in (0.0, 0.25, -0.25)
+            ]
+            assert outcomes[0] is None and any(outcomes)
 
     def test_structural_change_drops_the_record(self):
         for change in (
