@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
+import numpy as np
+
 from .errors import DataError, InconsistentObservation, SolverError
 from .network import (
     CapacitySpec,
@@ -62,20 +64,36 @@ class InverseResult:
     node_potentials: dict[NodeId, float]
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """What solving one inverse problem under a new prior needs besides the LPs."""
+
+    priced_ids: list[LinkId]
+    base: np.ndarray                        # each feas row's base cost, in link order
+    priced_rows: np.ndarray                 # each priced link's feas row
+    route_cost: float                       # the observed route's base cost
+    route_priced: list[LinkId]              # the priced links on the route, in order
+    deviation: list[int]                    # the e and f variables
+    secondary: list[int]                    # the deviation set stage 2 minimises
+    names: list[tuple[LinkId, str, str]]    # each priced link's e and f variable names
+    potentials: list[tuple[NodeId, str]]    # each node's potential variable name
+
+
 @dataclass
 class InverseLPs:
     """One inverse problem's two stage LPs, kept for re-solves under other priors.
 
     Pass one handle to every call for one (route, subnetwork) group.  A call
-    with the same route, links, adjustable links, costs and tie-break as the
-    last writes the new prior into the LPs' right-hand sides and re-solves
-    them, which replays their last solve (see :mod:`netinverse.simplex`);
-    any other call rebuilds them.
+    with the same network, route, subnetwork, adjustable links, costs and
+    tie-break as the last checks only the new prior, writes it into the LPs'
+    right-hand sides and re-solves them, which replays their last solve (see
+    :mod:`netinverse.simplex`); any other call rebuilds them.
     """
 
     key: tuple | None = None
     stage1: LinearProgram | None = None
     stage2: LinearProgram | None = None
+    layout: _Layout | None = None
 
 
 def _restrict(net: Network, subnetwork: frozenset[LinkId] | None):
@@ -162,55 +180,88 @@ def _inverse(
     second stage minimises.  The prior enters only the right-hand sides.
     """
 
-    validate_path(net, observed)
-    links, nodes = _restrict(net, subnetwork)
-    link_ids = {l.id for l in links}
-    priced_ids = [lid for lid in adjustable if lid in link_ids]
-    for lid in priced_ids:
-        if lid not in prior:
-            raise DataError(f"prior has no entry for link {lid}")
-        if not math.isfinite(prior[lid]) or prior[lid] < 0:
-            raise DataError(f"prior for link {lid} is negative or not finite: {prior[lid]}")
-    for link in links:
-        if link.id not in costs:
-            raise DataError(f"no base cost for link {link.id}")
+    lps = lps if lps is not None else InverseLPs()
+    key = (net, observed, subnetwork, tuple(adjustable), tie_break, costs)
+    if lps.key != key:
+        _rebuild(lps, key, prior)
+    layout = lps.layout
+    values = _prior_values(prior, layout.priced_ids)
 
     # right-hand sides: every feas[*] row, every nonneg[*] row, then tight
-    priced_set = set(priced_ids)
-    rhs = [costs[l.id] + prior[l.id] if l.id in priced_set else costs[l.id] for l in links]
-    rhs += [prior[lid] for lid in priced_ids]
-    tight = path_cost(net, costs, observed)
-    for lid in observed.links:
-        if lid in priced_set:
-            tight += prior[lid]
-    rhs.append(tight)
-
-    lps = lps if lps is not None else InverseLPs()
-    key = (tuple(links), observed, tuple(priced_ids), tuple(costs[l.id] for l in links), tie_break)
-    if lps.key != key:
-        lps.key, lps.stage1, lps.stage2 = key, _build(links, nodes, priced_ids, observed), None
+    rhs = np.concatenate((layout.base, values, (0.0,)))
+    rhs[layout.priced_rows] += values
+    tight = layout.route_cost
+    for lid in layout.route_priced:
+        tight += prior[lid]
+    rhs[-1] = tight
     for lp in filter(None, (lps.stage1, lps.stage2)):
         lp.set_rhs(0, rhs)
 
-    # e[l] and f[l] of the n-th adjustable link are variables 2n and 2n + 1
-    e_vars = list(range(0, 2 * len(priced_ids), 2))
-    f_vars = [j + 1 for j in e_vars]
-    solution = _lexicographic_solve(lps, e_vars + f_vars, e_vars if tie_break == "e" else f_vars)
+    solution = _lexicographic_solve(lps, layout.deviation, layout.secondary)
     if solution.status is Status.INFEASIBLE:
         raise InconsistentObservation(
-            f"route {observed.links} cannot be rationalized by pricing links {priced_ids}"
+            f"route {observed.links} cannot be rationalized by pricing links {layout.priced_ids}"
         )
     if solution.status is not Status.OPTIMAL:
         raise SolverError(f"inverse problem failed: {solution.status.value}")
 
+    primal = solution.primal
     posterior = {
-        lid: _posterior(
-            lid, prior[lid] - solution.primal[f"e[{lid}]"] + solution.primal[f"f[{lid}]"]
-        )
-        for lid in priced_ids
+        lid: _posterior(lid, prior[lid] - primal[e_name] + primal[f_name])
+        for lid, e_name, f_name in layout.names
     }
-    potentials = {n: solution.primal[f"y[{n}]"] for n in nodes}
+    potentials = {n: primal[y_name] for n, y_name in layout.potentials}
     return InverseResult(posterior, _snap(solution.objective), potentials)
+
+
+def _prior_values(prior: PriceVector, priced_ids: list[LinkId]) -> np.ndarray:
+    """The prior of each priced link; a missing, negative or non-finite one raises DataError."""
+
+    try:
+        values = np.array([prior[lid] for lid in priced_ids], dtype=float)
+    except KeyError:
+        values = None
+    if values is None or not (np.isfinite(values).all() and (values >= 0).all()):
+        for lid in priced_ids:  # name the first bad entry
+            if lid not in prior:
+                raise DataError(f"prior has no entry for link {lid}")
+            if not math.isfinite(prior[lid]) or prior[lid] < 0:
+                raise DataError(f"prior for link {lid} is negative or not finite: {prior[lid]}")
+    return values
+
+
+def _rebuild(lps: InverseLPs, key: tuple, prior: PriceVector) -> None:
+    """Check the problem ``key`` names and build its stage-1 LP and layout into ``lps``."""
+
+    net, observed, subnetwork, adjustable, tie_break, costs = key
+    validate_path(net, observed)
+    links, nodes = _restrict(net, subnetwork)
+    link_ids = {l.id for l in links}
+    priced_ids = [lid for lid in adjustable if lid in link_ids]
+    _prior_values(prior, priced_ids)
+    for link in links:
+        if link.id not in costs:
+            raise DataError(f"no base cost for link {link.id}")
+
+    row = {l.id: i for i, l in enumerate(links)}
+    priced_set = set(priced_ids)
+    # e[l] and f[l] of the n-th adjustable link are variables 2n and 2n + 1
+    e_vars = list(range(0, 2 * len(priced_ids), 2))
+    f_vars = [j + 1 for j in e_vars]
+    layout = _Layout(
+        priced_ids=priced_ids,
+        base=np.array([costs[l.id] for l in links], dtype=float),
+        priced_rows=np.array([row[lid] for lid in priced_ids], dtype=np.intp),
+        route_cost=path_cost(net, costs, observed),
+        route_priced=[lid for lid in observed.links if lid in priced_set],
+        deviation=e_vars + f_vars,
+        secondary=e_vars if tie_break == "e" else f_vars,
+        names=[(lid, f"e[{lid}]", f"f[{lid}]") for lid in priced_ids],
+        potentials=[(n, f"y[{n}]") for n in nodes],
+    )
+    stage1 = _build(links, nodes, priced_ids, observed)
+    # the key keeps the costs as they are now: a caller may change its mapping later
+    lps.key, lps.layout, lps.stage1, lps.stage2 = key[:-1] + (dict(costs),), layout, stage1, None
 
 
 def _build(links: list[Link], nodes: list[NodeId], priced_ids: list[LinkId], observed: Path):

@@ -97,10 +97,18 @@ class OnlineState:
 
 
 def _group(observations: Sequence[Observation]) -> dict[_GroupKey, list[Observation]]:
-    groups: dict[_GroupKey, list[Observation]] = {}
+    """Observations by ``(route, subnetwork)``, in first-seen order.
+
+    Each group is keyed by its first observation's ``Path``.  The grouping
+    itself keys by the route's fields, plain tuples and strings, so that no
+    observation hashes or compares a ``Path`` dataclass.
+    """
+
+    groups: dict[tuple, list[Observation]] = {}
     for ob in observations:
-        groups.setdefault((ob.path, ob.subnetwork), []).append(ob)
-    return groups
+        path = ob.path
+        groups.setdefault((path.links, path.origin, path.destination, ob.subnetwork), []).append(ob)
+    return {(obs[0].path, obs[0].subnetwork): obs for obs in groups.values()}
 
 
 def _weighted_mean(

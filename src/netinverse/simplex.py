@@ -1,22 +1,35 @@
 """Self-contained linear-program solver with primal and dual certificates.
 
-Dense two-phase revised simplex, minimization only.  Built for desk-scale
-problems (up to a few hundred variables) where determinism, exact
-reproducibility, and availability of duals matter more than raw speed.
-The basis is held as a dense LU factorisation with product-form updates,
-refactorised every ``_REFACTOR_EVERY`` pivots.  Primal values, duals and
-the certificate come from a fresh LU of the final basis, so they never
-depend on the update history.  Each solve keeps the LU it factorised last,
-so a basis is not factorised again while it stays unchanged between the
-pivot loop, the phase-1 infeasibility test, the removal of artificials,
-phase 2's start and the certificate.
+Sparse two-phase revised simplex, minimization only.  Built for problems of
+up to a few thousand rows where determinism, exact reproducibility, and
+availability of duals matter more than raw speed.  The standard form is one
+``scipy.sparse`` CSC matrix (the module is imported by the first solve),
+built once per structure with a CSR view of its transpose: pricing computes
+``c - A'y`` as a sparse mat-vec and each entering column is read from the
+CSC arrays, so no dense m-by-n matrix is ever held.
+The basis is held as an LU factorisation with product-form updates,
+refactorised every ``_REFACTOR_EVERY`` pivots.  Each solve keeps the LU it
+factorised last, so a basis is not factorised again while it stays unchanged
+between the pivot loop, the phase-1 infeasibility test, the removal of
+artificials and phase 2's start.
 
-Every factorisation and solve calls LAPACK ``getrf``/``getrs`` directly
-(looked up once at import), through :func:`_lu_factor` and
-:func:`_lu_solve`.  These are the routines ``scipy.linalg.lu_factor`` and
-``lu_solve`` call, without their per-call wrapper cost, so the arithmetic is
-the same.  A non-finite matrix or right-hand side and a nonzero LAPACK
-``info`` (from ``getrf``: an exactly singular basis) raise
+A basis of at least ``_SPARSE_ROWS`` rows is factorised by SuperLU
+(``scipy.sparse.linalg.splu``, COLAMD ordering), imported on first use: the
+inverse LPs of a large network are very sparse (the 449-row LP of an 8x8 grid
+has at most 8 nonzeros per column), and there a sparse LU costs a fraction of
+a dense one.  A smaller basis is gathered dense and factorised with LAPACK
+``getrf``, which beats SuperLU's per-call cost on the tiny LPs most programs
+are.  Both kinds of LU serve :func:`_lu_solve`.  Primal values, duals and the
+certificate always come from a dense LAPACK LU of the final basis (the pivot
+loop's own LU when that is dense already), so they depend only on the pivot
+path, never on the update history or on which LU the loop used.
+
+:func:`_lu_factor` and :func:`_lu_solve` call LAPACK ``getrf``/``getrs``
+directly (looked up once at import).  These are the routines
+``scipy.linalg.lu_factor`` and ``lu_solve`` call, without their per-call
+wrapper cost, so the arithmetic is the same.  A non-finite matrix or
+right-hand side, a nonzero LAPACK ``info`` (from ``getrf``: an exactly
+singular basis) and SuperLU's report of an exactly singular basis raise
 :class:`SolverError`, so :func:`solve` restarts under Bland's rule and, if
 that fails too, reports NUMERICAL_FAILURE.
 
@@ -32,12 +45,13 @@ against apart from ``b``: the nonzeros of the original rows, the reduced-cost
 slacks ``GAP_TOL (1 + |c_j|)``, the masks of the ``<=``-only, ``>=``-only and
 inequality rows, and the masks of the variables with an infinite upper or
 lower bound.  The second is a record of the states its latest solve used:
-the LU of each factorised basis, each pricing step's outcome (the entering
-column or "optimal", with its FTRAN'd column and the rows where that column
-is positive, the only rows the ratio test reads) keyed by the basis at the
-last refactorisation, the ``(leave, enter)`` pairs since then, the Bland
-flag and the phase, the column that replaces each artificial left basic
-after phase 1, and the final duals keyed by the final basis.  Whatever
+the LU of each factorised basis (dense or SuperLU), each pricing step's
+outcome (the entering column or "optimal", with its FTRAN'd column and the
+rows where that column is positive, the only rows the ratio test reads)
+keyed by the basis at the last refactorisation, the ``(leave, enter)``
+pairs since then, the Bland flag and the phase, the column that replaces
+each artificial left basic after phase 1, and the final duals keyed by the
+final basis.  Whatever
 depends on ``b`` is computed on every solve: basic values, the ratio test
 and leaving choice, the degeneracy counter and the Bland switch, the phase-1
 infeasibility test, primal values, objectives and the certificate check.  A
@@ -75,12 +89,15 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import SolverError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +108,11 @@ _PIVOT_TOL = 1e-10
 _DROP_TOL = 1e-7
 _MAX_PIVOTS = 100_000
 _REFACTOR_EVERY = 32  # pivots between fresh LU factorisations of the basis
+# bases of at least this many rows are factorised by SuperLU: on the grid
+# inverses it ties with LAPACK at about 100 to 160 rows and wins above
+_SPARSE_ROWS = 100
 
+_SENSE = {"<=": 1.0, "=": 0.0, ">=": -1.0}  # a slack column's entry; 0 for no slack
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
@@ -130,7 +151,7 @@ class LinearProgram:
         self._variables: list[_Variable] = []
         self._objective: list[float] = []
         self._constraints: list[_Constraint] = []
-        self._rhs = np.zeros(0)
+        self._rhs = self._rhs_store = np.zeros(0)  # _rhs: the leading rows of the store
         self._names: set[str] = set()
         self._changed()
 
@@ -181,8 +202,13 @@ class LinearProgram:
         row = tuple(sorted(coeffs.items()))
         self._changed()
         self._constraints.append(_Constraint(row, relation, name))
-        self._rhs = np.append(self._rhs, float(rhs))
-        return len(self._constraints) - 1
+        n = self._rhs.size
+        if n == self._rhs_store.size:  # grow by doubling, not by one copy per row
+            self._rhs_store = np.zeros(max(16, 2 * n))
+            self._rhs_store[:n] = self._rhs
+        self._rhs_store[n] = rhs
+        self._rhs = self._rhs_store[: n + 1]
+        return n
 
     def set_rhs(self, row: int, value: float | Sequence[float]) -> None:
         """Replace the right-hand side of constraint ``row``.
@@ -231,7 +257,7 @@ class LinearProgram:
         other._variables = list(self._variables)
         other._objective = list(self._objective)
         other._constraints = list(self._constraints)
-        other._rhs = self._rhs.copy()
+        other._rhs = other._rhs_store = self._rhs.copy()
         other._names = set(self._names)
         return other
 
@@ -280,14 +306,15 @@ class LpSolution:
 class _Standardized:
     """The equality form ``a x = b, x >= 0`` of a program, with the maps back.
 
-    A solve works on a shallow copy: it replaces ``a``, ``b`` and the row
-    arrays when it drops a redundant row and never writes into them, so a
+    A solve works on a shallow copy: it replaces ``a``, ``at``, ``b`` and the
+    row arrays when it drops a redundant row and never writes into them, so a
     kept form changes only where :func:`_kept_form` writes new right-hand
     sides.  Everything but ``b`` and ``rhs`` depends on the program's
     variables, objective, relations and row flips alone.
     """
 
-    a: np.ndarray              # m x n, structural, slack and artificial columns
+    a: sparse.csc_array        # m x n, structural, slack and artificial columns
+    at: sparse.csr_array       # a's transpose, a view of the same arrays, for pricing
     b: np.ndarray              # m, nonnegative
     c: np.ndarray              # n, zero past the structural columns
     n_real: int                # the columns before the artificial ones
@@ -352,68 +379,69 @@ def _standardize(lp: LinearProgram) -> _Standardized:
 
     n_struct = len(col_var)
     cons = lp._constraints
-    cons_rhs = lp._rhs.tolist()
     m = len(cons) + len(upper_rows)
-    rhs: list[float] = []
-    row_shift: list[float] = []
     relations = [con.relation for con in cons] + ["<="] * len(upper_rows)
     row_origin = list(range(len(cons))) + [-1] * len(upper_rows)
 
-    # every entry is written once into a zero matrix; ``0.0 +`` keeps the
-    # sign a zero product takes when accumulated into it
-    nz_row: list[int] = []
-    nz_col: list[int] = []
-    nz_val: list[float] = []
-    for i, con in enumerate(cons):
-        shift_term = 0.0
-        for j, coef in con.coeffs:
-            for k in var_cols[j]:
-                nz_row.append(i)
-                nz_col.append(k)
-                nz_val.append(0.0 + coef * col_sign[k])
-            shift_term += coef * col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
-        row_shift.append(shift_term)
-        rhs.append(cons_rhs[i] - shift_term)
-    n_con_nz = len(nz_row)
-    for i, (j, cap) in enumerate(upper_rows, start=len(cons)):
-        nz_row.append(i)
-        nz_col.append(var_cols[j][0])
-        nz_val.append(1.0)
-        rhs.append(cap)
-    nz_row, nz_col = np.array(nz_row, dtype=np.intp), np.array(nz_col, dtype=np.intp)
-    nz_val = np.array(nz_val)
+    # the constraints' nonzeros row by row, one per column of each variable
+    # (two for a free one); ``0.0 +`` stores the sign a zero product takes
+    # when accumulated into a zero matrix
+    col_var_a, col_sign_a = np.array(col_var, dtype=np.intp), np.array(col_sign)
+    pairs = [pair for con in cons for pair in con.coeffs]
+    var = np.array([j for j, _ in pairs], dtype=np.intp)
+    per_var = np.array([len(cols) for cols in var_cols], dtype=np.intp)[var]
+    entry = np.repeat(np.arange(var.size), per_var)
+    offset = np.arange(entry.size) - np.repeat(np.cumsum(per_var) - per_var, per_var)
+    first_col = np.array([cols[0] for cols in var_cols], dtype=np.intp)
+    nz_row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])[entry]
+    nz_col = first_col[var][entry] + offset
+    nz_val = 0.0 + np.array([a for _, a in pairs], dtype=float)[entry] * col_sign_a[nz_col]
+    # for the certificate, one nonzero per variable: not the x'' column of a free one
+    first = offset == 0
+    nz_con, nz_var = nz_row[first], col_var_a[nz_col[first]]
+    nz_coef = nz_val[first] * col_sign_a[nz_col[first]]
+    row_shift = np.zeros(len(cons))
+    if any(col_shift):  # a variable shifted by a nonzero bound moves its rows' right-hand sides
+        for i, con in enumerate(cons):
+            shift_term = 0.0
+            for j, coef in con.coeffs:
+                shift_term += coef * col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
+            row_shift[i] = shift_term
+    upper_var = [j for j, _ in upper_rows]
+    nz_row = np.concatenate((nz_row, np.arange(len(cons), m)))
+    nz_col = np.concatenate((nz_col, first_col[upper_var]))
+    nz_val = np.concatenate((nz_val, np.ones(len(upper_rows))))
 
-    # normalize rhs >= 0, then one slack (<=) or surplus (>=) column per
-    # inequality, then one artificial column per row no slack can start
-    row_flip = [r < 0 for r in rhs]
-    rhs = [-r if flip else r for r, flip in zip(rhs, row_flip)]
-    flipped = {"<=": ">=", ">=": "<=", "=": "="}
-    relations = [flipped[rel] if flip else rel for rel, flip in zip(relations, row_flip)]
-    n_real = n_struct + sum(rel != "=" for rel in relations)
-    a = np.zeros((m, n_real + sum(rel != "<=" for rel in relations)))
-    a[nz_row, nz_col] = nz_val
-    slack, art = n_struct, n_real
-    basis: list[int] = []
-    for i, rel in enumerate(relations):
-        if row_flip[i]:
-            a[i, :n_struct] = -a[i, :n_struct]
-        if rel != "=":
-            a[i, slack] = 1.0 if rel == "<=" else -1.0
-            slack += 1
-        if rel != "<=":
-            a[i, art] = 1.0
-            art += 1
-        basis.append(slack - 1 if rel == "<=" else art - 1)
+    # normalize rhs >= 0: a flipped row has its entries negated and its
+    # relation swapped.  Then one slack (<=: +1) or surplus (>=: -1) column
+    # per inequality, then one artificial column per row no slack can start.
+    b = np.concatenate((lp._rhs - row_shift, [cap for _, cap in upper_rows]))
+    row_flip = b < 0
+    b[row_flip] = -b[row_flip]
+    sense = np.array([_SENSE[rel] for rel in relations], dtype=float)
+    sense[row_flip] = -sense[row_flip]
+    slack_rows, art_rows = np.flatnonzero(sense != 0.0), np.flatnonzero(sense != 1.0)
+    n_real = n_struct + slack_rows.size
+    width = n_real + art_rows.size
+    slack_cols, art_cols = np.arange(n_struct, n_real), np.arange(n_real, width)
+    start = np.empty(m, dtype=np.intp)
+    start[slack_rows] = slack_cols
+    start[art_rows] = art_cols  # a >= row starts from its artificial, not its surplus
+    rows = np.concatenate((nz_row, slack_rows, art_rows))
+    cols = np.concatenate((nz_col, slack_cols, art_cols))
+    vals = np.concatenate(
+        (np.where(row_flip[nz_row], -nz_val, nz_val), sense[slack_rows], np.ones(art_rows.size))
+    )
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(width + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(cols, minlength=width))
+    from scipy.sparse import csc_array  # on first use: a process that solves no LP never needs it
 
-    c = np.zeros(a.shape[1])
+    a = csc_array((vals[order], rows[order].astype(np.int32), indptr), shape=(m, width))
+
+    c = np.zeros(width)
     c[:n_struct] = [lp._objective[j] * sign for j, sign in zip(col_var, col_sign)]
     variables = lp._variables
-    col_var_a, col_sign_a = np.array(col_var, dtype=np.intp), np.array(col_sign)
-    # the original constraints' nonzeros: one per variable, not the x'' column of a free one
-    second = np.zeros(n_struct, dtype=bool)
-    second[[cols[1] for cols in var_cols if len(cols) == 2]] = True
-    first = ~second[nz_col[:n_con_nz]]
-    k = nz_col[:n_con_nz][first]
     cost = np.array(lp._objective, dtype=float)
     lower = np.array([v.lower for v in variables], dtype=float)
     upper = np.array([v.upper for v in variables], dtype=float)
@@ -422,14 +450,15 @@ def _standardize(lp: LinearProgram) -> _Standardized:
 
     return _Standardized(
         a=a,
-        b=np.asarray(rhs, dtype=float),
+        at=a.T,
+        b=b,
         c=c,
         n_real=n_real,
-        basis=basis,
-        row_flip=np.array(row_flip, dtype=bool),
+        basis=start.tolist(),
+        row_flip=row_flip,
         row_origin=np.array(row_origin, dtype=np.intp),
         bound_row=np.array([origin < 0 for origin in row_origin], dtype=bool),
-        row_shift=np.array(row_shift),
+        row_shift=row_shift,
         col_var=col_var_a,
         col_sign=col_sign_a,
         col_shift=np.array(col_shift),
@@ -442,9 +471,9 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         rhs=lp._rhs,
         row_le=row_le,
         row_ge=row_ge,
-        nz_con=nz_row[:n_con_nz][first],
-        nz_var=col_var_a[k],
-        nz_coef=nz_val[:n_con_nz][first] * col_sign_a[k],
+        nz_con=nz_con,
+        nz_var=nz_var,
+        nz_coef=nz_coef,
         cost_slack=GAP_TOL * (1.0 + np.abs(cost)),
         row_le_only=row_le & ~row_ge,
         row_ge_only=row_ge & ~row_le,
@@ -472,16 +501,46 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def _lu_solve(
-    lu_piv: tuple[np.ndarray, np.ndarray], v: np.ndarray, trans: int = 0
-) -> np.ndarray:
-    """Solve ``B x = v`` (``trans=1``: ``B' x = v``) from ``_lu_factor(B)``."""
+def _factor(a: sparse.csc_array, cols: Sequence[int], dense: bool = False):
+    """The LU of ``a[:, cols]``, a square basis matrix, for :func:`_lu_solve`.
+
+    A basis of at least ``_SPARSE_ROWS`` rows is factorised by SuperLU unless
+    ``dense`` is set; any other is gathered dense and goes through
+    :func:`_lu_factor`.
+    """
+
+    cols = np.asarray(cols, dtype=np.intp)
+    first = a.indptr[cols]
+    counts = a.indptr[cols + 1] - first
+    indptr = np.zeros(cols.size + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(counts)
+    pos = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
+    data, rows, m = a.data[pos], a.indices[pos], a.shape[0]
+    if dense or m < _SPARSE_ROWS:
+        matrix = np.zeros((m, cols.size))
+        matrix[rows, np.repeat(np.arange(cols.size), counts)] = data
+        return _lu_factor(matrix)
+    if not np.isfinite(data).all():
+        raise SolverError("basis matrix has a non-finite entry")
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu  # on first use: small programs never need it
+
+    try:
+        return splu(csc_array((data, rows, indptr), shape=(m, m)), permc_spec="COLAMD")
+    except RuntimeError as exc:  # SuperLU's report of an exactly singular matrix
+        raise SolverError(f"basis matrix is singular ({exc})") from None
+
+
+def _lu_solve(lu, v: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve ``B x = v`` (``trans=1``: ``B' x = v``) from the LU ``_factor`` gave for ``B``."""
 
     if not np.isfinite(v).all():
         raise SolverError("right-hand side has a non-finite entry")
+    if not isinstance(lu, tuple):  # SuperLU
+        return lu.solve(v, trans="T" if trans else "N")
     if v.size == 0:
         return v.copy()
-    x, info = _getrs(*lu_piv, v, trans=trans)
+    x, info = _getrs(*lu, v, trans=trans)
     if info:
         raise SolverError(f"getrs rejected argument {-info}")
     return x
@@ -521,10 +580,9 @@ class _Pivoter:
     unchanged basis does not factorise it again.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, n_real: int, stall_limit: int, replay):
-        self.a = a
-        self.b = b
-        self.n_real = n_real  # the columns past it are artificial
+    def __init__(self, std: _Standardized, stall_limit: int, replay):
+        self.a, self.at, self.b = std.a, std.at, std.b
+        self.n_real = std.n_real  # the columns past it are artificial
         self.stall_limit = stall_limit
         self.replay = replay
         self.bland = False
@@ -533,14 +591,25 @@ class _Pivoter:
         self._lu_basis: tuple[int, ...] | None = None
         self._lu = None
 
-    def factor(self, basis: list[int]):
-        """The LU of the basis matrix ``a[:, basis]``."""
+    def factor(self, basis: list[int], dense: bool = False):
+        """The LU of the basis matrix ``a[:, basis]``; ``dense`` asks for LAPACK's at any size."""
 
         key = tuple(basis)
-        if key != self._lu_basis:
-            self._lu = self.replay.recall(("lu", key), lambda: _lu_factor(self.a[:, basis]))
+        if key != self._lu_basis or dense and not isinstance(self._lu, tuple):
+            self._lu = self.replay.recall(
+                ("lu", key, dense), lambda: _factor(self.a, basis, dense)
+            )
             self._lu_basis = key
         return self._lu
+
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` of ``a``, dense."""
+
+        a = self.a
+        first, end = a.indptr[j], a.indptr[j + 1]
+        v = np.zeros(a.shape[0])
+        v[a.indices[first:end]] = a.data[first:end]
+        return v
 
     def run(self, c: np.ndarray, basis: list[int], phase: int) -> str:
         """Pivot until optimal or unbounded; returns 'optimal' or 'unbounded'."""
@@ -555,11 +624,12 @@ class _Pivoter:
                 lu = self.factor(basis)
                 etas.clear()
                 x_b = _lu_solve(lu, b)
+                c_b = c[basis]  # kept up to date below: gathering it anew costs more
                 root = (phase, tuple(basis))
                 pairs: tuple[tuple[int, int], ...] = ()
             enter, direction, pos, pos_direction = self.replay.recall(
                 ("step", root, pairs, self.bland),
-                lambda: self._price(c, lu, etas, basis),
+                lambda: self._price(c, lu, etas, c_b),
             )
             if enter < 0:
                 return "optimal"
@@ -581,18 +651,21 @@ class _Pivoter:
             etas.append((leave, direction))
             pairs += ((leave, enter),)
             basis[leave] = enter
+            c_b[leave] = c[enter]
             self.pivots += 1
 
-    def _price(self, c, lu, etas, basis) -> tuple:
-        """One pricing step: ``(enter, direction, pos, direction[pos])``.
+    def _price(self, c, lu, etas, c_b) -> tuple:
+        """One pricing step for costs ``c``, ``c_b`` on the basic columns.
+
+        Returns ``(enter, direction, pos, direction[pos])``.
 
         ``direction`` is the entering column's FTRAN'd image and ``pos`` the
         rows where it exceeds ``_PIVOT_TOL``, the rows the ratio test reads;
         at the optimum ``enter`` is -1 and the rest ``None``.
         """
 
-        y = _btran(lu, etas, c[basis])
-        reduced = c - self.a.T @ y
+        y = _btran(lu, etas, c_b)
+        reduced = c - self.at @ y
         candidates = np.flatnonzero(reduced[: self.n_real] < -OPT_TOL)
         if candidates.size == 0:
             return -1, None, None, None
@@ -601,7 +674,7 @@ class _Pivoter:
         else:
             best = reduced[candidates].min()
             enter = int(candidates[reduced[candidates] <= best + OPT_TOL][0])
-        direction = _ftran(lu, etas, self.a[:, enter])
+        direction = _ftran(lu, etas, self.column(enter))
         pos = np.flatnonzero(direction > _PIVOT_TOL)
         return enter, direction, pos, direction[pos]
 
@@ -647,7 +720,7 @@ def _drive_out_artificials(
         e[i] = 1.0
         w = _lu_solve(pivoter.factor(basis), e, trans=1)
         in_basis = set(basis)
-        candidates = np.flatnonzero(np.abs(w @ std.a[:, :n_real]) > _DROP_TOL).tolist()
+        candidates = np.flatnonzero(np.abs((std.at @ w)[:n_real]) > _DROP_TOL).tolist()
         return next((j for j in candidates if j not in in_basis), -1)
 
     while True:
@@ -662,13 +735,14 @@ def _drive_out_artificials(
         # redundant row: remove it together with its artificial column
         keep = np.arange(std.a.shape[0]) != i
         std.a, std.b = std.a[keep], std.b[keep]
+        std.at = std.a.T
         std.row_flip, std.row_origin, std.bound_row = (
             std.row_flip[keep], std.row_origin[keep], std.bound_row[keep])
         del basis[i]
         # which row goes depends on the basis phase 1 ended on, so a recorded state
         # keyed by a basis of the smaller matrix may belong to another row's
         # removal: the rest of the solve computes every state
-        pivoter.a, pivoter.b, pivoter.replay = std.a, std.b, _Replay()
+        pivoter.a, pivoter.at, pivoter.b, pivoter.replay = std.a, std.at, std.b, _Replay()
         # artificial column indices shift as rows disappear; art columns are
         # only referenced through `basis`, which no longer contains this one
 
@@ -700,7 +774,7 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     if keep and not force_bland:
         replay = _Replay(lp._record, {})
         lp._record = replay.new
-    pivoter = _Pivoter(std.a, std.b, n_real, stall_limit=max(50, 2 * m), replay=replay)
+    pivoter = _Pivoter(std, stall_limit=max(50, 2 * m), replay=replay)
     pivoter.bland = force_bland
 
     # phase 1, from the artificial columns of the rows no slack can start
@@ -721,7 +795,9 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     if outcome == "unbounded":
         return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
 
-    lu = pivoter.factor(basis)
+    # the certificate's LU is dense whatever the pivot loop used, so the values
+    # below depend on the pivot path alone
+    lu = pivoter.factor(basis, dense=True)
     x_b = _lu_solve(lu, std.b)
     x = np.zeros(n_real)
     real = [i for i, col in enumerate(basis) if col < n_real]

@@ -1,5 +1,6 @@
 """The benchmark's own scripts still run against the package's entry points."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -71,3 +72,31 @@ def test_nd_recovery_work_is_pinned(monkeypatch, data_dir, nd_net, nd_priced):
     assert summary["simplex.stage2_solves"] == 1212
     assert summary["simplex.pivots"] == 24880
     assert summary["simplex.non_optimal"] == 0
+
+
+def test_grid_online_work_is_pinned(monkeypatch, tmp_path):
+    """The benchmark's grid-online stream (seed 1) does exactly this work and writes this state.
+
+    Its 449-row LPs pivot on SuperLU factorisations of their bases, while the
+    certificate of each comes from a dense LU: a change to the pivot path or
+    to the certified values moves the counts or the digest and fails here.
+    """
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    for module, attr, _ in tracing.ENTRY_POINTS:
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored afterwards
+    tracer = tracing.Tracer()
+    tracer.install()
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    result = workloads.run_online(workloads.setup_grid_online(1, inputs), out)
+    summary = tracer.summary()
+    assert (result.attempted, result.failed, result.errors) == (16, 0, [])
+    assert summary["simplex.solves"] == 32
+    assert summary["simplex.pivots"] == 2814
+    assert summary["simplex.non_optimal"] == 0
+    digest = hashlib.sha256((out / "state.json").read_bytes()).hexdigest()
+    assert digest == "4a580ebe8ac84e85d89f15907fd2c1f46432db370cfc2692fa95ab7990029f62"

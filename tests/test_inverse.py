@@ -440,6 +440,32 @@ class TestInverseLPs:
         assert lps.stage1._record is None
 
 
+    def test_reused_handle_still_checks_the_prior(self, nd_net, nd_priced):
+        base = nd_net.base_costs()
+        lps = InverseLPs()
+        good = {1: 1.0, 7: 2.0}
+        first = infer_dual_prices(nd_net, base, nd_priced, good, self.ROUTES[0], None, lps)
+        for bad, message in (
+            ({1: 1.0}, "no entry for link 7"),
+            ({1: -1.0, 7: float("nan")}, "link 1 is negative or not finite: -1.0"),
+            ({1: 1.0, 7: float("inf")}, "link 7 is negative or not finite: inf"),
+        ):
+            with pytest.raises(DataError, match=message):
+                infer_dual_prices(nd_net, base, nd_priced, bad, self.ROUTES[0], None, lps)
+        assert infer_dual_prices(nd_net, base, nd_priced, good, self.ROUTES[0], None, lps) == first
+
+    def test_costs_changed_in_place_rebuild_the_handle(self, nd_net, nd_priced):
+        costs = dict(nd_net.base_costs())
+        prior = {1: 1.0, 7: 2.0}
+        lps = InverseLPs()
+        infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], None, lps)
+        stage1 = lps.stage1
+        costs[18] += 0.5  # the same mapping, changed after the handle was built
+        result = infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], None, lps)
+        assert lps.stage1 is not stage1
+        assert result == infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0])
+
+
 class TestRoundingBelowZero:
     """Posteriors the LP leaves a rounding error below zero are clamped to 0."""
 

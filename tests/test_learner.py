@@ -443,6 +443,33 @@ class TestSubnetworkCoverage:
         raise AssertionError("the batch solved an inverse before checking its observations")
 
 
+class TestGroup:
+    def test_groups_and_order_equal_dataclass_keyed_grouping(self):
+        """Equal routes and subnetworks group together, however many objects carry them."""
+
+        def route(*links):
+            return Path("O", "D" if len(links) == 1 else "X", links)
+
+        subnetworks = [None, frozenset({1, 2, 3}), frozenset({1, 3, 2}), frozenset({2, 3})]
+        routes = [(2,), (1,), (2,), (2, 3), (1,), (2,), (2, 3), (2,)]
+        observations = [
+            Observation(f"a{n}", route(*links), subnetwork=sub)
+            for n, (links, sub) in enumerate(
+                (links, sub) for sub in subnetworks for links in routes
+                if sub is None or set(links) <= sub
+            )
+        ]
+        observations.append(Observation("b", Path("Y", "D", (2,))))  # same links, other origin
+        expected: dict = {}
+        for ob in observations:
+            expected.setdefault((ob.path, ob.subnetwork), []).append(ob)
+        groups = learner._group(observations)
+        assert list(groups.items()) == list(expected.items())
+        assert len(groups) < len(observations)
+        for (path, subnetwork), members in groups.items():
+            assert path is members[0].path and subnetwork is members[0].subnetwork
+
+
 class TestPivotMemos:
     """The per-group LP handles of the batch fixed points change no result."""
 

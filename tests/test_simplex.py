@@ -4,9 +4,14 @@ import dataclasses
 import itertools
 import logging
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from netinverse import simplex
 from netinverse.errors import SolverError
@@ -511,8 +516,12 @@ class TestStandardForm:
         rng = np.random.default_rng(7)
         for _ in range(40):
             std, a, b = reference_standardize(random_bounds_lp(rng))
-            real, artificial = std.a[:, : std.n_real], std.a[:, std.n_real :]
-            assert np.array_equal(real, a) and np.array_equal(np.signbit(real), np.signbit(a))
+            dense = std.a.toarray()
+            real, artificial = dense[:, : std.n_real], dense[:, std.n_real :]
+            assert np.array_equal(real, a)
+            # every stored entry carries the sign bit the row-by-row build gives it
+            stored = std.a[:, : std.n_real].tocoo()
+            assert np.array_equal(np.signbit(stored.data), np.signbit(a[stored.row, stored.col]))
             assert np.array_equal(std.b, b) and np.array_equal(np.signbit(std.b), np.signbit(b))
             # one artificial column per row phase 1 cannot start from a slack of
             rows = [i for i, col in enumerate(std.basis) if col >= std.n_real]
@@ -639,29 +648,119 @@ class TestFactoriseOnce:
 
     def test_grid_lp(self, monkeypatch):
         lp, _, _ = grid_price_inverse(6, np.random.default_rng(1))
-        real = simplex._lu_factor
+        real = simplex._factor
 
         def counting(calls):
-            def lu_factor(a):
-                calls.append(a.copy())
-                return real(a)
+            def factor(a, cols, dense=False):
+                calls.append((a[:, cols].toarray(), dense))
+                return real(a, cols, dense)
 
-            return lu_factor
+            return factor
 
-        once: list[np.ndarray] = []
-        monkeypatch.setattr(simplex, "_lu_factor", counting(once))
+        once: list[tuple[np.ndarray, bool]] = []
+        monkeypatch.setattr(simplex, "_factor", counting(once))
         solution = solve(lp)
         # factorise afresh wherever an LU is asked for, held or not
-        every_time: list[np.ndarray] = []
-        monkeypatch.setattr(simplex, "_lu_factor", counting(every_time))
+        every_time: list[tuple[np.ndarray, bool]] = []
+        monkeypatch.setattr(simplex, "_factor", counting(every_time))
         monkeypatch.setattr(
-            simplex._Pivoter, "factor", lambda self, basis: simplex._lu_factor(self.a[:, basis])
+            simplex._Pivoter,
+            "factor",
+            lambda self, basis, dense=False: simplex._factor(self.a, basis, dense),
         )
         refactorised = solve(lp)
         assert solution.status is Status.OPTIMAL
         assert solution == refactorised
         assert len(once) < len(every_time)
-        assert not any(np.array_equal(p, q) for p, q in itertools.combinations(once, 2))
+        # the certificate's dense LU may follow a SuperLU of the same basis, no other repeat
+        assert not any(
+            np.array_equal(p, q) and p_dense == q_dense
+            for (p, p_dense), (q, q_dense) in itertools.combinations(once, 2)
+        )
+
+
+class TestSparseBases:
+    """SuperLU in the pivot loop changes no pivot and no certified value."""
+
+    @staticmethod
+    def both_stages(k, monkeypatch, threshold):
+        """The grid price inverse's two stages, each solved fresh, recorded and replayed."""
+
+        lu_kinds = []
+        real = simplex._factor
+
+        def factor(a, cols, dense=False):
+            lu = real(a, cols, dense)
+            lu_kinds.append(isinstance(lu, tuple))
+            return lu
+
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_SPARSE_ROWS", threshold)
+            m.setattr(simplex, "_factor", factor)
+            lp, e, f = grid_price_inverse(k, np.random.default_rng(1))
+            first = [solve(lp) for _ in range(3)]
+            lp.add_constraint({j: 1.0 for j in e + f}, "<=", first[0].objective)
+            lp.set_objective({j: 1.0 for j in e})
+            second = [solve(lp) for _ in range(3)]
+        assert first == [first[0]] * 3 and second == [second[0]] * 3
+        return first[0], second[0], lu_kinds
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_superlu_and_lapack_give_identical_solutions(self, k, monkeypatch):
+        *lapack_stages, lapack_kinds = self.both_stages(k, monkeypatch, 10**9)
+        *superlu_stages, superlu_kinds = self.both_stages(k, monkeypatch, 1)
+        for lapack, superlu in zip(lapack_stages, superlu_stages):
+            assert lapack.status is superlu.status is Status.OPTIMAL
+            assert lapack.pivots == superlu.pivots > 0
+            assert lapack.primal == superlu.primal and lapack.duals == superlu.duals
+            assert lapack.objective == superlu.objective
+            assert lapack.dual_objective == superlu.dual_objective
+        # every LU is dense with the threshold high; with it low, only the certificates' are
+        assert all(lapack_kinds) and any(superlu_kinds) and not all(superlu_kinds)
+
+    def test_singular_or_non_finite_large_basis_raises(self):
+        n = simplex._SPARSE_ROWS
+        a = np.eye(n)
+        a[:, 1] = a[:, 0]  # two equal columns
+        with pytest.raises(SolverError, match="singular"):
+            simplex._factor(scipy.sparse.csc_array(a), range(n))
+        a = np.eye(n)
+        a[3, 3] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            simplex._factor(scipy.sparse.csc_array(a), range(n))
+        lu = simplex._factor(scipy.sparse.csc_array(2.0 * np.eye(n)), range(n))
+        assert not isinstance(lu, tuple)
+        assert np.array_equal(simplex._lu_solve(lu, np.ones(n), trans=1), np.full(n, 0.5))
+
+    def test_superlu_failure_is_a_numerical_failure(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(simplex, "_SPARSE_ROWS", 1)
+        assert solve(TestLapackKernel.two_row_lp()).status is Status.OPTIMAL
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        assert solve(TestLapackKernel.two_row_lp()).status is Status.NUMERICAL_FAILURE
+
+    def test_small_programs_never_import_superlu(self):
+        code = (
+            "import sys\n"
+            "from netinverse.simplex import LinearProgram, Status, solve\n"
+            "lp = LinearProgram()\n"
+            "xs = [lp.add_variable(f'x{i}', cost=1.0 + i) for i in range(20)]\n"
+            "for i, x in enumerate(xs):\n"
+            "    lp.add_constraint({x: 1.0, xs[i - 1]: 1.0}, '>=', float(i))\n"
+            "assert lp.num_constraints == 20 and solve(lp).status is Status.OPTIMAL\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(simplex.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def count_pricing(monkeypatch) -> list[int]:
@@ -864,6 +963,21 @@ class TestSetRhs:
         lp.set_rhs(0, [4.0, 2.0])
         assert lp._rhs.tolist() == [4.0, 2.0]
 
+    def test_rows_added_one_by_one_keep_their_rhs(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        values = [float(i) for i in range(40)]
+        for value in values[:20]:
+            lp.add_constraint({x: 1.0}, ">=", value)
+        copy = lp.copy()
+        for value in values[20:]:
+            lp.add_constraint({x: 1.0}, ">=", value)
+        copy.add_constraint({x: 1.0}, ">=", -1.0)
+        assert lp._rhs.tolist() == values
+        assert copy._rhs.tolist() == values[:20] + [-1.0]
+        lp.set_rhs(39, 50.0)
+        assert solve(lp).objective == 50.0 and solve(copy).objective == 19.0
+
     def test_certificate_arrays_follow_the_structure(self):
         """After a row flip, a new row or a new objective, a kept program certifies as fresh."""
 
@@ -970,4 +1084,7 @@ class TestSetRhs:
             fresh = TestPivotMemo.changed(lp)
             assert solve(lp) == solve(fresh)
             assert lp._std is kept and kept.a.shape == a.shape
-            assert np.array_equal(kept.a, a) and kept.b[0] == rhs and kept.b[2] == b[2]
+            for matrix in (kept.a, kept.at.T):
+                assert all(np.array_equal(getattr(matrix, name), getattr(a, name))
+                           for name in ("data", "indices", "indptr"))
+            assert kept.b[0] == rhs and kept.b[2] == b[2]
