@@ -36,6 +36,7 @@ from .network import (
     LinkId,
     Network,
     PriceVector,
+    _read_rows,
     load_network,
     load_observations,
     write_observations,
@@ -110,13 +111,9 @@ def _parse_priced(value: str, net: Network) -> CapacitySpec:
 
 def _load_prices(path: str, expected: tuple[LinkId, ...]) -> PriceVector:
     prices: PriceVector = {}
-    text = FilePath(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.lower().startswith("link_id"):
-            continue
+    for lineno, fields in _read_rows(path, "link_id,value"):
         try:
-            lid, value = line.split(",")
+            lid, value = fields
             prices[int(lid)] = float(value)
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected 'link_id,value'") from None

@@ -461,15 +461,26 @@ def save_state(state: OnlineState, path: FilePath | str) -> None:
 
 
 def load_state(path: FilePath | str) -> OnlineState:
+    """The state :func:`save_state` wrote; anything else is a :class:`DataError`."""
+
+    def number(value, what: str) -> float:
+        if type(value) not in (int, float) or not math.isfinite(value):  # bool is no number
+            raise ValueError(f"{what} is not finite or not a number: {value!r}")
+        return float(value)
+
     try:
         payload = json.loads(FilePath(path).read_text(encoding="utf-8"))
-        prices = {int(lid): float(v) for lid, v in payload["prices"].items()}
+        if not isinstance(payload, dict) or not isinstance(payload.get("prices"), dict):
+            raise ValueError("expected a JSON object with a 'prices' object")
+        count, stamp = payload.get("update_count", 0), payload.get("last_timestamp")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"update_count is not a nonnegative integer: {count!r}")
         return OnlineState(
-            prices,
-            int(payload.get("update_count", 0)),
-            payload.get("last_timestamp"),
+            {int(lid): number(v, f"price of link {lid}") for lid, v in payload["prices"].items()},
+            count,
+            None if stamp is None else number(stamp, "last_timestamp"),
         )
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read online state from {path}: {exc}") from None
 
 

@@ -296,8 +296,8 @@ def _read_rows(path: FilePath | str, expected_header: str) -> list[tuple[int, li
     fp = FilePath(path)
     try:
         text = fp.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"file not found: {fp}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise DataError(f"cannot read {fp}: {exc}") from None
     rows: list[tuple[int, list[str]]] = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):

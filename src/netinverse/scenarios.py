@@ -95,8 +95,8 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
     fp = FilePath(path)
     try:
         text = fp.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"scenario file not found: {fp}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise DataError(f"cannot read scenario file {fp}: {exc}") from None
 
     main: dict[str, str] = {}
     segments: list[dict[str, str]] = []

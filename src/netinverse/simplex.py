@@ -11,7 +11,9 @@ The basis is held as an LU factorisation with product-form updates,
 refactorised every ``_REFACTOR_EVERY`` pivots.  Each solve keeps the LU it
 factorised last, so a basis is not factorised again while it stays unchanged
 between the pivot loop, the phase-1 infeasibility test, the removal of
-artificials and phase 2's start.
+artificials, phase 2's start and the certificate.  The certificate's primal
+values and duals come from an LU of the final basis itself, never from the
+eta file, so they depend only on the pivot path, not on the update history.
 
 A basis of at least ``_SPARSE_ROWS`` rows is factorised by SuperLU
 (``scipy.sparse.linalg.splu``, COLAMD ordering), imported on first use: the
@@ -19,10 +21,7 @@ inverse LPs of a large network are very sparse (the 449-row LP of an 8x8 grid
 has at most 8 nonzeros per column), and there a sparse LU costs a fraction of
 a dense one.  A smaller basis is gathered dense and factorised with LAPACK
 ``getrf``, which beats SuperLU's per-call cost on the tiny LPs most programs
-are.  Both kinds of LU serve :func:`_lu_solve`.  Primal values, duals and the
-certificate always come from a dense LAPACK LU of the final basis (the pivot
-loop's own LU when that is dense already), so they depend only on the pivot
-path, never on the update history or on which LU the loop used.
+are.  Both kinds of LU serve :func:`_lu_solve`.
 
 :func:`_lu_factor` and :func:`_lu_solve` call LAPACK ``getrf``/``getrs``
 directly (looked up once at import).  These are the routines
@@ -45,7 +44,7 @@ against apart from ``b``: the nonzeros of the original rows, the reduced-cost
 slacks ``GAP_TOL (1 + |c_j|)``, the masks of the ``<=``-only, ``>=``-only and
 inequality rows, and the masks of the variables with an infinite upper or
 lower bound.  The second is a record of the states its latest solve used:
-the LU of each factorised basis (dense or SuperLU), each pricing step's
+the LU of each factorised basis, each pricing step's
 outcome (the entering column or "optimal", with its FTRAN'd column and the
 rows where that column is positive, the only rows the ratio test reads)
 keyed by the basis at the last refactorisation, the ``(leave, enter)``
@@ -501,12 +500,11 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def _factor(a: sparse.csc_array, cols: Sequence[int], dense: bool = False):
+def _factor(a: sparse.csc_array, cols: Sequence[int]):
     """The LU of ``a[:, cols]``, a square basis matrix, for :func:`_lu_solve`.
 
-    A basis of at least ``_SPARSE_ROWS`` rows is factorised by SuperLU unless
-    ``dense`` is set; any other is gathered dense and goes through
-    :func:`_lu_factor`.
+    A basis of at least ``_SPARSE_ROWS`` rows is factorised by SuperLU; any
+    other is gathered dense and goes through :func:`_lu_factor`.
     """
 
     cols = np.asarray(cols, dtype=np.intp)
@@ -516,7 +514,7 @@ def _factor(a: sparse.csc_array, cols: Sequence[int], dense: bool = False):
     indptr[1:] = np.cumsum(counts)
     pos = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
     data, rows, m = a.data[pos], a.indices[pos], a.shape[0]
-    if dense or m < _SPARSE_ROWS:
+    if m < _SPARSE_ROWS:
         matrix = np.zeros((m, cols.size))
         matrix[rows, np.repeat(np.arange(cols.size), counts)] = data
         return _lu_factor(matrix)
@@ -591,14 +589,12 @@ class _Pivoter:
         self._lu_basis: tuple[int, ...] | None = None
         self._lu = None
 
-    def factor(self, basis: list[int], dense: bool = False):
-        """The LU of the basis matrix ``a[:, basis]``; ``dense`` asks for LAPACK's at any size."""
+    def factor(self, basis: list[int]):
+        """The LU of the basis matrix ``a[:, basis]``."""
 
         key = tuple(basis)
-        if key != self._lu_basis or dense and not isinstance(self._lu, tuple):
-            self._lu = self.replay.recall(
-                ("lu", key, dense), lambda: _factor(self.a, basis, dense)
-            )
+        if key != self._lu_basis:
+            self._lu = self.replay.recall(("lu", key), lambda: _factor(self.a, basis))
             self._lu_basis = key
         return self._lu
 
@@ -699,12 +695,7 @@ def _btran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
     return _lu_solve(lu, u, trans=1)
 
 
-def _drive_out_artificials(
-    std: _Standardized,
-    basis: list[int],
-    n_real: int,
-    pivoter: _Pivoter,
-) -> None:
+def _drive_out_artificials(std: _Standardized, basis: list[int], pivoter: _Pivoter) -> None:
     """Pivot artificial variables out of the basis; drop redundant rows.
 
     A basic artificial sits at value ~0 after a feasible phase 1.  If its row
@@ -720,11 +711,11 @@ def _drive_out_artificials(
         e[i] = 1.0
         w = _lu_solve(pivoter.factor(basis), e, trans=1)
         in_basis = set(basis)
-        candidates = np.flatnonzero(np.abs((std.at @ w)[:n_real]) > _DROP_TOL).tolist()
+        candidates = np.flatnonzero(np.abs((std.at @ w)[: std.n_real]) > _DROP_TOL).tolist()
         return next((j for j in candidates if j not in in_basis), -1)
 
     while True:
-        art_rows = [i for i, col in enumerate(basis) if col >= n_real]
+        art_rows = [i for i, col in enumerate(basis) if col >= std.n_real]
         if not art_rows:
             return
         i = art_rows[0]
@@ -732,7 +723,7 @@ def _drive_out_artificials(
         if enter >= 0:
             basis[i] = enter
             continue
-        # redundant row: remove it together with its artificial column
+        # redundant row: remove it (its artificial's column, left empty, never enters)
         keep = np.arange(std.a.shape[0]) != i
         std.a, std.b = std.a[keep], std.b[keep]
         std.at = std.a.T
@@ -743,8 +734,6 @@ def _drive_out_artificials(
         # keyed by a basis of the smaller matrix may belong to another row's
         # removal: the rest of the solve computes every state
         pivoter.a, pivoter.at, pivoter.b, pivoter.replay = std.a, std.at, std.b, _Replay()
-        # artificial column indices shift as rows disappear; art columns are
-        # only referenced through `basis`, which no longer contains this one
 
 
 def _kept_form(lp: LinearProgram) -> _Standardized:
@@ -788,16 +777,16 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
         infeas = sum(x_b[[i for i, col in enumerate(basis) if col >= n_real]].tolist())
         if infeas > FEAS_TOL * max(1.0, float(np.max(std.b, initial=0.0))):
             return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
-        _drive_out_artificials(std, basis, n_real, pivoter)
+        _drive_out_artificials(std, basis, pivoter)
 
     # phase 2
     outcome = pivoter.run(std.c, basis, phase=2)
     if outcome == "unbounded":
         return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
 
-    # the certificate's LU is dense whatever the pivot loop used, so the values
-    # below depend on the pivot path alone
-    lu = pivoter.factor(basis, dense=True)
+    # an LU of the final basis, not the loop's eta file: the values below
+    # depend on the pivot path alone
+    lu = pivoter.factor(basis)
     x_b = _lu_solve(lu, std.b)
     x = np.zeros(n_real)
     real = [i for i, col in enumerate(basis) if col < n_real]

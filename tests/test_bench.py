@@ -77,9 +77,10 @@ def test_nd_recovery_work_is_pinned(monkeypatch, data_dir, nd_net, nd_priced):
 def test_grid_online_work_is_pinned(monkeypatch, tmp_path):
     """The benchmark's grid-online stream (seed 1) does exactly this work and writes this state.
 
-    Its 449-row LPs pivot on SuperLU factorisations of their bases, while the
-    certificate of each comes from a dense LU: a change to the pivot path or
-    to the certified values moves the counts or the digest and fails here.
+    Its 449-row LPs pivot on SuperLU factorisations of their bases, and the
+    certificate of each comes from a SuperLU of its final basis: a change to
+    the pivot path or to the certified values moves the counts or the digest
+    and fails here.
     """
 
     monkeypatch.syspath_prepend(str(BENCH))

@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_csv(path):
+    """The rows of a CSV file with a header, as dicts."""
+
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
 class TestNetValidate:
     def test_queens_network_ok(self, capsys, data_dir):
         code, out, _ = run(capsys, "net", "validate", str(data_dir / "queens_links.csv"))
@@ -154,7 +160,7 @@ class TestRecoverDuals:
             "-o", str(trace_dir),
         )
         assert code == 0
-        rows = list(csv.DictReader((trace_dir / "prior_trace.csv").open()))
+        rows = read_csv(trace_dir / "prior_trace.csv")
         last_iteration = max(int(r["iteration"]) for r in rows)
         final = {
             int(r["link_id"]): float(r["prior_value"])
@@ -186,8 +192,8 @@ class TestRecoverDuals:
         )
         assert code == 0, err
         assert "converged: true" in (trace_dir / "summary.txt").read_text()
-        priors = list(csv.DictReader((trace_dir / "prior_trace.csv").open()))
-        posteriors = list(csv.DictReader((trace_dir / "agent_posteriors.csv").open()))
+        priors = read_csv(trace_dir / "prior_trace.csv")
+        posteriors = read_csv(trace_dir / "agent_posteriors.csv")
         assert {int(r["link_id"]) for r in priors} == set(range(1, 20))
         assert all(float(r["prior_value"]) >= 0.0 for r in priors)
         assert all(float(r["value"]) >= 0.0 for r in posteriors)
@@ -261,7 +267,7 @@ class TestMonitor:
         assert saved.prices == folded.prices
         assert saved.update_count == folded.update_count
 
-        log_rows = list(csv.DictReader(log_file.open()))
+        log_rows = read_csv(log_file)
         assert len(log_rows) == 300 * 2  # one row per priced link per update
         assert {r["update_index"] for r in log_rows} == {str(i) for i in range(1, 301)}
 
@@ -278,7 +284,7 @@ class TestMonitor:
         )
         assert code == 0
         assert load_state(state_file).update_count == 600
-        second_rows = list(csv.DictReader(second_log.open()))
+        second_rows = read_csv(second_log)
         assert second_rows[0]["update_index"] == "301"
         assert {r["update_index"] for r in second_rows} == {str(i) for i in range(301, 601)}
 
@@ -339,3 +345,59 @@ class TestMonitor:
         )
         assert code == 2, err
         assert "not finite" in err
+
+
+class TestUnreadableInputs:
+    """A file that cannot be read as UTF-8 text is a data error, never a traceback."""
+
+    OBS = "agent_id,timestamp,origin,destination,link_seq\na,,1,2,2;18;11\n"
+
+    @staticmethod
+    def assert_data_error(code, err):
+        assert code == 2, err
+        assert err.startswith("data error:")
+
+    def batch(self, capsys, data_dir, tmp_path, command, prior):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(self.OBS)
+        priced = ["--priced", "1,7"] if command == "recover-duals" else []
+        return run(
+            capsys, command, str(data_dir / "nd_links.csv"), str(obs_file), *priced,
+            "--prior", str(prior), "-o", str(tmp_path / "trace"),
+        )
+
+    @pytest.mark.parametrize("command", ["recover-duals", "estimate-costs"])
+    def test_missing_prior_file(self, capsys, data_dir, tmp_path, command):
+        code, _, err = self.batch(capsys, data_dir, tmp_path, command, tmp_path / "missing.csv")
+        self.assert_data_error(code, err)
+        assert "missing.csv" in err
+
+    @pytest.mark.parametrize("command", ["recover-duals", "estimate-costs"])
+    def test_prior_file_not_utf8(self, capsys, data_dir, tmp_path, command):
+        prior = tmp_path / "prior.csv"
+        prior.write_bytes(b"link_id,value\n1,0.5\n7,\xff\n")
+        code, _, err = self.batch(capsys, data_dir, tmp_path, command, prior)
+        self.assert_data_error(code, err)
+        assert "prior.csv" in err
+
+    def test_prior_file_without_header(self, capsys, data_dir, tmp_path):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("1,0.5\n7,0.5\n")
+        code, _, err = self.batch(capsys, data_dir, tmp_path, "recover-duals", prior)
+        self.assert_data_error(code, err)
+        assert "expected header 'link_id,value'" in err
+
+    def test_directory_as_links_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "net", "validate", str(tmp_path))
+        self.assert_data_error(code, err)
+
+    def test_links_file_not_utf8(self, capsys, tmp_path):
+        links = tmp_path / "links.csv"
+        links.write_bytes(b"link_id,start_node,end_node,cost\n1,caf\xe9,b,3\n")
+        code, _, err = run(capsys, "net", "validate", str(links))
+        self.assert_data_error(code, err)
+        assert "links.csv" in err
+
+    def test_directory_as_scenario_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", str(tmp_path), "-o", str(tmp_path / "o.csv"))
+        self.assert_data_error(code, err)

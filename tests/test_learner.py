@@ -388,6 +388,26 @@ class TestExports:
         assert loaded.update_count == 12
         assert loaded.last_timestamp == 33.0
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"prices": {"1": null}}', "price of link 1 is not finite or not a number"),
+            ("[1, 2]", "expected a JSON object"),
+            ('{"prices": [1, 2]}', "expected a JSON object"),
+            ('{"prices": {"x": 1.0}}', "invalid literal"),
+            ('{"prices": {"1": "0.5"}}', "price of link 1 is not finite or not a number"),
+            ('{"prices": {"1": 1.0}, "last_timestamp": "x"}', "last_timestamp is not finite"),
+            ('{"prices": {"1": 1.0}, "last_timestamp": Infinity}', "last_timestamp is not finite"),
+            ('{"prices": {"1": 1.0}, "update_count": null}', "update_count is not"),
+            ('{"prices": {"1": 1.0}, "update_count": 2.5}', "update_count is not"),
+        ],
+    )
+    def test_malformed_state_file_is_data_error(self, tmp_path, payload, message):
+        f = tmp_path / "state.json"
+        f.write_text(payload)
+        with pytest.raises(DataError, match=message):
+            load_state(f)
+
     def test_state_write_failing_part_way_keeps_previous_file(self, tmp_path, monkeypatch):
         f = tmp_path / "state.json"
         save_state(OnlineState({1: 7.0, 7: 5.0}, update_count=12, last_timestamp=33.0), f)

@@ -69,6 +69,32 @@ def brute_force_minimum(lp: LinearProgram) -> float | None:
     return best
 
 
+def highs_minimum(lp: LinearProgram) -> float:
+    """The minimum of ``lp`` by scipy's HiGHS, an oracle apart from the kernel."""
+
+    from scipy.optimize import linprog
+
+    rows = {"<=": ([], []), ">=": ([], []), "=": ([], [])}
+    for con, rhs in zip(lp._constraints, lp._rhs.tolist()):
+        row = np.zeros(lp.num_variables)
+        for j, a in con.coeffs:
+            row[j] = a
+        rows[con.relation][0].append(row)
+        rows[con.relation][1].append(rhs)
+    a_ub = [*rows["<="][0], *(-row for row in rows[">="][0])]
+    b_ub = [*rows["<="][1], *(-rhs for rhs in rows[">="][1])]
+    a_eq, b_eq = rows["="]
+    res = linprog(
+        lp._objective,
+        A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+        A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
+        bounds=[(v.lower, v.upper) for v in lp._variables], method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     """Random feasible LP, bounded below by construction (c >= 0, x >= 0)."""
 
@@ -651,46 +677,43 @@ class TestFactoriseOnce:
         real = simplex._factor
 
         def counting(calls):
-            def factor(a, cols, dense=False):
-                calls.append((a[:, cols].toarray(), dense))
-                return real(a, cols, dense)
+            def factor(a, cols):
+                calls.append(a[:, cols].toarray())
+                return real(a, cols)
 
             return factor
 
-        once: list[tuple[np.ndarray, bool]] = []
+        once: list[np.ndarray] = []
         monkeypatch.setattr(simplex, "_factor", counting(once))
         solution = solve(lp)
         # factorise afresh wherever an LU is asked for, held or not
-        every_time: list[tuple[np.ndarray, bool]] = []
+        every_time: list[np.ndarray] = []
         monkeypatch.setattr(simplex, "_factor", counting(every_time))
         monkeypatch.setattr(
-            simplex._Pivoter,
-            "factor",
-            lambda self, basis, dense=False: simplex._factor(self.a, basis, dense),
+            simplex._Pivoter, "factor", lambda self, basis: simplex._factor(self.a, basis)
         )
         refactorised = solve(lp)
         assert solution.status is Status.OPTIMAL
         assert solution == refactorised
         assert len(once) < len(every_time)
-        # the certificate's dense LU may follow a SuperLU of the same basis, no other repeat
-        assert not any(
-            np.array_equal(p, q) and p_dense == q_dense
-            for (p, p_dense), (q, q_dense) in itertools.combinations(once, 2)
-        )
+        assert not any(np.array_equal(p, q) for p, q in itertools.combinations(once, 2))
 
 
 class TestSparseBases:
-    """SuperLU in the pivot loop changes no pivot and no certified value."""
+    """SuperLU changes no pivot, and the certified values only by rounding."""
 
     @staticmethod
     def both_stages(k, monkeypatch, threshold):
-        """The grid price inverse's two stages, each solved fresh, recorded and replayed."""
+        """The grid price inverse's two stages, each solved fresh, recorded and replayed.
+
+        Also returns, per LU factorised, whether it was LAPACK's (dense).
+        """
 
         lu_kinds = []
         real = simplex._factor
 
-        def factor(a, cols, dense=False):
-            lu = real(a, cols, dense)
+        def factor(a, cols):
+            lu = real(a, cols)
             lu_kinds.append(isinstance(lu, tuple))
             return lu
 
@@ -699,24 +722,35 @@ class TestSparseBases:
             m.setattr(simplex, "_factor", factor)
             lp, e, f = grid_price_inverse(k, np.random.default_rng(1))
             first = [solve(lp) for _ in range(3)]
-            lp.add_constraint({j: 1.0 for j in e + f}, "<=", first[0].objective)
-            lp.set_objective({j: 1.0 for j in e})
-            second = [solve(lp) for _ in range(3)]
+            stage2 = lp.copy()
+            stage2.add_constraint({j: 1.0 for j in e + f}, "<=", first[0].objective)
+            stage2.set_objective({j: 1.0 for j in e})
+            second = [solve(stage2) for _ in range(3)]
         assert first == [first[0]] * 3 and second == [second[0]] * 3
-        return first[0], second[0], lu_kinds
+        return (lp, first[0]), (stage2, second[0]), lu_kinds
 
     @pytest.mark.parametrize("k", [6, 8])
     def test_superlu_and_lapack_give_identical_solutions(self, k, monkeypatch):
+        """The same pivots and statuses; the values agree to rounding and with HiGHS.
+
+        The certificate comes from the LU the basis's size chose, so the two
+        kinds of LU may round its last bits differently.
+        """
+
         *lapack_stages, lapack_kinds = self.both_stages(k, monkeypatch, 10**9)
         *superlu_stages, superlu_kinds = self.both_stages(k, monkeypatch, 1)
-        for lapack, superlu in zip(lapack_stages, superlu_stages):
+        close = dict(rel=1e-9, abs=1e-9)
+        for (lp, lapack), (_, superlu) in zip(lapack_stages, superlu_stages):
             assert lapack.status is superlu.status is Status.OPTIMAL
             assert lapack.pivots == superlu.pivots > 0
-            assert lapack.primal == superlu.primal and lapack.duals == superlu.duals
-            assert lapack.objective == superlu.objective
-            assert lapack.dual_objective == superlu.dual_objective
-        # every LU is dense with the threshold high; with it low, only the certificates' are
-        assert all(lapack_kinds) and any(superlu_kinds) and not all(superlu_kinds)
+            assert superlu.primal == pytest.approx(lapack.primal, **close)
+            assert superlu.duals == pytest.approx(lapack.duals, **close)
+            assert superlu.dual_objective == pytest.approx(lapack.dual_objective, **close)
+            highs = highs_minimum(lp)
+            assert lapack.objective == pytest.approx(highs, **close)
+            assert superlu.objective == pytest.approx(highs, **close)
+        # every LU is dense with the threshold high, and none with it low
+        assert all(lapack_kinds) and superlu_kinds and not any(superlu_kinds)
 
     def test_singular_or_non_finite_large_basis_raises(self):
         n = simplex._SPARSE_ROWS
