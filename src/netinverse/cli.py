@@ -110,13 +110,20 @@ def _parse_priced(value: str, net: Network) -> CapacitySpec:
 
 
 def _load_prices(path: str, expected: tuple[LinkId, ...]) -> PriceVector:
+    """One price per link in ``expected``, the links being estimated, read from ``path``."""
+
     prices: PriceVector = {}
     for lineno, fields in _read_rows(path, "link_id,value"):
         try:
             lid, value = fields
-            prices[int(lid)] = float(value)
+            lid, price = int(lid), float(value)
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected 'link_id,value'") from None
+        if lid in prices:
+            raise DataError(f"{path}:{lineno}: link {lid} has a second price entry")
+        if lid not in expected:
+            raise DataError(f"{path}:{lineno}: link {lid} has a price entry but is not estimated")
+        prices[lid] = price
     missing = [lid for lid in expected if lid not in prices]
     if missing:
         raise DataError(f"{path}: missing price entries for links {missing}")

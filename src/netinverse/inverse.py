@@ -272,7 +272,7 @@ def _build(links: list[Link], nodes: list[NodeId], priced_ids: list[LinkId], obs
     for lid in priced_ids:
         e_var[lid] = lp.add_variable(f"e[{lid}]", cost=1.0)
         lp.add_variable(f"f[{lid}]", cost=1.0)  # index e_var[lid] + 1
-    y_var = {n: lp.add_variable(f"y[{n}]", lower=float("-inf")) for n in nodes}
+    y_var = {n: lp.add_variable(f"y[{n}]", free=True) for n in nodes}
 
     for link in links:
         # y[head] - y[tail] <= cost + prior - e + f  (potential feasibility)

@@ -208,6 +208,10 @@ class Observation:
     def __post_init__(self) -> None:
         if not math.isfinite(self.weight) or self.weight <= 0:
             raise DataError(f"observation {self.agent_id!r} has non-positive weight")
+        if self.timestamp is not None and not math.isfinite(self.timestamp):
+            raise DataError(
+                f"observation {self.agent_id!r} has non-finite timestamp {self.timestamp}"
+            )
         if self.subnetwork is not None:
             outside = [l for l in self.path.links if l not in self.subnetwork]
             if outside:
@@ -407,9 +411,9 @@ def load_observations(path: FilePath | str, net: Network) -> list[Observation]:
         try:
             route = Path(origin, destination, links)
             validate_path(net, route)
+            observations.append(Observation(agent_id, route, timestamp=timestamp))
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        observations.append(Observation(agent_id, route, timestamp=timestamp))
     return observations
 
 

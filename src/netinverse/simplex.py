@@ -42,21 +42,20 @@ second solve on, two things.  The first is its standard form, which is built
 once per structure together with everything the certificate check compares
 against apart from ``b``: the nonzeros of the original rows, the reduced-cost
 slacks ``GAP_TOL (1 + |c_j|)``, the masks of the ``<=``-only, ``>=``-only and
-inequality rows, and the masks of the variables with an infinite upper or
-lower bound.  The second is a record of the states its latest solve used:
-the LU of each factorised basis, each pricing step's
-outcome (the entering column or "optimal", with its FTRAN'd column and the
-rows where that column is positive, the only rows the ratio test reads)
-keyed by the basis at the last refactorisation, the ``(leave, enter)``
-pairs since then, the Bland flag and the phase, the column that replaces
-each artificial left basic after phase 1, and the final duals keyed by the
-final basis.  Whatever
-depends on ``b`` is computed on every solve: basic values, the ratio test
-and leaving choice, the degeneracy counter and the Bland switch, the phase-1
-infeasibility test, primal values, objectives and the certificate check.  A
-re-solve follows the recorded path only while its ``b`` makes the same
-leaving choices, and takes from the record only values it would have
-computed, so every pivot and result is the same, bit for bit.
+inequality rows, and the mask of the free variables.  The second is a record
+of the states its latest solve used: the LU of each factorised basis, each
+pricing step's outcome (the entering column or "optimal", with its FTRAN'd
+column and the rows where that column is positive, the only rows the ratio
+test reads) keyed by the basis at the last refactorisation, the
+``(leave, enter)`` pairs since then, the Bland flag and the phase, the column
+that replaces each artificial left basic after phase 1, and the final duals
+keyed by the final basis.  Whatever depends on ``b`` is computed on every
+solve: basic values, the ratio test and leaving choice, the degeneracy
+counter and the Bland switch, the phase-1 infeasibility test, primal values,
+objectives and the certificate check.  A re-solve follows the recorded path
+only while its ``b`` makes the same leaving choices, and takes from the
+record only values it would have computed, so every pivot and result is the
+same, bit for bit.
 ``add_variable``, ``add_constraint``, ``set_objective`` and a ``set_rhs``
 that flips a row's sign normalisation drop the standard form, with the
 arrays built alongside it, and the record, so both always belong to the
@@ -67,6 +66,8 @@ rule records nothing.
 Conventions
 -----------
 * Objective sense is MIN.
+* A variable is nonnegative, ``x >= 0``, or free; there are no other bounds.
+  A free variable is split into two nonnegative columns, ``x = x' - x''``.
 * Duals are shadow prices, ``d(objective)/d(rhs)``: nonnegative for binding
   ``>=`` rows, nonpositive for binding ``<=`` rows, free for equalities.
 * Entering variable: most negative reduced cost, lowest column index among
@@ -125,8 +126,7 @@ class Status(enum.Enum):
 @dataclass(frozen=True)
 class _Variable:
     name: str
-    lower: float
-    upper: float
+    free: bool
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,11 @@ class LinearProgram:
     """Mutable builder for a minimization LP.
 
     Variables are referenced by the integer index returned from
-    :meth:`add_variable`.  Constraints may use relation ``"<="``, ``"="``,
-    or ``">="``; their right-hand sides live in one array, in declaration
-    order.  A program re-solved after :meth:`set_rhs` calls only replays its
-    last solve (see the module docstring).
+    :meth:`add_variable`.  A variable is nonnegative, or free when declared
+    so; any other bound on it is a constraint.  Constraints may use relation
+    ``"<="``, ``"="``, or ``">="``; their right-hand sides live in one array,
+    in declaration order.  A program re-solved after :meth:`set_rhs` calls
+    only replays its last solve (see the module docstring).
     """
 
     def __init__(self) -> None:
@@ -163,22 +164,16 @@ class LinearProgram:
 
     # -- construction -----------------------------------------------------
 
-    def add_variable(
-        self,
-        name: str,
-        lower: float = 0.0,
-        upper: float = math.inf,
-        cost: float = 0.0,
-    ) -> int:
+    def add_variable(self, name: str, cost: float = 0.0, free: bool = False) -> int:
+        """Declare a variable ``x >= 0``, or a free one when ``free``; returns its index."""
+
         if name in self._names:
             raise SolverError(f"duplicate variable name {name!r}")
-        if lower > upper:
-            raise SolverError(f"variable {name!r} has lower {lower} > upper {upper}")
-        if math.isnan(lower) or math.isnan(upper) or not math.isfinite(cost):
-            raise SolverError(f"variable {name!r} has invalid bounds or cost")
+        if not math.isfinite(cost):
+            raise SolverError(f"variable {name!r} has non-finite cost {cost!r}")
         self._changed()
         self._names.add(name)
-        self._variables.append(_Variable(name, lower, upper))
+        self._variables.append(_Variable(name, free))
         self._objective.append(cost)
         return len(self._variables) - 1
 
@@ -272,7 +267,7 @@ class LinearProgram:
             body = " ".join(term(j, a) for j, a in con.coeffs)
             lines.append(f"  {label}: {body} {con.relation} {rhs:g}")
         for v in self._variables:
-            lines.append(f"  {v.lower:g} <= {v.name} <= {v.upper:g}")
+            lines.append(f"  {v.name} free" if v.free else f"  {v.name} >= 0")
         return "\n".join(lines)
 
 
@@ -280,8 +275,8 @@ class LinearProgram:
 class LpSolution:
     """Primal/dual certificate for one solve.
 
-    ``duals`` has one entry per constraint in declaration order.
-    ``dual_objective`` includes variable-bound contributions so that it
+    ``duals`` has one entry per constraint in declaration order, and
+    ``dual_objective`` is their dot product with the right-hand sides, which
     equals ``objective`` at every certified OPTIMAL result.
     """
 
@@ -319,23 +314,17 @@ class _Standardized:
     n_real: int                # the columns before the artificial ones
     basis: list[int]           # phase 1's start: each row's slack, or its artificial
     row_flip: np.ndarray       # row was negated during normalization
-    row_origin: np.ndarray     # original constraint index, -1 for bound rows
-    bound_row: np.ndarray      # the row is a variable's upper bound
-    row_shift: np.ndarray      # per constraint: its rhs minus b's row before the flip
+    row_origin: np.ndarray     # original constraint index
     col_var: np.ndarray        # original variable index per structural column
-    col_sign: np.ndarray       # +1 / -1 multiplier applied to the column
-    col_shift: np.ndarray      # original value = shift + sign * column value
+    col_sign: np.ndarray       # +1, or -1 for the x'' column of a free variable
     n_structural: int
     # the original program, for the certificate: row_le and row_ge mark the
     # constraints that bound their left-hand side above and below ("=" both),
-    # bound_weight is each variable's shift (its lower bound, else its finite
-    # upper one, else 0), nz_* list each nonzero coefficient, and rhs is the
-    # program's own right-hand-side array, which set_rhs writes into
+    # nz_* list each nonzero coefficient, and rhs is the program's own
+    # right-hand-side array, which set_rhs writes into
     names: list[str]
     cost: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    bound_weight: np.ndarray
+    free: np.ndarray
     rhs: np.ndarray
     row_le: np.ndarray
     row_ge: np.ndarray
@@ -343,81 +332,47 @@ class _Standardized:
     nz_var: np.ndarray
     nz_coef: np.ndarray
     # what _verify compares against, built with the structure: each reduced
-    # cost's slack GAP_TOL (1 + |c_j|), the inequality rows by direction, the
-    # rows that are not equalities, and the variables with an infinite bound
+    # cost's slack GAP_TOL (1 + |c_j|), the inequality rows by direction and
+    # the rows that are not equalities
     cost_slack: np.ndarray
     row_le_only: np.ndarray
     row_ge_only: np.ndarray
     row_not_eq: np.ndarray
-    upper_inf: np.ndarray
-    lower_inf: np.ndarray
 
 
 def _standardize(lp: LinearProgram) -> _Standardized:
-    col_var: list[int] = []
-    col_sign: list[float] = []
-    col_shift: list[float] = []
-    var_cols: list[list[int]] = []
-    upper_rows: list[tuple[int, float]] = []  # (original var, rhs u - l)
+    variables, cons = lp._variables, lp._constraints
+    m = len(cons)
+    # one column per variable, two for a free one: x = x' - x''
+    free = np.array([v.free for v in variables], dtype=bool)
+    per_var = 1 + free.astype(np.intp)
+    first_col = np.cumsum(per_var) - per_var
+    n_struct = int(per_var.sum())
+    col_var = np.repeat(np.arange(len(variables)), per_var)
+    col_sign = np.ones(n_struct)
+    col_sign[first_col[free] + 1] = -1.0
 
-    for j, v in enumerate(lp._variables):
-        lo, hi = v.lower, v.upper
-        if lo == -math.inf and hi == math.inf:
-            columns = [(1.0, 0.0), (-1.0, 0.0)]  # x = x' - x''
-        elif lo == -math.inf:
-            columns = [(-1.0, hi)]  # x = u - x'', x'' >= 0
-        else:
-            columns = [(1.0, lo)]
-            if hi != math.inf:
-                upper_rows.append((j, hi - lo))
-        var_cols.append(list(range(len(col_var), len(col_var) + len(columns))))
-        for sign, shift in columns:
-            col_var.append(j)
-            col_sign.append(sign)
-            col_shift.append(shift)
-
-    n_struct = len(col_var)
-    cons = lp._constraints
-    m = len(cons) + len(upper_rows)
-    relations = [con.relation for con in cons] + ["<="] * len(upper_rows)
-    row_origin = list(range(len(cons))) + [-1] * len(upper_rows)
-
-    # the constraints' nonzeros row by row, one per column of each variable
-    # (two for a free one); ``0.0 +`` stores the sign a zero product takes
-    # when accumulated into a zero matrix
-    col_var_a, col_sign_a = np.array(col_var, dtype=np.intp), np.array(col_sign)
+    # the constraints' nonzeros row by row, one per column of each variable;
+    # ``0.0 +`` stores the sign a zero product takes when accumulated into a
+    # zero matrix
     pairs = [pair for con in cons for pair in con.coeffs]
-    var = np.array([j for j, _ in pairs], dtype=np.intp)
-    per_var = np.array([len(cols) for cols in var_cols], dtype=np.intp)[var]
-    entry = np.repeat(np.arange(var.size), per_var)
-    offset = np.arange(entry.size) - np.repeat(np.cumsum(per_var) - per_var, per_var)
-    first_col = np.array([cols[0] for cols in var_cols], dtype=np.intp)
-    nz_row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])[entry]
-    nz_col = first_col[var][entry] + offset
-    nz_val = 0.0 + np.array([a for _, a in pairs], dtype=float)[entry] * col_sign_a[nz_col]
-    # for the certificate, one nonzero per variable: not the x'' column of a free one
-    first = offset == 0
-    nz_con, nz_var = nz_row[first], col_var_a[nz_col[first]]
-    nz_coef = nz_val[first] * col_sign_a[nz_col[first]]
-    row_shift = np.zeros(len(cons))
-    if any(col_shift):  # a variable shifted by a nonzero bound moves its rows' right-hand sides
-        for i, con in enumerate(cons):
-            shift_term = 0.0
-            for j, coef in con.coeffs:
-                shift_term += coef * col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
-            row_shift[i] = shift_term
-    upper_var = [j for j, _ in upper_rows]
-    nz_row = np.concatenate((nz_row, np.arange(len(cons), m)))
-    nz_col = np.concatenate((nz_col, first_col[upper_var]))
-    nz_val = np.concatenate((nz_val, np.ones(len(upper_rows))))
+    nz_var = np.array([j for j, _ in pairs], dtype=np.intp)
+    nz_coef = np.array([a for _, a in pairs], dtype=float)
+    nz_con = np.repeat(np.arange(m), [len(con.coeffs) for con in cons])
+    per_entry = per_var[nz_var]
+    entry = np.repeat(np.arange(nz_var.size), per_entry)
+    offset = np.arange(entry.size) - np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
+    nz_row = nz_con[entry]
+    nz_col = first_col[nz_var][entry] + offset
+    nz_val = 0.0 + nz_coef[entry] * col_sign[nz_col]
 
     # normalize rhs >= 0: a flipped row has its entries negated and its
     # relation swapped.  Then one slack (<=: +1) or surplus (>=: -1) column
     # per inequality, then one artificial column per row no slack can start.
-    b = np.concatenate((lp._rhs - row_shift, [cap for _, cap in upper_rows]))
+    b = lp._rhs.copy()
     row_flip = b < 0
     b[row_flip] = -b[row_flip]
-    sense = np.array([_SENSE[rel] for rel in relations], dtype=float)
+    sense = np.array([_SENSE[con.relation] for con in cons], dtype=float)
     sense[row_flip] = -sense[row_flip]
     slack_rows, art_rows = np.flatnonzero(sense != 0.0), np.flatnonzero(sense != 1.0)
     n_real = n_struct + slack_rows.size
@@ -438,12 +393,9 @@ def _standardize(lp: LinearProgram) -> _Standardized:
 
     a = csc_array((vals[order], rows[order].astype(np.int32), indptr), shape=(m, width))
 
-    c = np.zeros(width)
-    c[:n_struct] = [lp._objective[j] * sign for j, sign in zip(col_var, col_sign)]
-    variables = lp._variables
     cost = np.array(lp._objective, dtype=float)
-    lower = np.array([v.lower for v in variables], dtype=float)
-    upper = np.array([v.upper for v in variables], dtype=float)
+    c = np.zeros(width)
+    c[:n_struct] = cost[col_var] * col_sign
     row_le = np.array([con.relation != ">=" for con in cons], dtype=bool)
     row_ge = np.array([con.relation != "<=" for con in cons], dtype=bool)
 
@@ -455,18 +407,13 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         n_real=n_real,
         basis=start.tolist(),
         row_flip=row_flip,
-        row_origin=np.array(row_origin, dtype=np.intp),
-        bound_row=np.array([origin < 0 for origin in row_origin], dtype=bool),
-        row_shift=row_shift,
-        col_var=col_var_a,
-        col_sign=col_sign_a,
-        col_shift=np.array(col_shift),
+        row_origin=np.arange(m),
+        col_var=col_var,
+        col_sign=col_sign,
         n_structural=n_struct,
         names=[v.name for v in variables],
         cost=cost,
-        lower=lower,
-        upper=upper,
-        bound_weight=np.array(col_shift)[[cols[0] for cols in var_cols]],
+        free=free,
         rhs=lp._rhs,
         row_le=row_le,
         row_ge=row_ge,
@@ -477,8 +424,6 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         row_le_only=row_le & ~row_ge,
         row_ge_only=row_ge & ~row_le,
         row_not_eq=~(row_le & row_ge),
-        upper_inf=upper == math.inf,
-        lower_inf=lower == -math.inf,
     )
 
 
@@ -727,8 +672,7 @@ def _drive_out_artificials(std: _Standardized, basis: list[int], pivoter: _Pivot
         keep = np.arange(std.a.shape[0]) != i
         std.a, std.b = std.a[keep], std.b[keep]
         std.at = std.a.T
-        std.row_flip, std.row_origin, std.bound_row = (
-            std.row_flip[keep], std.row_origin[keep], std.bound_row[keep])
+        std.row_flip, std.row_origin = std.row_flip[keep], std.row_origin[keep]
         del basis[i]
         # which row goes depends on the basis phase 1 ended on, so a recorded state
         # keyed by a basis of the smaller matrix may belong to another row's
@@ -741,11 +685,10 @@ def _kept_form(lp: LinearProgram) -> _Standardized:
 
     std = lp._std
     if std is not None:
-        b = lp._rhs - std.row_shift  # the arithmetic of _standardize
-        flip = b < 0
-        if np.array_equal(flip, std.row_flip[: b.size]):
-            b[flip] = -b[flip]
-            std.b[: b.size] = b
+        flip = lp._rhs < 0
+        if np.array_equal(flip, std.row_flip):
+            std.b[:] = lp._rhs
+            std.b[flip] = -std.b[flip]
             return std
         lp._record = None  # a row's sign normalisation changed, and with it the matrix
     lp._std = _standardize(lp)
@@ -798,14 +741,9 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     y = y.copy()  # the record may hold this array
     y[std.row_flip] = -y[std.row_flip]
     duals = np.zeros(lp.num_constraints)
-    bound = std.bound_row
-    duals[std.row_origin[~bound]] = y[~bound]
-    # upper-bound rows are never flipped: their right-hand side u - l is >= 0
-    bound_row_term = y[bound] @ std.b[bound]
-
-    reduced = _reduced_costs(std, duals)
-    dual_objective = _dual_objective(std, duals, reduced, bound_row_term)
-    _verify(std, values, duals, reduced, objective, dual_objective)
+    duals[std.row_origin] = y
+    dual_objective = float(std.rhs @ duals)
+    _verify(std, values, duals, objective, dual_objective)
     primal = dict(zip(std.names, values.tolist()))
     return LpSolution(
         Status.OPTIMAL, objective, primal, tuple(duals.tolist()), dual_objective, pivoter.pivots
@@ -816,8 +754,7 @@ def _recover_primal(std: _Standardized, x: np.ndarray) -> np.ndarray:
     """The original variables' values from the standard form's values ``x``."""
 
     values = np.zeros(len(std.names))
-    n = std.n_structural
-    np.add.at(values, std.col_var, std.col_shift + std.col_sign * x[:n])
+    np.add.at(values, std.col_var, std.col_sign * x[: std.n_structural])
     return values
 
 
@@ -828,27 +765,17 @@ def _reduced_costs(std: _Standardized, duals: np.ndarray) -> np.ndarray:
     return std.cost - at_y
 
 
-def _dual_objective(
-    std: _Standardized, duals: np.ndarray, reduced: np.ndarray, bound_row_term: float
-) -> float:
-    """The dual objective, from the duals and their ``_reduced_costs``."""
-
-    # c.x = b.y + w.(c - A'y) + sum over upper rows y_r (u - l), w = bound_weight
-    return float(bound_row_term + std.rhs @ duals + std.bound_weight @ reduced)
-
-
 def _verify(
     std: _Standardized,
     x: np.ndarray,
     y: np.ndarray,
-    reduced: np.ndarray,
     objective: float,
     dual_objective: float,
 ) -> None:
     """Raise :class:`SolverError` unless the values certify an optimum of ``std``'s program.
 
-    ``x`` holds the original variables' values, ``y`` one dual per
-    constraint and ``reduced`` their ``_reduced_costs``.
+    ``x`` holds the original variables' values and ``y`` one dual per
+    constraint.
     """
 
     # every comparison below is false for NaN, so non-finite values must fail first
@@ -857,6 +784,7 @@ def _verify(
         raise SolverError("certificate has a non-finite value")
     tol = FEAS_TOL * max(1.0, float(np.abs(std.rhs).max(initial=1.0)))
     resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=len(y)) - std.rhs
+    reduced = _reduced_costs(std, y)
     slack, names = std.cost_slack, std.names
     checks = [
         ((std.row_le & (resid > tol)) | (std.row_ge & (resid < -tol)),
@@ -865,11 +793,10 @@ def _verify(
          lambda i: f"row {i} has wrong dual sign {y[i]:g}"),
         (std.row_not_eq & (np.abs(y) > GAP_TOL) & (np.abs(resid) > tol * 10),
          lambda i: f"row {i} breaks complementary slackness"),
-        ((x < std.lower - tol) | (x > std.upper + tol),
+        (~std.free & (x < -tol),
          lambda j: f"variable {names[j]} out of bounds: {x[j]:g}"),
-        # a reduced cost may be negative only where x can sit at an upper
-        # bound, positive only where it can sit at a lower one
-        (((reduced < -slack) & std.upper_inf) | ((reduced > slack) & std.lower_inf),
+        # a reduced cost is never negative, and positive only where x >= 0
+        ((reduced < -slack) | (std.free & (reduced > slack)),
          lambda j: f"variable {names[j]} has reduced cost {reduced[j]:g} of the wrong sign"),
     ]
     if np.concatenate([mask for mask, _ in checks]).any():

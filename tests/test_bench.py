@@ -101,3 +101,56 @@ def test_grid_online_work_is_pinned(monkeypatch, tmp_path):
     assert summary["simplex.non_optimal"] == 0
     digest = hashlib.sha256((out / "state.json").read_bytes()).hexdigest()
     assert digest == "4a580ebe8ac84e85d89f15907fd2c1f46432db370cfc2692fa95ab7990029f62"
+
+
+def test_nd_batch_work_is_pinned(monkeypatch, tmp_path):
+    """The benchmark's nd-batch round (seed 1) does exactly this work and writes these traces.
+
+    It is the only pinned run of the cost inverse, whose LPs carry free node
+    potentials: a change to the pivot path, the stopping rule or the
+    certified values moves the counts or a digest and fails here.
+    """
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    for module, attr, _ in tracing.ENTRY_POINTS:
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored afterwards
+    tracer = tracing.Tracer()
+    tracer.install()
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    result = workloads.run_nd_batch(workloads.setup_nd_batch(1, inputs), out)
+    summary = tracer.summary()
+    assert (result.attempted, result.failed, result.errors) == (3, 0, [])
+    assert result.iterations == 272
+    assert summary["inverse.calls"] == 1302
+    assert summary["simplex.solves"] == 2604
+    assert summary["simplex.stage2_solves"] == 1302
+    assert summary["simplex.pivots"] == 23366
+    assert summary["simplex.non_optimal"] == 0
+    digests = {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+    assert digests == {
+        "costs_correlated/agent_posteriors.csv":
+            "70fa4ed26a2ab27c071ceb22add4a5fa04632bda2044e32ce85e63ffde03bf2c",
+        "costs_correlated/prior_trace.csv":
+            "9e0e735cf2a9ee55f4164ff9ff1e293ba573b50c143168b6bdc66fc3bc94f73e",
+        "costs_correlated/summary.txt":
+            "f6cf3dfa03071c78b0059f41274fb2057430c57193894d5b8a50ec9b5b994876",
+        "costs_independent/agent_posteriors.csv":
+            "321a5315d6290a35bd831e31e37d09461294e6aa0c7e825980529483585034c2",
+        "costs_independent/prior_trace.csv":
+            "cf8447488c9862c238d535a87086f507b142955471e0945fde4239c226424010",
+        "costs_independent/summary.txt":
+            "5493f8541e64f6a8ac9801dd7ea7bb27ca43ead974eeed2975097347c77ce6ce",
+        "nd_duals/agent_posteriors.csv":
+            "da6bf0412a12c7ab4e8de76be665d88dc32c1112444e9a7d086a396d02deb18e",
+        "nd_duals/prior_trace.csv":
+            "506fa8a95e0a8c89525584b46e68a02e3b308cabb2f0d4de7843ae174ef761f4",
+        "nd_duals/summary.txt":
+            "e80884224c1166e85586e86d087d7f1e980ca7a2c090467b331b81b58b470ef2",
+    }

@@ -139,6 +139,28 @@ class TestEstimateCosts:
         assert code == 2, err
         assert "tol must be positive" in err
 
+    @pytest.mark.parametrize(
+        "rows, link",
+        [("1,3.0\n", "link 1"), ("99,1\n", "link 99")],
+        ids=["duplicate", "unknown"],
+    )
+    def test_bad_row_in_prior_file_is_data_error(self, capsys, data_dir, tmp_path, rows, link):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("agent_id,timestamp,origin,destination,link_seq\na,,1,4,1;4\n")
+        prior_file = tmp_path / "prior.csv"
+        prior_file.write_text("link_id,value\n1,0.5\n2,0.5\n3,0.5\n4,0.5\n5,0.5\n" + rows)
+        code, _, err = run(
+            capsys,
+            "estimate-costs",
+            str(data_dir / "fourlink_links.csv"),
+            str(obs_file),
+            "--prior", str(prior_file),
+            "-o", str(tmp_path / "trace"),
+        )
+        assert code == 2, err
+        assert f"prior.csv:7: {link} " in err
+        assert not (tmp_path / "trace").exists()
+
 
 class TestRecoverDuals:
     def test_published_fixed_point(self, capsys, data_dir, tmp_path):
@@ -231,6 +253,31 @@ class TestRecoverDuals:
         )
         assert code == 2, err
         assert "not finite" in err
+
+    @pytest.mark.parametrize(
+        "rows, link",
+        [("1,3.0\n", "link 1"), ("2,1\n", "link 2"), ("99,1\n", "link 99")],
+        ids=["duplicate", "unpriced", "unknown"],
+    )
+    def test_bad_row_in_prior_file_is_data_error(self, capsys, data_dir, tmp_path, rows, link):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "agent_id,timestamp,origin,destination,link_seq\na,,1,2,2;18;11\n"
+        )
+        prior_file = tmp_path / "prior.csv"
+        prior_file.write_text("link_id,value\n1,0.5\n7,0.5\n" + rows)
+        code, _, err = run(
+            capsys,
+            "recover-duals",
+            str(data_dir / "nd_links.csv"),
+            str(obs_file),
+            "--priced", "1,7",
+            "--prior", str(prior_file),
+            "-o", str(tmp_path / "t"),
+        )
+        assert code == 2, err
+        assert f"prior.csv:4: {link} " in err
+        assert not (tmp_path / "t").exists()
 
 
 class TestMonitor:
@@ -345,6 +392,28 @@ class TestMonitor:
         )
         assert code == 2, err
         assert "not finite" in err
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf"])
+    def test_non_finite_timestamp_is_data_error(self, tmp_path, data_dir, capsys, stamp):
+        """A stream with a non-finite timestamp is refused before any state is written."""
+
+        state_file = tmp_path / "state.json"
+        obs_file = tmp_path / "one.csv"
+        obs_file.write_text(
+            f"agent_id,timestamp,origin,destination,link_seq\na,{stamp},1,2,2;18;11\n"
+        )
+        code, _, err = run(
+            capsys,
+            "monitor",
+            str(data_dir / "nd_links.csv"),
+            str(obs_file),
+            "--priced", "1,7",
+            "--state", str(state_file),
+            "-o", str(tmp_path / "log.csv"),
+        )
+        assert code == 2, err
+        assert err.startswith("data error:") and "one.csv:2: " in err and "timestamp" in err
+        assert not state_file.exists()
 
 
 class TestUnreadableInputs:

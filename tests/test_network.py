@@ -1,5 +1,6 @@
 """Network data model, file ingestion, and path utilities."""
 
+import math
 import random
 
 import pytest
@@ -256,3 +257,8 @@ class TestObservations:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(DataError, match="weight"):
             Observation("a", Path("1", "2", (2,)), weight=0.0)
+
+    @pytest.mark.parametrize("stamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, stamp):
+        with pytest.raises(DataError, match="non-finite timestamp"):
+            Observation("a", Path("1", "2", (2,)), timestamp=stamp)

@@ -31,14 +31,12 @@ def brute_force_minimum(lp: LinearProgram) -> float | None:
     costs: list[float] = []
     m = lp.num_constraints
     for j in range(n):
-        v = lp._variables[j]
-        assert v.lower == 0.0 and v.upper == math.inf or v.lower == -math.inf
         col = np.zeros(m)
         for i, con in enumerate(lp._constraints):
             for k, a in con.coeffs:
                 if k == j:
                     col[i] = a
-        signs = (1.0, -1.0) if v.lower == -math.inf else (1.0,)
+        signs = (1.0, -1.0) if lp._variables[j].free else (1.0,)
         for s in signs:
             cols.append(s * col)
             costs.append(s * lp._objective[j])
@@ -88,7 +86,7 @@ def highs_minimum(lp: LinearProgram) -> float:
         lp._objective,
         A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
         A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
-        bounds=[(v.lower, v.upper) for v in lp._variables], method="highs",
+        bounds=[(None, None) if v.free else (0.0, None) for v in lp._variables], method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.status == 0, res.message
@@ -170,7 +168,7 @@ class TestBasics:
 
     def test_free_variable_equality(self):
         lp = LinearProgram()
-        y = lp.add_variable("y", lower=-math.inf)
+        y = lp.add_variable("y", free=True)
         e = lp.add_variable("e", cost=1.0)
         f = lp.add_variable("f", cost=1.0)
         lp.add_constraint({y: 1.0, e: 1.0, f: -1.0}, "=", -2.0)
@@ -178,15 +176,6 @@ class TestBasics:
         assert sol.status is Status.OPTIMAL
         assert abs(sol.objective) < 1e-12
         assert abs(sol["y"] + 2.0) < 1e-12
-
-    def test_finite_bounds(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x", lower=1.0, upper=4.0, cost=-2.0)
-        sol = solve(lp)
-        assert sol.status is Status.OPTIMAL
-        assert abs(sol["x"] - 4.0) < 1e-9
-        assert abs(sol.objective + 8.0) < 1e-9
-        assert abs(sol.objective - sol.dual_objective) < GAP_TOL
 
     def test_degenerate_cycling_instance(self):
         """A classically cycling-prone instance must terminate at -0.05."""
@@ -323,7 +312,7 @@ def grid_price_inverse(k: int, rng: np.random.Generator, prior=None):
     lp = LinearProgram()
     e = [lp.add_variable(f"e{n}", cost=1.0) for n in range(len(links))]
     f = [lp.add_variable(f"f{n}", cost=1.0) for n in range(len(links))]
-    y = {(i, j): lp.add_variable(f"y{i}_{j}", lower=-math.inf) for i in range(k) for j in range(k)}
+    y = {(i, j): lp.add_variable(f"y{i}_{j}", free=True) for i in range(k) for j in range(k)}
     for n, (tail, head, cost) in enumerate(links):
         lp.add_constraint(
             {y[head]: 1.0, y[tail]: -1.0, e[n]: 1.0, f[n]: -1.0}, "<=", cost + prior[n]
@@ -489,21 +478,12 @@ def reference_standardize(lp: LinearProgram):
     rows, rhs, relations = [], [], []
     for con, con_rhs in zip(lp._constraints, lp._rhs.tolist()):
         row = np.zeros(std.n_structural)
-        shift_term = 0.0
         for j, a in con.coeffs:
             for k in var_cols[j]:
                 row[k] += a * std.col_sign[k]
-            shift_term += a * std.col_shift[var_cols[j][0]] if len(var_cols[j]) == 1 else 0.0
         rows.append(row)
-        rhs.append(con_rhs - shift_term)
+        rhs.append(con_rhs)
         relations.append(con.relation)
-    for j in [j for j, v in enumerate(lp._variables) if -math.inf < v.lower and v.upper < math.inf]:
-        row = np.zeros(std.n_structural)
-        row[var_cols[j][0]] = 1.0
-        rows.append(row)
-        v = lp._variables[j]
-        rhs.append(v.upper - v.lower)
-        relations.append("<=")
     for i in range(len(rows)):
         if rhs[i] < 0:
             rows[i] = -rows[i]
@@ -522,14 +502,13 @@ def reference_standardize(lp: LinearProgram):
 
 
 def random_bounds_lp(rng: np.random.Generator) -> LinearProgram:
-    """A random LP over variables of every kind of bounds, with signed zero coefficients."""
+    """A random LP over nonnegative and free variables, with signed zero coefficients."""
 
     lp = LinearProgram()
     n = int(rng.integers(1, 6))
     for j in range(n):
-        kind = int(rng.integers(0, 4))
-        lower, upper = [(0.0, math.inf), (-math.inf, math.inf), (-math.inf, 2.0), (-1.0, 3.0)][kind]
-        lp.add_variable(f"x{j}", lower, upper, cost=float(rng.uniform(-2, 2)))
+        free = bool(rng.integers(0, 2))
+        lp.add_variable(f"x{j}", cost=float(rng.uniform(-2, 2)), free=free)
     for _ in range(int(rng.integers(0, 6))):
         picked = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         coeffs = {int(j): float(rng.choice([0.0, -0.0, rng.uniform(-3, 3)])) for j in picked}
@@ -555,7 +534,7 @@ class TestStandardForm:
             assert all(a[i, col] == 1.0 for i, col in enumerate(std.basis) if col < std.n_real)
 
     def test_array_certificate_pieces_equal_loops_over_variables_and_rows(self):
-        """Primal recovery bit for bit, and the dual objective to rounding, against loops."""
+        """Primal recovery bit for bit, and the reduced costs to rounding, against loops."""
 
         rng = np.random.default_rng(8)
         for _ in range(40):
@@ -563,13 +542,8 @@ class TestStandardForm:
             std = simplex._standardize(lp)
             x = rng.choice([0.0, -0.0, 1.5, rng.uniform(0, 3)], size=std.a.shape[1])
             values = [0.0] * lp.num_variables
-            seen = [False] * lp.num_variables
             for k in range(std.n_structural):
-                j = std.col_var[k]
-                if not seen[j]:
-                    values[j] += std.col_shift[k]
-                    seen[j] = True
-                values[j] += std.col_sign[k] * x[k]
+                values[std.col_var[k]] += std.col_sign[k] * x[k]
             recovered = simplex._recover_primal(std, x)
             assert np.array_equal(recovered, values)
             assert np.array_equal(np.signbit(recovered), np.signbit(values))
@@ -579,14 +553,8 @@ class TestStandardForm:
             for i, con in enumerate(lp._constraints):
                 for j, a in con.coeffs:
                     reduced[j] -= duals[i] * a
-            total = 0.5 + sum(d * rhs for d, rhs in zip(duals, lp._rhs.tolist()))
-            for j, v in enumerate(lp._variables):
-                bound = v.lower if v.lower != -math.inf else v.upper
-                if math.isfinite(bound):
-                    total += bound * reduced[j]
             reduced_costs = simplex._reduced_costs(std, duals)
-            dual_objective = simplex._dual_objective(std, duals, reduced_costs, 0.5)
-            assert dual_objective == pytest.approx(total, rel=1e-12, abs=1e-12)
+            assert reduced_costs.tolist() == pytest.approx(reduced, rel=1e-12, abs=1e-12)
 
 
 def verify(std, sol: simplex.LpSolution) -> None:
@@ -594,8 +562,7 @@ def verify(std, sol: simplex.LpSolution) -> None:
 
     x = np.array([sol.primal[name] for name in std.names], dtype=float)
     y = np.array(sol.duals, dtype=float)
-    reduced = simplex._reduced_costs(std, y)
-    simplex._verify(std, x, y, reduced, sol.objective, sol.dual_objective)
+    simplex._verify(std, x, y, sol.objective, sol.dual_objective)
 
 
 class TestVerify:
@@ -629,26 +596,28 @@ class TestVerify:
         verify(std, optimal)
 
     @pytest.mark.parametrize(
-        "relation, rhs, lower, x, dual, objective, dual_objective, message",
+        "relation, rhs, free, x, dual, objective, dual_objective, message",
         [
-            (">=", 3.0, 0.0, 2.0, 1.0, 2.0, 3.0, "row 0 violated"),
-            ("<=", 3.0, 0.0, 4.0, 0.0, 4.0, 4.0, "row 0 violated"),
-            (">=", 3.0, 0.0, 3.0, -1.0, 3.0, -3.0, "row 0 has wrong dual sign"),
-            ("<=", 3.0, 0.0, 3.0, 1.0, 3.0, 3.0, "row 0 has wrong dual sign"),
-            (">=", 3.0, 0.0, 4.0, 1.0, 4.0, 3.0, "row 0 breaks complementary slackness"),
-            (">=", -5.0, 0.0, -1.0, 0.0, -1.0, 0.0, "variable x out of bounds"),
-            ("=", 3.0, -math.inf, 3.0, 0.0, 3.0, 0.0, "variable x has reduced cost"),
-            (">=", 3.0, 0.0, 3.0, 1.0, 3.0, 4.0, "duality gap"),
-            (">=", 3.0, 0.0, 3.0, 1.0, 3.0, 3.0, None),
+            (">=", 3.0, False, 2.0, 1.0, 2.0, 3.0, "row 0 violated"),
+            ("<=", 3.0, False, 4.0, 0.0, 4.0, 4.0, "row 0 violated"),
+            (">=", 3.0, False, 3.0, -1.0, 3.0, -3.0, "row 0 has wrong dual sign"),
+            ("<=", 3.0, False, 3.0, 1.0, 3.0, 3.0, "row 0 has wrong dual sign"),
+            (">=", 3.0, False, 4.0, 1.0, 4.0, 3.0, "row 0 breaks complementary slackness"),
+            (">=", -5.0, False, -1.0, 0.0, -1.0, 0.0, "variable x out of bounds"),
+            ("=", 3.0, True, 3.0, 0.0, 3.0, 0.0, "variable x has reduced cost"),
+            (">=", 3.0, False, 3.0, 1.0, 3.0, 4.0, "duality gap"),
+            (">=", 3.0, False, 3.0, 1.0, 3.0, 3.0, None),
         ],
+        # a case's id names x by its lower bound: 0.0, or -inf when free
+        ids=lambda v: ("-inf" if v else "0.0") if isinstance(v, bool) else None,
     )
     def test_every_failure_message(
-        self, relation, rhs, lower, x, dual, objective, dual_objective, message
+        self, relation, rhs, free, x, dual, objective, dual_objective, message
     ):
         """One certificate of ``min x`` per check, each failing that check first."""
 
         lp = LinearProgram()
-        lp.add_variable("x", lower=lower, cost=1.0)
+        lp.add_variable("x", cost=1.0, free=free)
         lp.add_constraint({0: 1.0}, relation, rhs)
         std = simplex._standardize(lp)
         sol = simplex.LpSolution(Status.OPTIMAL, objective, {"x": x}, (dual,), dual_objective)
@@ -657,16 +626,6 @@ class TestVerify:
         else:
             with pytest.raises(SolverError, match=message):
                 verify(std, sol)
-
-    def test_variable_bounded_above_only(self):
-        """``x <= u`` with no lower bound: the certificate counts ``u`` times its reduced cost."""
-
-        lp = LinearProgram()
-        x = lp.add_variable("x", lower=-math.inf, upper=3.0, cost=-1.0)
-        lp.add_constraint({x: 1.0}, "<=", 5.0)
-        sol = solve(lp)
-        assert sol.status is Status.OPTIMAL
-        assert sol.primal == {"x": 3.0} and sol.objective == sol.dual_objective == -3.0
 
 
 class TestFactoriseOnce:
@@ -1050,7 +1009,7 @@ class TestSetRhs:
             assert lp._std is not None and lp._std is not kept
             reference = simplex._standardize(fresh)
             for name in ("cost_slack", "row_le_only", "row_ge_only", "row_not_eq",
-                         "upper_inf", "lower_inf", "row_le", "row_ge", "cost"):
+                         "free", "row_le", "row_ge", "cost"):
                 assert np.array_equal(getattr(lp._std, name), getattr(reference, name)), name
             outcomes = [
                 certify(lp._std, expected, d, p)
@@ -1088,7 +1047,7 @@ class TestSetRhs:
 
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
-        y = lp.add_variable("y", lower=-math.inf)
+        y = lp.add_variable("y", free=True)
         lp.add_constraint({x: 1.0, y: -1.0}, ">=", 2.0)
         lp.add_constraint({y: 1.0}, "=", 1.0)
         flips = []
