@@ -6,7 +6,7 @@ Subcommands::
     simulate <scenario_file> -o <obs_file>
     estimate-costs <links> <obs> --prior <value|file> [--tol T] [--max-iter N]
                    -o <trace_dir>
-    recover-duals <links> <obs> --priced <ids|all> [--prior <file|zeros>]
+    recover-duals <links> <obs> --priced <ids|all> [--prior <file>]
                   [--tol T] [--max-iter N] -o <trace_dir>
     monitor <links> <obs_stream> --priced <ids|all> --state <state_file>
             -o <log_file>
@@ -33,12 +33,10 @@ from .learner import (
 )
 from .network import (
     CapacitySpec,
-    LinkId,
     Network,
-    PriceVector,
-    _read_rows,
     load_network,
     load_observations,
+    load_prices,
     write_observations,
 )
 from .scenarios import generate_observations, load_scenario
@@ -109,27 +107,6 @@ def _parse_priced(value: str, net: Network) -> CapacitySpec:
     return spec
 
 
-def _load_prices(path: str, expected: tuple[LinkId, ...]) -> PriceVector:
-    """One price per link in ``expected``, the links being estimated, read from ``path``."""
-
-    prices: PriceVector = {}
-    for lineno, fields in _read_rows(path, "link_id,value"):
-        try:
-            lid, value = fields
-            lid, price = int(lid), float(value)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: expected 'link_id,value'") from None
-        if lid in prices:
-            raise DataError(f"{path}:{lineno}: link {lid} has a second price entry")
-        if lid not in expected:
-            raise DataError(f"{path}:{lineno}: link {lid} has a price entry but is not estimated")
-        prices[lid] = price
-    missing = [lid for lid in expected if lid not in prices]
-    if missing:
-        raise DataError(f"{path}: missing price entries for links {missing}")
-    return prices
-
-
 def _cmd_net_validate(args: argparse.Namespace) -> int:
     net = load_network(args.links_file)
     print(f"ok: {len(net.nodes)} nodes, {len(net.links)} links")
@@ -151,7 +128,7 @@ def _cmd_estimate_costs(args: argparse.Namespace) -> int:
     try:
         prior = {lid: float(args.prior) for lid in link_ids}
     except ValueError:
-        prior = _load_prices(args.prior, link_ids)
+        prior = load_prices(args.prior, link_ids)
     trace = estimate_costs(observations, net, prior, tol=args.tol, max_iter=args.max_iter)
     write_trace(trace, args.output)
     status = "converged" if trace.converged else "max-iter reached"
@@ -163,9 +140,7 @@ def _cmd_recover_duals(args: argparse.Namespace) -> int:
     net = load_network(args.links_file)
     observations = load_observations(args.obs_file, net)
     priced = _parse_priced(args.priced, net)
-    prior = None
-    if args.prior is not None:
-        prior = _load_prices(args.prior, priced.priced_links())
+    prior = None if args.prior is None else load_prices(args.prior, priced.priced_links())
     trace = recover_prices(
         observations,
         net,
@@ -198,8 +173,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     else:
         state = OnlineState({lid: 0.0 for lid in priced.priced_links()})
     state = run_monitor(state, observations, net, net.base_costs(), priced)
+    write_online_log(state, args.output)  # first: a failed run leaves the state unchanged
     save_state(state, state_path)
-    write_online_log(state, args.output)
     skipped = sum(1 for entry in state.log if entry.skipped)
     print(f"processed {len(observations)} observations ({skipped} skipped), "
           f"state at {args.state}")

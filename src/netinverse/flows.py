@@ -22,6 +22,7 @@ from .network import (
     NodeId,
     Path,
     PriceVector,
+    _write_lines,
     path_cost,
 )
 from .simplex import LinearProgram, Status, solve
@@ -204,8 +205,8 @@ def write_flow_solution(
         solution.flows.items(), key=lambda kv: (kv[0][1], kv[0][0])
     ):
         lines.append(f"{lid},{commodity[0]}-{commodity[1]},{value:g}")
-    FilePath(flows_file).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(flows_file, lines)
     lines = ["link_id,dual"]
     for lid in sorted(solution.duals):
         lines.append(f"{lid},{solution.duals[lid]:g}")
-    FilePath(duals_file).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(duals_file, lines)

@@ -42,6 +42,9 @@ from .network import (
     Observation,
     Path,
     PriceVector,
+    _format_timestamp,
+    _write_lines,
+    _writing,
 )
 
 logger = logging.getLogger(__name__)
@@ -396,12 +399,12 @@ def write_heterogeneity(
     lines = ["link_id,mean,std"]
     for lid, st in sorted(stats.items()):
         lines.append(f"{lid},{st.mean:.9g},{st.std:.9g}")
-    FilePath(stats_file).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(stats_file, lines)
     lines = ["link_id,value,count"]
     for lid, st in sorted(stats.items()):
         for value, count in st.clusters:
             lines.append(f"{lid},{value:.9g},{count}")
-    FilePath(histogram_file).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(histogram_file, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +416,13 @@ def write_trace(trace: FixedPointTrace, directory: FilePath | str) -> None:
     """Write prior_trace.csv, agent_posteriors.csv, and summary.txt."""
 
     d = FilePath(directory)
-    d.mkdir(parents=True, exist_ok=True)
+    with _writing(d):
+        d.mkdir(parents=True, exist_ok=True)
     lines = ["iteration,link_id,prior_value"]
     for n, prior in enumerate(trace.priors):
         for lid in sorted(prior):
             lines.append(f"{n},{lid},{prior[lid]:.9g}")
-    (d / "prior_trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(d / "prior_trace.csv", lines)
 
     lines = ["agent_id,link_id,value"]
     # agents sharing a posterior share its ",link_id,value" line tails
@@ -430,9 +434,8 @@ def write_trace(trace: FixedPointTrace, directory: FilePath | str) -> None:
             tail = [f",{lid},{posterior[lid]:.9g}" for lid in sorted(posterior)]
             tails[id(posterior)] = tail
         if tail:
-            prefix = f"{agent_id}"
-            lines.append(prefix + ("\n" + prefix).join(tail))
-    (d / "agent_posteriors.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            lines.append(agent_id + ("\n" + agent_id).join(tail))
+    _write_lines(d / "agent_posteriors.csv", lines)
 
     summary = [
         f"iterations: {trace.iterations}",
@@ -440,7 +443,7 @@ def write_trace(trace: FixedPointTrace, directory: FilePath | str) -> None:
         f"final_gap: {trace.final_gap:.9g}",
         f"skipped_observations: {len(trace.skipped_agents)}",
     ]
-    (d / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write_lines(d / "summary.txt", summary)
 
 
 def save_state(state: OnlineState, path: FilePath | str) -> None:
@@ -453,11 +456,12 @@ def save_state(state: OnlineState, path: FilePath | str) -> None:
     # leaves the previous state file whole
     target = FilePath(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _writing(target):
+        try:
+            _write_lines(tmp, [json.dumps(payload, indent=2)], target)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def load_state(path: FilePath | str) -> OnlineState:
@@ -487,11 +491,11 @@ def load_state(path: FilePath | str) -> OnlineState:
 def write_online_log(state: OnlineState, path: FilePath | str) -> None:
     lines = ["update_index,timestamp,agent_id,objective,link_id,prior_after"]
     for entry in state.log:
-        ts = "" if entry.timestamp is None else format(entry.timestamp, "g")
+        ts = _format_timestamp(entry.timestamp)
         obj = "skipped" if entry.skipped else format(entry.objective, ".9g")
         for lid in sorted(entry.prices_after):
             lines.append(
                 f"{entry.update_index},{ts},{entry.agent_id},{obj},"
                 f"{lid},{entry.prices_after[lid]:.9g}"
             )
-    FilePath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)

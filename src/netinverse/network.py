@@ -5,8 +5,11 @@ route, demand, capacity, and observation records that every solver in the
 package consumes.  All types are immutable after construction and safe to
 share across concurrent tasks.
 
-File formats (UTF-8, comma separated, mandatory header, ``#`` comment lines
-ignored, surrounding whitespace trimmed):
+File formats are UTF-8 CSV.  Blank and ``#`` lines are skipped, the first other
+line must be the header, later lines have its field count, fields are trimmed,
+and errors name ``file:line``.  Written files read back: timestamps are exact,
+and an id that is empty, untrimmed or holds a comma or line break, or an agent
+id starting with ``#``, is refused.  An unwritable output is a DataError (exit 2).
 
 * links:        ``link_id,start_node,end_node,cost``
 * demand:       ``origin,destination,flow``
@@ -16,14 +19,16 @@ ignored, surrounding whitespace trimmed):
 * observations: ``agent_id,timestamp,origin,destination,link_seq`` with
                 ``link_seq`` a ``;``-separated list of link ids and an
                 optional (possibly empty) timestamp
+* prices:       ``link_id,value``, one row per link estimated
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import Iterable, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import DataError
 
@@ -46,6 +51,7 @@ class Link:
     def __post_init__(self) -> None:
         if self.id <= 0:
             raise DataError(f"link id must be a positive integer, got {self.id}")
+        _check_ids("node", (self.tail, self.head))
         if self.tail == self.head:
             raise DataError(f"link {self.id} is a self-loop at node {self.tail!r}")
         if not math.isfinite(self.base_cost) or self.base_cost < 0:
@@ -206,6 +212,7 @@ class Observation:
     subnetwork: frozenset[LinkId] | None = None
 
     def __post_init__(self) -> None:
+        _check_ids("agent", (self.agent_id,))
         if not math.isfinite(self.weight) or self.weight <= 0:
             raise DataError(f"observation {self.agent_id!r} has non-positive weight")
         if self.timestamp is not None and not math.isfinite(self.timestamp):
@@ -294,56 +301,75 @@ def enumerate_paths(net: Network, od: tuple[NodeId, NodeId], max_paths: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: FilePath | str, expected_header: str) -> list[tuple[int, list[str]]]:
-    """Yield (line_number, fields) for data rows, checking the header."""
+def _read_rows(path: FilePath | str, header: str, parse: Callable[[list[str]], Any]) -> list:
+    """``parse(fields)`` of each data row, by the rules above; its errors name ``file:line``."""
 
-    fp = FilePath(path)
     try:
-        text = fp.read_text(encoding="utf-8")
+        text = FilePath(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
-        raise DataError(f"cannot read {fp}: {exc}") from None
-    rows: list[tuple[int, list[str]]] = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            got = [f.strip() for f in line.split(",")]
-            want = expected_header.split(",")
-            if got != want:
-                raise DataError(
-                    f"{fp}:{lineno}: expected header {expected_header!r}, got {line!r}"
-                )
-            header_seen = True
-            continue
-        rows.append((lineno, [f.strip() for f in line.split(",")]))
-    if not header_seen:
-        raise DataError(f"{fp}: missing header row {expected_header!r}")
+        raise DataError(f"cannot read {path}: {exc}") from None
+    width = header.count(",") + 1
+    rows: list | None = None  # until the header is read
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if rows is None:
+                if fields != header.split(","):
+                    raise DataError(f"expected header {header!r}, got {line!r}")
+                rows = []
+            elif len(fields) != width:
+                raise DataError(f"expected {width} fields, got {len(fields)}")
+            else:
+                rows.append(parse(fields))
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+    if rows is None:
+        raise DataError(f"{path}: missing header row {header!r}")
     return rows
+
+
+@contextmanager
+def _writing(target: FilePath | str) -> Iterator[None]:
+    """Report an ``OSError`` raised in the block as a :class:`DataError` naming ``target``."""
+
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {target}: {exc.strerror or exc}") from None
+
+
+def _write_lines(path: FilePath | str, lines: list[str], target: FilePath | None = None) -> None:
+    """Write ``lines`` to ``path``; a failure names ``target``, by default ``path``."""
+
+    with _writing(target or path):
+        FilePath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _check_ids(kind: str, ids: Iterable[str]) -> None:
+    """Refuse an agent or node id that would not read back as written (rules above)."""
+
+    for value in ids:
+        if (not value or value != value.strip() or "," in value or len(value.splitlines()) > 1
+                or (kind == "agent" and value[0] == "#")):
+            raise DataError(f"bad {kind} id {value!r}: ids are nonempty and trimmed, with no "
+                            "comma or line break, and agent ids do not start with '#'")
+
+
+def _format_timestamp(stamp: float | None) -> str:
+    """``format(stamp, "g")`` if that reads back exactly, else ``repr(stamp)``; None is ``""``."""
+
+    text = "" if stamp is None else format(stamp, "g")
+    return repr(stamp) if text and float(text) != stamp else text
 
 
 def load_network(links_file: FilePath | str) -> Network:
     """Load a network from a ``link_id,start_node,end_node,cost`` file."""
 
-    links = []
-    for lineno, fields in _read_rows(links_file, "link_id,start_node,end_node,cost"):
-        if len(fields) != 4:
-            raise DataError(f"{links_file}:{lineno}: expected 4 fields, got {len(fields)}")
-        try:
-            link_id = int(fields[0])
-            cost = float(fields[3])
-        except ValueError as exc:
-            raise DataError(f"{links_file}:{lineno}: {exc}") from None
-        if not fields[1] or not fields[2]:
-            raise DataError(f"{links_file}:{lineno}: empty node id")
-        try:
-            links.append(Link(link_id, fields[1], fields[2], cost))
-        except DataError as exc:
-            raise DataError(f"{links_file}:{lineno}: {exc}") from None
-    if not links:
-        raise DataError(f"{links_file}: no links")
-    return Network(links)
+    return Network(_read_rows(links_file, "link_id,start_node,end_node,cost",
+                              lambda f: Link(int(f[0]), f[1], f[2], float(f[3]))))
 
 
 def write_network(net: Network, path: FilePath | str) -> None:
@@ -352,69 +378,60 @@ def write_network(net: Network, path: FilePath | str) -> None:
         cost = link.base_cost
         cost_str = repr(int(cost)) if float(cost).is_integer() else repr(cost)
         lines.append(f"{link.id},{link.tail},{link.head},{cost_str}")
-    FilePath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
-def load_demand(path: FilePath | str, net: Network | None = None) -> DemandTable:
-    entries = []
-    for lineno, fields in _read_rows(path, "origin,destination,flow"):
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-        try:
-            entries.append(DemandEntry(fields[0], fields[1], float(fields[2])))
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+def load_demand(path: FilePath | str, net: Network) -> DemandTable:
+    entries = _read_rows(path, "origin,destination,flow",
+                         lambda f: DemandEntry(f[0], f[1], float(f[2])))
     table = DemandTable(tuple(entries))
-    if net is not None:
-        table.validate_against(net)
+    table.validate_against(net)
     return table
 
 
-def load_capacities(path: FilePath | str, net: Network | None = None) -> CapacitySpec:
+def load_capacities(path: FilePath | str, net: Network) -> CapacitySpec:
     entries: dict[LinkId, float | None] = {}
-    for lineno, fields in _read_rows(path, "link_id,capacity"):
-        if len(fields) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-        try:
-            link_id = int(fields[0])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+
+    def add(fields: list[str]) -> None:
+        link_id = int(fields[0])
         if link_id in entries:
-            raise DataError(f"{path}:{lineno}: duplicate capacity entry for link {link_id}")
-        if fields[1].lower() == "priced":
-            entries[link_id] = PRICED_ONLY
-        else:
-            try:
-                entries[link_id] = float(fields[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+            raise DataError(f"duplicate capacity entry for link {link_id}")
+        entries[link_id] = PRICED_ONLY if fields[1].lower() == "priced" else float(fields[1])
+
+    _read_rows(path, "link_id,capacity", add)
     spec = CapacitySpec(entries)
-    if net is not None:
-        spec.validate_against(net)
+    spec.validate_against(net)
     return spec
 
 
+def load_prices(path: FilePath | str, link_ids: Collection[LinkId]) -> PriceVector:
+    """One price for each of ``link_ids``, the links estimated, from a ``link_id,value`` file."""
+
+    prices: PriceVector = {}
+
+    def add(fields: list[str]) -> None:
+        link_id = int(fields[0])
+        if link_id in prices:
+            raise DataError(f"link {link_id} has a second price entry")
+        if link_id not in link_ids:
+            raise DataError(f"link {link_id} has a price entry but is not estimated")
+        prices[link_id] = float(fields[1])
+
+    _read_rows(path, "link_id,value", add)
+    missing = [lid for lid in link_ids if lid not in prices]
+    if missing:
+        raise DataError(f"{path}: missing price entries for links {missing}")
+    return prices
+
+
 def load_observations(path: FilePath | str, net: Network) -> list[Observation]:
-    observations = []
-    header = "agent_id,timestamp,origin,destination,link_seq"
-    for lineno, fields in _read_rows(path, header):
-        if len(fields) != 5:
-            raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-        agent_id, ts_str, origin, destination, seq_str = fields
-        if not agent_id:
-            raise DataError(f"{path}:{lineno}: empty agent_id")
-        try:
-            timestamp = float(ts_str) if ts_str else None
-            links = tuple(int(tok) for tok in seq_str.split(";") if tok)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        try:
-            route = Path(origin, destination, links)
-            validate_path(net, route)
-            observations.append(Observation(agent_id, route, timestamp=timestamp))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    return observations
+    def observation(fields: list[str]) -> Observation:
+        agent_id, stamp, origin, destination, seq = fields
+        route = Path(origin, destination, tuple(int(tok) for tok in seq.split(";") if tok))
+        validate_path(net, route)
+        return Observation(agent_id, route, timestamp=float(stamp) if stamp else None)
+
+    return _read_rows(path, "agent_id,timestamp,origin,destination,link_seq", observation)
 
 
 def write_observations(
@@ -422,10 +439,12 @@ def write_observations(
     path: FilePath | str,
     header_comments: Iterable[str] = (),
 ) -> None:
+    observations = list(observations)
+    _check_ids("node", {n for ob in observations for n in (ob.path.origin, ob.path.destination)})
     lines = [f"# {comment}" for comment in header_comments]
     lines.append("agent_id,timestamp,origin,destination,link_seq")
     for ob in observations:
-        ts = "" if ob.timestamp is None else format(ob.timestamp, "g")
+        ts = _format_timestamp(ob.timestamp)
         seq = ";".join(str(l) for l in ob.path.links)
         lines.append(f"{ob.agent_id},{ts},{ob.path.origin},{ob.path.destination},{seq}")
-    FilePath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)

@@ -470,3 +470,61 @@ class TestUnreadableInputs:
     def test_directory_as_scenario_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", str(tmp_path), "-o", str(tmp_path / "o.csv"))
         self.assert_data_error(code, err)
+
+
+class TestUnwritableOutputs:
+    """An output that cannot be written is a data error naming it, never a traceback."""
+
+    OBS = "agent_id,timestamp,origin,destination,link_seq\na,1,1,2,2;18;11\n"
+
+    @staticmethod
+    def assert_cannot_write(code, err, target):
+        assert code == 2, err
+        assert err.startswith(f"data error: cannot write {target}: "), err
+        assert ".tmp" not in err
+
+    def monitor(self, capsys, data_dir, tmp_path, state, log):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(self.OBS)
+        return run(
+            capsys, "monitor", str(data_dir / "nd_links.csv"), str(obs_file),
+            "--priced", "1,7", "--state", str(state), "-o", str(log),
+        )
+
+    def test_simulate_into_missing_directory(self, capsys, data_dir, tmp_path):
+        target = tmp_path / "missing_dir" / "q.csv"
+        code, _, err = run(
+            capsys, "simulate", str(data_dir / "scenarios" / "flow_sampling_800.scn"),
+            "-o", str(target),
+        )
+        self.assert_cannot_write(code, err, target)
+
+    def test_monitor_state_in_missing_directory(self, capsys, data_dir, tmp_path):
+        target = tmp_path / "missing_dir" / "s.json"
+        code, _, err = self.monitor(capsys, data_dir, tmp_path, target, tmp_path / "log.csv")
+        self.assert_cannot_write(code, err, target)
+
+    def test_monitor_state_under_a_file(self, capsys, data_dir, tmp_path):
+        (tmp_path / "plain").write_text("")
+        target = tmp_path / "plain" / "s.json"
+        code, _, err = self.monitor(capsys, data_dir, tmp_path, target, tmp_path / "log.csv")
+        self.assert_cannot_write(code, err, target)
+
+    def test_monitor_unwritable_log_leaves_the_state_unchanged(self, capsys, data_dir, tmp_path):
+        state = tmp_path / "s.json"
+        target = tmp_path / "missing_dir" / "log.csv"
+        code, _, err = self.monitor(capsys, data_dir, tmp_path, state, target)
+        self.assert_cannot_write(code, err, target)
+        assert not state.exists()
+
+    def test_recover_duals_into_an_existing_file(self, capsys, data_dir, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(self.OBS)
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, _, err = run(
+            capsys, "recover-duals", str(data_dir / "nd_links.csv"), str(obs_file),
+            "--priced", "1,7", "-o", str(target),
+        )
+        self.assert_cannot_write(code, err, target)
+        assert target.read_text() == ""

@@ -4,9 +4,11 @@ import dataclasses
 import math
 from pathlib import Path as FilePath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from netinverse import learner, simplex
 from netinverse.errors import DataError, NoUsableObservations
@@ -25,7 +27,7 @@ from netinverse.learner import (
     write_trace,
 )
 from netinverse.network import CapacitySpec, Link, Network, Observation, Path, enumerate_paths
-from netinverse.scenarios import decompose_path_flows
+from netinverse.scenarios import decompose_path_flows, load_scenario, sample_flow_observations
 from netinverse.inverse import InverseLPs
 
 
@@ -419,8 +421,9 @@ class TestExports:
             raise OSError("No space left on device")
 
         monkeypatch.setattr(FilePath, "write_text", fail_half_way)
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(DataError, match="No space left") as exc:
             save_state(OnlineState({1: 9.0, 7: 1.0}, update_count=13), f)
+        assert str(exc.value).startswith(f"cannot write {f}: ")
         monkeypatch.undo()
         assert f.read_bytes() == before
         loaded = load_state(f)
@@ -439,6 +442,16 @@ class TestExports:
         lines = f.read_text().splitlines()
         assert lines[0] == "update_index,timestamp,agent_id,objective,link_id,prior_after"
         assert lines[1] == "1,1,a,5,1,3"
+
+    @pytest.mark.parametrize("stamp", [1234567.25, 0.1 + 0.2])
+    def test_online_log_timestamps_are_exact(self, toy_net, toy_priced, tmp_path, stamp):
+        state = online_update(
+            OnlineState({1: 0.0, 2: 0.0}), Observation("a", Path("O", "D", (3,)), timestamp=stamp),
+            toy_net, toy_net.base_costs(), toy_priced,
+        )
+        f = tmp_path / "log.csv"
+        write_online_log(state, f)
+        assert {float(line.split(",")[1]) for line in f.read_text().splitlines()[1:]} == {stamp}
 
 
 class TestSubnetworkCoverage:
@@ -549,6 +562,70 @@ class TestPivotMemos:
             monkeypatch, lambda: estimate_costs(obs, nd_net, prior, tol=1e-3, max_iter=300)
         )
         assert trace.iterations > 10
+
+
+def least_prices(net, observations, priced_ids):
+    """The least ``p >= 0`` under which every observed route is a shortest route, by HiGHS.
+
+    One LP minimises the sum of the prices, with a free vector of node
+    potentials per distinct route: a link's priced cost bounds the rise in
+    potential along it, and equals it on the route.  Returns that minimiser
+    and, for each priced link, the least price it can take on its own; the
+    two agree exactly when the minimiser is the least element.
+    """
+
+    routes = sorted({ob.path.links for ob in observations})
+    nodes = sorted(net.nodes)
+    k, n = len(priced_ids), len(nodes)
+    width = k + n * len(routes)
+    rows = {True: ([], []), False: ([], [])}  # on the route: (A_eq, b_eq); off it: (A_ub, b_ub)
+    for g, route in enumerate(routes):
+        for link in net.links:
+            row = np.zeros(width)
+            row[k + g * n + nodes.index(link.head)] += 1.0
+            row[k + g * n + nodes.index(link.tail)] -= 1.0
+            if link.id in priced_ids:
+                row[priced_ids.index(link.id)] = -1.0
+            a, b = rows[link.id in route]
+            a.append(row)
+            b.append(link.base_cost)
+    bounds = [(0, None)] * k + [(None, None)] * (width - k)
+
+    def minimise(cost):
+        (a_eq, b_eq), (a_ub, b_ub) = rows[True], rows[False]
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                      method="highs")
+        assert res.status == 0, res.message
+        return res.x[:k]
+
+    alone = [minimise(np.eye(width)[i])[i] for i in range(k)]
+    return minimise(np.r_[np.ones(k), np.zeros(width - k)]), np.array(alone)
+
+
+class TestLeastFixedPoint:
+    """From a zero prior, batch recovery ends at the least prices that make every
+    observed route a shortest route: the paper's unique dual prices."""
+
+    @pytest.fixture(params=["toy", "nd-caps-800", "nd-caps-500", "flow-sampling-800"])
+    def case(self, request, toy_net, toy_priced, nd_net, nd_demand, caps_800, caps_500,
+             nd_priced, data_dir):
+        if request.param == "toy":
+            return toy_net, toy_observations(), toy_priced
+        if request.param == "flow-sampling-800":
+            spec = load_scenario(data_dir / "scenarios" / "flow_sampling_800.scn")
+            return nd_net, sample_flow_observations(spec), nd_priced
+        caps = caps_800 if request.param == "nd-caps-800" else caps_500
+        return nd_net, TestPivotMemos.nd_route_groups(nd_net, nd_demand, caps), nd_priced
+
+    def test_final_prior_is_the_least_element(self, case):
+        net, observations, priced = case
+        trace = recover_prices(observations, net, net.base_costs(), priced, tol=1e-6)
+        assert trace.converged and not trace.skipped_agents
+        ids = list(priced.priced_links())
+        prices, alone = least_prices(net, observations, ids)
+        assert np.allclose(prices, alone, rtol=0.0, atol=1e-9)  # a least element exists
+        final = np.array([trace.final_prior()[lid] for lid in ids])
+        assert np.max(np.abs(final - prices)) <= 1e-5, (final, prices)
 
 
 COSTS = st.floats(0.0, 5.0, allow_subnormal=False)

@@ -1,7 +1,9 @@
 """Network data model, file ingestion, and path utilities."""
 
+import csv
 import math
 import random
+import re
 
 import pytest
 
@@ -15,6 +17,7 @@ from netinverse.network import (
     load_demand,
     load_network,
     load_observations,
+    load_prices,
     path_cost,
     validate_path,
     write_network,
@@ -262,3 +265,104 @@ class TestObservations:
     def test_non_finite_timestamp_rejected(self, stamp):
         with pytest.raises(DataError, match="non-finite timestamp"):
             Observation("a", Path("1", "2", (2,)), timestamp=stamp)
+
+
+# one loader per CSV format: (header, a valid row, the row with one number made non-numeric, load)
+FORMATS = {
+    "links": ("link_id,start_node,end_node,cost", "1,a,b,1", "1,a,b,x",
+              lambda f, net: load_network(f)),
+    "demand": ("origin,destination,flow", "1,2,10", "1,2,x", load_demand),
+    "capacities": ("link_id,capacity", "1,400", "1,x", load_capacities),
+    "observations": ("agent_id,timestamp,origin,destination,link_seq", "a,1,1,2,2;18;11",
+                     "a,x,1,2,2;18;11", load_observations),
+    "prices": ("link_id,value", "1,0.5", "1,x", lambda f, net: load_prices(f, (1, 7))),
+}
+
+
+class TestReader:
+    @pytest.mark.parametrize("fault", ["wrong header", "field too many", "non-numeric number"])
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_bad_input_names_file_and_line(self, nd_net, tmp_path, fmt, fault):
+        header, row, non_numeric, load = FORMATS[fmt]
+        lines, lineno = {
+            "wrong header": ([",".join(reversed(header.split(","))), row], 1),
+            "field too many": ([header, row, row + ",9"], 3),
+            "non-numeric number": ([header, row, non_numeric], 3),
+        }[fault]
+        f = tmp_path / f"{fmt}.csv"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{f}:{lineno}: ")):
+            load(f, nd_net)
+
+    def test_comments_and_blank_lines_keep_line_numbers(self, nd_net, tmp_path):
+        f = tmp_path / "obs.csv"
+        f.write_text("# made by hand\n\nagent_id,timestamp,origin,destination,link_seq\n"
+                     "  # skipped\n\na,,1,2,2;18;11\nb,,1,2,7\n")
+        with pytest.raises(DataError, match=re.escape(f"{f}:7: ")):
+            load_observations(f, nd_net)
+
+
+class TestWrittenFilesReadBack:
+    def test_network_round_trip(self, tmp_path):
+        net = Network([
+            Link(1, "New York", "b", 0.1 + 0.2),
+            Link(2, "b", "c-1", 1234567.25),
+            Link(3, "c-1", "New York", 3.0),
+            Link(4, "b", "New York", 1e-7),
+        ])
+        f = tmp_path / "links.csv"
+        write_network(net, f)
+        assert load_network(f) == net
+
+    def test_observations_round_trip(self, nd_net, tmp_path):
+        stamps = [None, 0.0, 1.0, 1234567.25, 0.1 + 0.2, -2.5, 1e-300, 1e300, 2.0**53 + 2]
+        obs = [
+            Observation(f"agent {i}", Path("1", "2", (2, 18, 11)), timestamp=stamp)
+            for i, stamp in enumerate(stamps)
+        ]
+        f = tmp_path / "obs.csv"
+        write_observations(obs, f, header_comments=["made by hand"])
+        loaded = load_observations(f, nd_net)
+        assert [(o.agent_id, o.path, o.timestamp) for o in loaded] == [
+            (o.agent_id, o.path, o.timestamp) for o in obs
+        ]
+
+    def test_timestamps_keep_their_short_form_where_it_is_exact(self, tmp_path):
+        obs = [Observation("a", Path("1", "2", (2,)), timestamp=t) for t in (1.0, 2.5, 1e-7)]
+        f = tmp_path / "obs.csv"
+        write_observations(obs, f)
+        assert [r["timestamp"] for r in csv.DictReader(f.read_text().splitlines())] == [
+            "1", "2.5", "1e-07"
+        ]
+
+
+BAD_IDS = ["", " a", "a ", "b,c", "a\nb", "a\r\nb", "a\u2028b"]
+
+
+class TestIdsThatWouldNotReadBack:
+    @pytest.mark.parametrize("agent_id", BAD_IDS + ["#a"])
+    def test_agent_id_refused(self, agent_id):
+        with pytest.raises(DataError, match=re.escape(repr(agent_id))):
+            Observation(agent_id, Path("1", "2", (2,)))
+
+    @pytest.mark.parametrize("node", BAD_IDS)
+    def test_link_node_id_refused(self, node):
+        with pytest.raises(DataError, match=re.escape(repr(node))):
+            Link(1, node, "b", 1.0)
+
+    @pytest.mark.parametrize("node", BAD_IDS)
+    def test_route_node_id_refused_before_writing(self, tmp_path, node):
+        f = tmp_path / "obs.csv"
+        obs = [Observation("a", Path("1", "2", (2,))), Observation("b", Path(node, "2", (2,)))]
+        with pytest.raises(DataError, match=re.escape(repr(node))):
+            write_observations(obs, f)
+        assert not f.exists()
+
+    def test_inner_spaces_and_hashes_read_back(self, tmp_path):
+        net = Network([Link(1, "New York", "#b", 1.0), Link(2, "#b", "c d", 1.0)])
+        obs = [Observation("a #1", Path("New York", "c d", (1, 2)))]
+        write_network(net, tmp_path / "links.csv")
+        write_observations(obs, tmp_path / "obs.csv")
+        assert load_network(tmp_path / "links.csv") == net
+        loaded = load_observations(tmp_path / "obs.csv", net)
+        assert [(o.agent_id, o.path) for o in loaded] == [(o.agent_id, o.path) for o in obs]
