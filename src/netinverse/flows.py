@@ -22,6 +22,7 @@ from .network import (
     NodeId,
     Path,
     PriceVector,
+    _format_float,
     _write_lines,
     path_cost,
 )
@@ -198,15 +199,15 @@ def write_flow_solution(
     flows_file: FilePath | str,
     duals_file: FilePath | str,
 ) -> None:
-    """Export link flows (`link_id,commodity,flow`) and duals (`link_id,dual`)."""
+    """Export link flows (`link_id,commodity,flow`) and duals (`link_id,dual`), exactly."""
 
     lines = ["link_id,commodity,flow"]
     for (commodity, lid), value in sorted(
         solution.flows.items(), key=lambda kv: (kv[0][1], kv[0][0])
     ):
-        lines.append(f"{lid},{commodity[0]}-{commodity[1]},{value:g}")
+        lines.append(f"{lid},{commodity[0]}-{commodity[1]},{_format_float(value)}")
     _write_lines(flows_file, lines)
     lines = ["link_id,dual"]
     for lid in sorted(solution.duals):
-        lines.append(f"{lid},{solution.duals[lid]:g}")
+        lines.append(f"{lid},{_format_float(solution.duals[lid])}")
     _write_lines(duals_file, lines)

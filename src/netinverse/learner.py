@@ -42,7 +42,7 @@ from .network import (
     Observation,
     Path,
     PriceVector,
-    _format_timestamp,
+    _format_float,
     _write_lines,
     _writing,
 )
@@ -491,7 +491,7 @@ def load_state(path: FilePath | str) -> OnlineState:
 def write_online_log(state: OnlineState, path: FilePath | str) -> None:
     lines = ["update_index,timestamp,agent_id,objective,link_id,prior_after"]
     for entry in state.log:
-        ts = _format_timestamp(entry.timestamp)
+        ts = _format_float(entry.timestamp)
         obj = "skipped" if entry.skipped else format(entry.objective, ".9g")
         for lid in sorted(entry.prices_after):
             lines.append(

@@ -7,9 +7,11 @@ share across concurrent tasks.
 
 File formats are UTF-8 CSV.  Blank and ``#`` lines are skipped, the first other
 line must be the header, later lines have its field count, fields are trimmed,
-and errors name ``file:line``.  Written files read back: timestamps are exact,
-and an id that is empty, untrimmed or holds a comma or line break, or an agent
-id starting with ``#``, is refused.  An unwritable output is a DataError (exit 2).
+and errors name ``file:line``.  Written files read back: timestamps and flow
+exports are exact, and an id that is empty, untrimmed or holds a comma or line
+break, or an agent id starting with ``#``, is refused.  An unwritable output is
+a DataError (exit 2).  Observations loaded with equal route text share one
+immutable ``Path``, built and validated once per file.
 
 * links:        ``link_id,start_node,end_node,cost``
 * demand:       ``origin,destination,flow``
@@ -358,11 +360,11 @@ def _check_ids(kind: str, ids: Iterable[str]) -> None:
                             "comma or line break, and agent ids do not start with '#'")
 
 
-def _format_timestamp(stamp: float | None) -> str:
-    """``format(stamp, "g")`` if that reads back exactly, else ``repr(stamp)``; None is ``""``."""
+def _format_float(value: float | None) -> str:
+    """``format(value, "g")`` if that reads back exactly, else ``repr(value)``; None is ``""``."""
 
-    text = "" if stamp is None else format(stamp, "g")
-    return repr(stamp) if text and float(text) != stamp else text
+    text = "" if value is None else format(value, "g")
+    return repr(value) if text and float(text) != value else text
 
 
 def load_network(links_file: FilePath | str) -> Network:
@@ -425,10 +427,16 @@ def load_prices(path: FilePath | str, link_ids: Collection[LinkId]) -> PriceVect
 
 
 def load_observations(path: FilePath | str, net: Network) -> list[Observation]:
+    routes: dict[tuple[str, str, str], Path] = {}  # by route text: each is built once
+
     def observation(fields: list[str]) -> Observation:
         agent_id, stamp, origin, destination, seq = fields
-        route = Path(origin, destination, tuple(int(tok) for tok in seq.split(";") if tok))
-        validate_path(net, route)
+        key = (origin, destination, seq)
+        route = routes.get(key)
+        if route is None:
+            route = Path(origin, destination, tuple(map(int, filter(None, seq.split(";")))))
+            validate_path(net, route)
+            routes[key] = route
         return Observation(agent_id, route, timestamp=float(stamp) if stamp else None)
 
     return _read_rows(path, "agent_id,timestamp,origin,destination,link_seq", observation)
@@ -439,12 +447,14 @@ def write_observations(
     path: FilePath | str,
     header_comments: Iterable[str] = (),
 ) -> None:
-    observations = list(observations)
-    _check_ids("node", {n for ob in observations for n in (ob.path.origin, ob.path.destination)})
     lines = [f"# {comment}" for comment in header_comments]
     lines.append("agent_id,timestamp,origin,destination,link_seq")
+    routes: dict[Path, str] = {}  # each distinct route's text, formatted once
     for ob in observations:
-        ts = _format_timestamp(ob.timestamp)
-        seq = ";".join(str(l) for l in ob.path.links)
-        lines.append(f"{ob.agent_id},{ts},{ob.path.origin},{ob.path.destination},{seq}")
+        route = routes.get(ob.path)
+        if route is None:
+            _check_ids("node", (ob.path.origin, ob.path.destination))
+            seq = ";".join(map(str, ob.path.links))
+            route = routes[ob.path] = f"{ob.path.origin},{ob.path.destination},{seq}"
+        lines.append(f"{ob.agent_id},{_format_float(ob.timestamp)},{route}")
     _write_lines(path, lines)

@@ -28,6 +28,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
+from typing import Any, Callable
 
 import numpy as np
 
@@ -121,14 +122,18 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
             raise DataError(f"{fp}: referenced file does not exist: {full}")
         return str(full)
 
+    def parse(section: dict[str, str], key: str, convert: Callable[[str], Any]) -> Any:
+        try:
+            return convert(section[key])
+        except ValueError as exc:
+            raise DataError(f"{fp}: bad value for {key!r}: {exc}") from None
+
     try:
         kind = main["kind"]
         network_file = resolve(main["network"])
-        seed = int(main["seed"])
+        seed = parse(main, "seed", int)
     except KeyError as exc:
         raise DataError(f"{fp}: missing required key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise DataError(f"{fp}: {exc}") from None
 
     means: dict[LinkId, float] = {}
     sds: dict[LinkId, float] = {}
@@ -148,7 +153,7 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
     seg_specs = []
     for seg in segments:
         try:
-            seg_specs.append(Segment(resolve(seg["capacities"]), int(seg["count"])))
+            seg_specs.append(Segment(resolve(seg["capacities"]), parse(seg, "count", int)))
         except KeyError as exc:
             raise DataError(f"{fp}: segment missing key {exc.args[0]!r}") from None
 
@@ -158,15 +163,15 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
         seed=seed,
         demand_file=resolve(main["demand"]) if "demand" in main else None,
         capacity_file=resolve(main["capacities"]) if "capacities" in main else None,
-        samples=int(main["samples"]) if "samples" in main else None,
-        cost_mean_default=float(main.get("mean", 0.0)),
-        cost_sd_default=float(main.get("sd", 0.0)),
+        samples=parse(main, "samples", int) if "samples" in main else None,
+        cost_mean_default=parse(main, "mean", float) if "mean" in main else 0.0,
+        cost_sd_default=parse(main, "sd", float) if "sd" in main else 0.0,
         cost_means=means,
         cost_sds=sds,
         correlations=tuple(correlations),
         segments=tuple(seg_specs),
-        steps=int(main.get("steps", 37)),
-        step_minutes=float(main.get("step_minutes", 5.0)),
+        steps=parse(main, "steps", int) if "steps" in main else 37,
+        step_minutes=parse(main, "step_minutes", float) if "step_minutes" in main else 5.0,
     )
 
 
@@ -181,7 +186,7 @@ def draw_perceived_costs(
     n_agents: int,
     rng: np.random.Generator,
 ) -> list[PriceVector]:
-    """Per-agent link costs from correlated normals, truncated at zero."""
+    """Per-agent link costs (Python floats) from correlated normals, truncated at zero."""
 
     link_ids = [l.id for l in net.links]
     means = np.array(
@@ -202,7 +207,7 @@ def draw_perceived_costs(
         raise DataError("correlation structure is not positive semidefinite")
     draws = rng.multivariate_normal(means, cov, size=n_agents, method="svd")
     draws = np.clip(draws, 0.0, None)
-    return [dict(zip(link_ids, row)) for row in draws]
+    return [dict(zip(link_ids, row)) for row in draws.tolist()]
 
 
 def simulate_population(spec: ScenarioSpec) -> list[Observation]:
@@ -216,14 +221,14 @@ def simulate_population(spec: ScenarioSpec) -> list[Observation]:
     demand = load_demand(spec.demand_file, net)
     rng = np.random.default_rng(spec.seed)
     observations: list[Observation] = []
+    routes: dict[tuple[LinkId, ...], Path] = {}  # agents on one route share its Path
     for entry in demand.entries:
         n_agents = int(round(entry.flow))
         costs = draw_perceived_costs(net, spec, n_agents, rng)
         for i, perceived in enumerate(costs):
             route, _ = shortest_path(net, perceived, (entry.origin, entry.destination))
-            observations.append(
-                Observation(f"{entry.origin}-{entry.destination}-{i:04d}", route)
-            )
+            observations.append(Observation(f"{entry.origin}-{entry.destination}-{i:04d}",
+                                            routes.setdefault(route.links, route)))
     return observations
 
 

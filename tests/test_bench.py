@@ -154,3 +154,28 @@ def test_nd_batch_work_is_pinned(monkeypatch, tmp_path):
         "nd_duals/summary.txt":
             "e80884224c1166e85586e86d087d7f1e980ca7a2c090467b331b81b58b470ef2",
     }
+
+
+def test_nd_batch_inputs_are_pinned(monkeypatch, tmp_path):
+    """The benchmark's nd-batch set-up (seed 1) generates exactly these input files.
+
+    The output digests above pin what a round computes; these pin what it is
+    given, so a generator or writer change cannot quietly change the work the
+    benchmark times.
+    """
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    workloads.setup_nd_batch(1, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("nd_obs.csv", "population_independent.csv", "population_correlated.csv")
+    }
+    assert digests == {
+        "nd_obs.csv": "4d30cf1bf0184393528e0dfc4b4c1c5c632bacfee6ceb4292bd593a3beae2927",
+        "population_independent.csv":
+            "51af884e534f65ad4350b4995e0153a38c486a48051ab7cc4b119be32cabd34f",
+        "population_correlated.csv":
+            "8db714f4c6edc1e64a8b5fe91476d0798fff118456741b3c273390c63ad4bba0",
+    }

@@ -471,6 +471,26 @@ class TestUnreadableInputs:
         code, _, err = run(capsys, "simulate", str(tmp_path), "-o", str(tmp_path / "o.csv"))
         self.assert_data_error(code, err)
 
+    @pytest.mark.parametrize("key, lines", [
+        ("samples", "samples = x"),
+        ("steps", "steps = 3.5"),
+        ("step_minutes", "step_minutes = y"),
+        ("mean", "mean = z"),
+        ("sd", "sd = w"),
+        ("count", "[segment]\ncapacities = {data}/nd_caps_500.csv\ncount = many"),
+    ])
+    def test_malformed_scenario_value(self, capsys, data_dir, tmp_path, key, lines):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(
+            "kind = FLOW_SAMPLING\nnetwork = {data}/nd_links.csv\n"
+            "demand = {data}/nd_demand.csv\ncapacities = {data}/nd_caps_800.csv\n"
+            "seed = 1\n".format(data=data_dir) + lines.format(data=data_dir) + "\n"
+        )
+        code, _, err = run(capsys, "simulate", str(scn), "-o", str(tmp_path / "o.csv"))
+        self.assert_data_error(code, err)
+        assert f"{scn}: bad value for {key!r}" in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestUnwritableOutputs:
     """An output that cannot be written is a data error naming it, never a traceback."""

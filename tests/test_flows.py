@@ -5,6 +5,7 @@ import pytest
 
 from netinverse.errors import DataError, SolverError, UnreachableError
 from netinverse.flows import (
+    FlowSolution,
     assignment_shares,
     shortest_path,
     solve_multicommodity,
@@ -174,6 +175,18 @@ class TestMulticommodity:
         lines = duals_file.read_text().splitlines()
         assert lines[0] == "link_id,dual"
         assert lines[1] == "1,7"
+
+    def test_export_values_read_back_exactly(self, tmp_path):
+        values = [1234567.25, 0.1 + 0.2, 2.5]
+        sol = FlowSolution({(("a", "b"), k + 1): v for k, v in enumerate(values)},
+                           {k + 1: v for k, v in enumerate(values)}, 0.0)
+        flows_file = tmp_path / "flows.csv"
+        duals_file = tmp_path / "duals.csv"
+        write_flow_solution(sol, flows_file, duals_file)
+        for f in (flows_file, duals_file):
+            rows = f.read_text().splitlines()[1:]
+            assert [float(row.rsplit(",", 1)[1]) for row in rows] == values
+        assert duals_file.read_text().splitlines()[3] == "3,2.5"
 
 
 class TestAssignmentShares:

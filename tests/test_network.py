@@ -251,6 +251,37 @@ class TestObservations:
         with pytest.raises(DataError, match="obs.csv:2"):
             load_observations(f, nd_net)
 
+    def test_equal_route_text_shares_one_path(self, nd_net, tmp_path):
+        f = tmp_path / "obs.csv"
+        f.write_text("agent_id,timestamp,origin,destination,link_seq\n"
+                     "a,,1,2,2;18;11\nb,,4,3,4;13;19\nc,5,1,2,2;18;11\nd,,1,2,2;18;11\n")
+        a, b, c, d = load_observations(f, nd_net)
+        assert a.path is c.path is d.path
+        assert b.path is not a.path
+        assert [(o.agent_id, o.timestamp) for o in (a, c, d)] == [("a", None), ("c", 5.0),
+                                                                   ("d", None)]
+
+    @pytest.mark.parametrize("row", ["e,,1,2,1;7", "e,x,1,2,2;18;11", "e,inf,1,2,2;18;11"])
+    def test_bad_row_after_shared_routes_names_its_line(self, nd_net, tmp_path, row):
+        f = tmp_path / "obs.csv"
+        f.write_text("agent_id,timestamp,origin,destination,link_seq\n"
+                     + "a,,1,2,2;18;11\n" * 3 + row + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{f}:5: ")):
+            load_observations(f, nd_net)
+
+    def test_distinct_routes_load_as_written(self, nd_net, tmp_path):
+        obs = [
+            Observation(f"a{k}", route, timestamp=float(k))
+            for k, route in enumerate(
+                route for od in BENCHMARK_ROUTES for route in enumerate_paths(nd_net, od, 100)
+            )
+        ]
+        f = tmp_path / "obs.csv"
+        write_observations(obs, f)
+        loaded = load_observations(f, nd_net)
+        assert loaded == obs
+        assert len({id(o.path) for o in loaded}) == len(obs) == 25
+
     def test_subnetwork_must_cover_route(self):
         with pytest.raises(DataError, match="outside its subnetwork"):
             Observation(

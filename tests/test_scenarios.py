@@ -83,6 +83,11 @@ class TestSimulatePopulation:
         assert abs(shares[(2, 5)] / 500 - 0.48) < 0.05
         assert abs(shares[(1, 3, 5)] / 500 - 0.04) < 0.05
 
+    def test_agents_on_one_route_share_its_path(self, data_dir):
+        spec = load_scenario(data_dir / "scenarios" / "population_independent.scn")
+        obs = simulate_population(spec)
+        assert len({id(ob.path) for ob in obs}) == len({ob.path for ob in obs}) <= 3
+
     def test_zero_spread_single_route(self, data_dir, tmp_path):
         f = tmp_path / "flat.scn"
         f.write_text(
@@ -102,6 +107,11 @@ class TestSimulatePopulation:
         c3 = np.array([c[3] for c in costs])
         c5 = np.array([c[5] for c in costs])
         assert abs(np.corrcoef(c3, c5)[0, 1] - 0.35) < 0.08
+
+    def test_perceived_costs_are_python_floats(self, data_dir, fourlink_net):
+        spec = load_scenario(data_dir / "scenarios" / "population_correlated.scn")
+        costs = draw_perceived_costs(fourlink_net, spec, 3, np.random.default_rng(spec.seed))
+        assert {type(c) for agent in costs for c in agent.values()} == {float}
 
     def test_degenerate_distribution_rejected(self, data_dir, fourlink_net):
         spec = ScenarioSpec(
