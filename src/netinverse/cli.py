@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path as FilePath
 
@@ -126,9 +127,13 @@ def _cmd_estimate_costs(args: argparse.Namespace) -> int:
     observations = load_observations(args.obs_file, net)
     link_ids = tuple(l.id for l in net.links)
     try:
-        prior = {lid: float(args.prior) for lid in link_ids}
+        value = float(args.prior)
     except ValueError:
         prior = load_prices(args.prior, link_ids)
+    else:
+        if not math.isfinite(value) or value < 0:
+            raise DataError(f"--prior is negative or not finite: {args.prior}")
+        prior = dict.fromkeys(link_ids, value)
     trace = estimate_costs(observations, net, prior, tol=args.tol, max_iter=args.max_iter)
     write_trace(trace, args.output)
     status = "converged" if trace.converged else "max-iter reached"

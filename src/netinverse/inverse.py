@@ -194,7 +194,7 @@ def _inverse(
     for lid in layout.route_priced:
         tight += prior[lid]
     rhs[-1] = tight
-    for lp in filter(None, (lps.stage1, lps.stage2)):
+    for lp in (lps.stage1, lps.stage2):
         lp.set_rhs(0, rhs)
 
     solution = _lexicographic_solve(lps, layout.deviation, layout.secondary)
@@ -231,7 +231,7 @@ def _prior_values(prior: PriceVector, priced_ids: list[LinkId]) -> np.ndarray:
 
 
 def _rebuild(lps: InverseLPs, key: tuple, prior: PriceVector) -> None:
-    """Check the problem ``key`` names and build its stage-1 LP and layout into ``lps``."""
+    """Check the problem ``key`` names and build its two stage LPs and layout into ``lps``."""
 
     net, observed, subnetwork, adjustable, tie_break, costs = key
     validate_path(net, observed)
@@ -260,8 +260,12 @@ def _rebuild(lps: InverseLPs, key: tuple, prior: PriceVector) -> None:
         potentials=[(n, f"y[{n}]") for n in nodes],
     )
     stage1 = _build(links, nodes, priced_ids, observed)
+    # stage 2 is stage 1 restricted to its optimal set: total deviation pinned
+    stage2 = stage1.copy()
+    stage2.add_constraint({j: 1.0 for j in layout.deviation}, "<=", 0.0, name="stage1")
+    stage2.set_objective({j: 1.0 for j in layout.secondary})
     # the key keeps the costs as they are now: a caller may change its mapping later
-    lps.key, lps.layout, lps.stage1, lps.stage2 = key[:-1] + (dict(costs),), layout, stage1, None
+    lps.key, lps.layout, lps.stage1, lps.stage2 = key[:-1] + (dict(costs),), layout, stage1, stage2
 
 
 def _build(links: list[Link], nodes: list[NodeId], priced_ids: list[LinkId], observed: Path):
@@ -300,18 +304,14 @@ def _lexicographic_solve(lps: InverseLPs, deviation: list[int], secondary: list[
     The second stage restricts to the first stage's optimal set (total
     deviation pinned at its minimum) and minimizes the secondary sum alone,
     selecting a reproducible representative among alternative optima.  It is
-    ``lps.stage1`` plus that pinning row, built on first use and afterwards
-    only given the new minimum, so both LPs keep their matrix and costs
-    across the calls that reuse ``lps``.
+    ``lps.stage1`` plus that pinning row, built with it and afterwards only
+    given the new minimum, so both LPs keep their matrix and costs across the
+    calls that reuse ``lps``.
     """
 
     first = solve(lps.stage1)
     if first.status is not Status.OPTIMAL or not secondary:
         return first
-    if lps.stage2 is None:
-        lps.stage2 = lps.stage1.copy()
-        lps.stage2.add_constraint({j: 1.0 for j in deviation}, "<=", 0.0, name="stage1")
-        lps.stage2.set_objective({j: 1.0 for j in secondary})
     lp = lps.stage2
     lp.set_rhs(lp.num_constraints - 1, first.objective)
     second = solve(lp)

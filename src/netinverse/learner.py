@@ -398,12 +398,12 @@ def write_heterogeneity(
     stats = summarize_heterogeneity(trace)
     lines = ["link_id,mean,std"]
     for lid, st in sorted(stats.items()):
-        lines.append(f"{lid},{st.mean:.9g},{st.std:.9g}")
+        lines.append(f"{lid},{_format_float(st.mean)},{_format_float(st.std)}")
     _write_lines(stats_file, lines)
     lines = ["link_id,value,count"]
     for lid, st in sorted(stats.items()):
         for value, count in st.clusters:
-            lines.append(f"{lid},{value:.9g},{count}")
+            lines.append(f"{lid},{_format_float(value)},{count}")
     _write_lines(histogram_file, lines)
 
 
@@ -492,10 +492,10 @@ def write_online_log(state: OnlineState, path: FilePath | str) -> None:
     lines = ["update_index,timestamp,agent_id,objective,link_id,prior_after"]
     for entry in state.log:
         ts = _format_float(entry.timestamp)
-        obj = "skipped" if entry.skipped else format(entry.objective, ".9g")
+        obj = "skipped" if entry.skipped else _format_float(entry.objective)
         for lid in sorted(entry.prices_after):
             lines.append(
                 f"{entry.update_index},{ts},{entry.agent_id},{obj},"
-                f"{lid},{entry.prices_after[lid]:.9g}"
+                f"{lid},{_format_float(entry.prices_after[lid])}"
             )
     _write_lines(path, lines)

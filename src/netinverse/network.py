@@ -417,7 +417,9 @@ def load_prices(path: FilePath | str, link_ids: Collection[LinkId]) -> PriceVect
             raise DataError(f"link {link_id} has a second price entry")
         if link_id not in link_ids:
             raise DataError(f"link {link_id} has a price entry but is not estimated")
-        prices[link_id] = float(fields[1])
+        value = prices[link_id] = float(fields[1])
+        if not math.isfinite(value) or value < 0:
+            raise DataError(f"price for link {link_id} is negative or not finite: {value}")
 
     _read_rows(path, "link_id,value", add)
     missing = [lid for lid in link_ids if lid not in prices]

@@ -310,10 +310,7 @@ def _widest_route(
     return Path(origin, destination, tuple(reversed(links)))
 
 
-def sample_flow_observations(
-    spec: ScenarioSpec,
-    rng: np.random.Generator | None = None,
-) -> list[Observation]:
+def sample_flow_observations(spec: ScenarioSpec) -> list[Observation]:
     """Draw observed routes with probability proportional to optimal path flows."""
 
     if spec.kind not in ("FLOW_SAMPLING", "REGIME_STREAM"):
@@ -325,9 +322,7 @@ def sample_flow_observations(
     net = load_network(spec.network_file)
     demand = load_demand(spec.demand_file, net)
     caps = load_capacities(spec.capacity_file, net)
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    return _sample_from_flows(net, demand, caps, spec.samples, rng)
+    return _sample_from_flows(net, demand, caps, spec.samples, np.random.default_rng(spec.seed))
 
 
 def _sample_from_flows(

@@ -48,14 +48,15 @@ pricing step's outcome (the entering column or "optimal", with its FTRAN'd
 column and the rows where that column is positive, the only rows the ratio
 test reads) keyed by the basis at the last refactorisation, the
 ``(leave, enter)`` pairs since then, the Bland flag and the phase, the column
-that replaces each artificial left basic after phase 1, and the final duals
-keyed by the final basis.  Whatever depends on ``b`` is computed on every
-solve: basic values, the ratio test and leaving choice, the degeneracy
-counter and the Bland switch, the phase-1 infeasibility test, primal values,
-objectives and the certificate check.  A re-solve follows the recorded path
-only while its ``b`` makes the same leaving choices, and takes from the
-record only values it would have computed, so every pivot and result is the
-same, bit for bit.
+that replaces each artificial left basic after phase 1 (none for a redundant
+row, whose artificial stays basic at zero), and the final duals keyed by the
+final basis.  No solve writes the standard form (it is frozen); only ``b``
+changes.  Whatever depends on ``b`` is computed on every solve: basic values,
+the ratio test and leaving choice, the degeneracy counter and the Bland
+switch, the phase-1 infeasibility test, primal values, objectives and the
+certificate check.  A re-solve follows the recorded path only while its
+``b`` makes the same leaving choices, and takes from the record only values
+it would have computed, so every pivot and result is the same, bit for bit.
 ``add_variable``, ``add_constraint``, ``set_objective`` and a ``set_rhs``
 that flips a row's sign normalisation drop the standard form, with the
 arrays built alongside it, and the record, so both always belong to the
@@ -84,7 +85,6 @@ if correct.
 
 from __future__ import annotations
 
-import copy
 import enum
 import logging
 import math
@@ -296,15 +296,14 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Standardized:
     """The equality form ``a x = b, x >= 0`` of a program, with the maps back.
 
-    A solve works on a shallow copy: it replaces ``a``, ``at``, ``b`` and the
-    row arrays when it drops a redundant row and never writes into them, so a
-    kept form changes only where :func:`_kept_form` writes new right-hand
-    sides.  Everything but ``b`` and ``rhs`` depends on the program's
-    variables, objective, relations and row flips alone.
+    A solve reads the form and never writes it, so a kept form changes only
+    where :func:`_kept_form` writes new right-hand sides into ``b``.
+    Everything but ``b`` and ``rhs`` depends on the program's variables,
+    objective, relations and row flips alone.
     """
 
     a: sparse.csc_array        # m x n, structural, slack and artificial columns
@@ -314,7 +313,6 @@ class _Standardized:
     n_real: int                # the columns before the artificial ones
     basis: list[int]           # phase 1's start: each row's slack, or its artificial
     row_flip: np.ndarray       # row was negated during normalization
-    row_origin: np.ndarray     # original constraint index
     col_var: np.ndarray        # original variable index per structural column
     col_sign: np.ndarray       # +1, or -1 for the x'' column of a free variable
     n_structural: int
@@ -407,7 +405,6 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         n_real=n_real,
         basis=start.tolist(),
         row_flip=row_flip,
-        row_origin=np.arange(m),
         col_var=col_var,
         col_sign=col_sign,
         n_structural=n_struct,
@@ -641,11 +638,13 @@ def _btran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
 
 
 def _drive_out_artificials(std: _Standardized, basis: list[int], pivoter: _Pivoter) -> None:
-    """Pivot artificial variables out of the basis; drop redundant rows.
+    """Pivot artificial variables out of the basis, in one ascending pass over the rows.
 
     A basic artificial sits at value ~0 after a feasible phase 1.  If its row
-    has no eligible real column to pivot on, the row is linearly dependent on
-    the others and is removed from the problem.  Each choice depends on the
+    has no eligible real column to pivot on, the row is a combination of the
+    others, and its artificial stays basic at zero: the row's entry in every
+    FTRAN'd real column is zero, so the ratio test never picks it, and phase
+    2 never prices artificial columns.  Each choice depends on the row, the
     basis and the matrix alone, so it is a recorded state.
     """
 
@@ -659,25 +658,11 @@ def _drive_out_artificials(std: _Standardized, basis: list[int], pivoter: _Pivot
         candidates = np.flatnonzero(np.abs((std.at @ w)[: std.n_real]) > _DROP_TOL).tolist()
         return next((j for j in candidates if j not in in_basis), -1)
 
-    while True:
-        art_rows = [i for i, col in enumerate(basis) if col >= std.n_real]
-        if not art_rows:
-            return
-        i = art_rows[0]
-        enter = pivoter.replay.recall(("out", tuple(basis)), lambda: eligible_column(i))
-        if enter >= 0:
-            basis[i] = enter
-            continue
-        # redundant row: remove it (its artificial's column, left empty, never enters)
-        keep = np.arange(std.a.shape[0]) != i
-        std.a, std.b = std.a[keep], std.b[keep]
-        std.at = std.a.T
-        std.row_flip, std.row_origin = std.row_flip[keep], std.row_origin[keep]
-        del basis[i]
-        # which row goes depends on the basis phase 1 ended on, so a recorded state
-        # keyed by a basis of the smaller matrix may belong to another row's
-        # removal: the rest of the solve computes every state
-        pivoter.a, pivoter.at, pivoter.b, pivoter.replay = std.a, std.at, std.b, _Replay()
+    for i in range(len(basis)):
+        if basis[i] >= std.n_real:
+            enter = pivoter.replay.recall(("out", i, tuple(basis)), lambda: eligible_column(i))
+            if enter >= 0:
+                basis[i] = enter
 
 
 def _kept_form(lp: LinearProgram) -> _Standardized:
@@ -698,8 +683,7 @@ def _kept_form(lp: LinearProgram) -> _Standardized:
 def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     keep = lp._solved  # a first solve keeps nothing: most programs are solved once
     lp._solved = True
-    # a solve replaces arrays of the form it works on, so it gets a shallow copy
-    std = copy.copy(_kept_form(lp)) if keep else _standardize(lp)
+    std = _kept_form(lp) if keep else _standardize(lp)
     (m, width), n_real, basis = std.a.shape, std.n_real, list(std.basis)
 
     replay = _Replay()
@@ -738,10 +722,7 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
 
     values = _recover_primal(std, x)
     objective = float(sum((std.cost * values).tolist()))
-    y = y.copy()  # the record may hold this array
-    y[std.row_flip] = -y[std.row_flip]
-    duals = np.zeros(lp.num_constraints)
-    duals[std.row_origin] = y
+    duals = np.where(std.row_flip, -y, y)  # not in place: the record may hold y
     dual_objective = float(std.rhs @ duals)
     _verify(std, values, duals, objective, dual_objective)
     primal = dict(zip(std.names, values.tolist()))

@@ -449,6 +449,22 @@ class TestUnreadableInputs:
         self.assert_data_error(code, err)
         assert "prior.csv" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["recover-duals", "estimate-costs"])
+    def test_bad_value_in_prior_file_names_its_line(self, capsys, data_dir, tmp_path,
+                                                    command, value):
+        prior = tmp_path / "prior.csv"
+        prior.write_text(f"link_id,value\n1,0.5\n7,{value}\n")
+        code, _, err = self.batch(capsys, data_dir, tmp_path, command, prior)
+        self.assert_data_error(code, err)
+        assert "prior.csv:3: " in err and "not finite" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_scalar_prior_names_the_option(self, capsys, data_dir, tmp_path, value):
+        code, _, err = self.batch(capsys, data_dir, tmp_path, "estimate-costs", value)
+        self.assert_data_error(code, err)
+        assert f"--prior is negative or not finite: {value}" in err
+
     def test_prior_file_without_header(self, capsys, data_dir, tmp_path):
         prior = tmp_path / "prior.csv"
         prior.write_text("1,0.5\n7,0.5\n")

@@ -1,5 +1,7 @@
 """Shortest paths, the capacitated multicommodity LP, and assignment shares."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,22 @@ class TestMulticommodity:
         lines = duals_file.read_text().splitlines()
         assert lines[0] == "link_id,dual"
         assert lines[1] == "1,7"
+
+    @pytest.mark.parametrize("caps, flows_sha, duals_sha", [
+        ("caps_800", "2451d4f0c8eeb99d8c9d4c41225d6b95bf6666ccdfa83b664170f05dabfb8ad0",
+         "2975268a594aa568cc7d311af4b0b1900f0c2a9cb8d5043ad0274dd323b339e2"),
+        ("caps_500", "e27b6a03708604cd2a593d1cf2138117d804ddfc741d2149ae971685a19fff70",
+         "0b5fe76a7cb4952d23526a2e0ff371bf981baa9f4a262d0aada5e6b7ab8d4022"),
+    ], ids=["caps_800", "caps_500"])
+    def test_nd_exports_are_pinned(self, nd_net, nd_demand, caps, flows_sha, duals_sha,
+                                   request, tmp_path):
+        """The ND flow LP has one redundant balance row per commodity: its answers stay put."""
+
+        sol = solve_multicommodity(nd_net, nd_demand, request.getfixturevalue(caps))
+        flows_file, duals_file = tmp_path / "flows.csv", tmp_path / "duals.csv"
+        write_flow_solution(sol, flows_file, duals_file)
+        assert hashlib.sha256(flows_file.read_bytes()).hexdigest() == flows_sha
+        assert hashlib.sha256(duals_file.read_bytes()).hexdigest() == duals_sha
 
     def test_export_values_read_back_exactly(self, tmp_path):
         values = [1234567.25, 0.1 + 0.2, 2.5]

@@ -453,6 +453,24 @@ class TestExports:
         write_online_log(state, f)
         assert {float(line.split(",")[1]) for line in f.read_text().splitlines()[1:]} == {stamp}
 
+    def test_online_log_and_heterogeneity_values_are_exact(self, tmp_path):
+        third = 0.33333333333333326  # 0.333333333 at nine significant digits
+        entry = learner.OnlineLogEntry(1, "a", 1.0, third, {1: third, 2: 0.1 + 0.2})
+        log = tmp_path / "log.csv"
+        write_online_log(OnlineState({1: third, 2: 0.1 + 0.2}, 1, 1.0, (entry,)), log)
+        rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+        assert [(float(row[3]), float(row[5])) for row in rows] == [(third, third),
+                                                                    (third, 0.1 + 0.2)]
+        posteriors = {"a": {1: third}, "b": {1: third}, "c": {1: 1.0}}
+        trace = learner.FixedPointTrace(({1: 0.0},), posteriors, 1, True, 0.0)
+        stats_file, hist_file = tmp_path / "stats.csv", tmp_path / "hist.csv"
+        write_heterogeneity(trace, stats_file, hist_file)
+        st = summarize_heterogeneity(trace)[1]
+        assert [float(v) for v in stats_file.read_text().splitlines()[1].split(",")[1:]] == [
+            st.mean, st.std]
+        assert [(float(row.split(",")[1]), int(row.split(",")[2]))
+                for row in hist_file.read_text().splitlines()[1:]] == list(st.clusters)
+
 
 class TestSubnetworkCoverage:
     """A batch observation whose subnetwork leaves out an estimated link."""

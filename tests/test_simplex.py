@@ -1059,25 +1059,35 @@ class TestSetRhs:
         assert flips == [None, True, False, False, False, True]
 
     def test_cached_standard_form_is_not_mutated(self):
-        """Artificial columns and dropped redundant rows stay out of the kept form."""
+        """Redundant rows keep their artificial basic, and no solve writes the kept form."""
 
-        lp = LinearProgram()
-        x = lp.add_variable("x", cost=1.0)
-        y = lp.add_variable("y", cost=2.0)
-        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
-        lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0)  # redundant
-        lp.add_constraint({x: 1.0}, "<=", 1.5)
-        solve(lp)
-        solve(lp)
-        kept = lp._std
-        a, b = kept.a.copy(), kept.b.copy()
-        for rhs in (3.0, 1.0, 2.5, 0.0):
-            lp.set_rhs(0, rhs)
-            lp.set_rhs(1, 2.0 * rhs)
-            fresh = TestPivotMemo.changed(lp)
-            assert solve(lp) == solve(fresh)
-            assert lp._std is kept and kept.a.shape == a.shape
-            for matrix in (kept.a, kept.at.T):
-                assert all(np.array_equal(getattr(matrix, name), getattr(a, name))
-                           for name in ("data", "indices", "indptr"))
-            assert kept.b[0] == rhs and kept.b[2] == b[2]
+        for third in (False, True):  # a third, dependent row: two rows asked about one basis
+            lp = LinearProgram()
+            x = lp.add_variable("x", cost=1.0)
+            y = lp.add_variable("y", cost=2.0)
+            lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+            lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0)  # redundant
+            lp.add_constraint({x: 1.0}, "<=", 1.5)
+            if third:
+                lp.add_constraint({x: 3.0, y: 3.0}, "=", 6.0)  # redundant too
+            redundant = [1, 3] if third else [1]
+            solve(lp)
+            solve(lp)
+            kept = lp._std
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                kept.b = kept.b.copy()
+            a, b = kept.a.copy(), kept.b.copy()
+            for rhs in (3.0, 1.0, 2.5, 0.0):
+                lp.set_rhs(0, rhs)
+                lp.set_rhs(1, 2.0 * rhs)
+                if third:
+                    lp.set_rhs(3, 3.0 * rhs)
+                fresh = TestPivotMemo.changed(lp)
+                solution = solve(lp)
+                assert solution == solve(fresh)
+                assert [solution.duals[i] for i in redundant] == [0.0] * len(redundant)
+                assert lp._std is kept and kept.a.shape == a.shape
+                for matrix in (kept.a, kept.at.T):
+                    assert all(np.array_equal(getattr(matrix, name), getattr(a, name))
+                               for name in ("data", "indices", "indptr"))
+                assert kept.b[0] == rhs and kept.b[2] == b[2]
