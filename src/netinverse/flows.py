@@ -9,6 +9,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Mapping, Sequence
@@ -55,8 +56,8 @@ def shortest_path(
         value = costs.get(link.id)
         if value is None:
             raise DataError(f"no cost entry for link {link.id}")
-        if value < 0:
-            raise DataError(f"negative cost {value:g} on link {link.id}")
+        if not 0.0 <= value < math.inf:
+            raise DataError(f"cost of link {link.id} is negative or not finite: {value}")
 
     # label-setting with (cost, link sequence) lexicographic priority
     heap: list[tuple[float, tuple[LinkId, ...], NodeId]] = [(0.0, (), origin)]

@@ -242,6 +242,9 @@ def _rebuild(lps: InverseLPs, key: tuple, prior: PriceVector) -> None:
     for link in links:
         if link.id not in costs:
             raise DataError(f"no base cost for link {link.id}")
+        if not 0.0 <= costs[link.id] < math.inf:
+            raise DataError(f"base cost of link {link.id} is negative or not finite: "
+                            f"{costs[link.id]}")
 
     row = {l.id: i for i, l in enumerate(links)}
     priced_set = set(priced_ids)

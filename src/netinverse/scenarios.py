@@ -2,7 +2,9 @@
 
 A scenario file is a flat ``key = value`` text format with optional
 ``[segment]`` sections (one per stream segment); ``#`` starts a comment.
-Recognized kinds:
+``load_scenario`` reads each section through one table of keys, so a key it
+does not know, or a key given twice, is an error rather than ignored or
+overwritten.  Recognized kinds:
 
 * ``COST_HETEROGENEITY``: draw per-agent perceived link costs from
   truncated-at-zero normals (optionally correlated across links) and record
@@ -79,100 +81,105 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise DataError(f"unknown scenario kind {self.kind!r}")
-        for sd in list(self.cost_sds.values()) + [self.cost_sd_default]:
-            if sd < 0:
-                raise DataError("standard deviations must be >= 0")
+        if self.seed < 0:
+            raise DataError(f"bad value for 'seed': must be >= 0, got {self.seed}")
+        # each value is named by its key in a scenario file
+        means = {"mean": self.cost_mean_default}
+        means.update((f"mean.{lid}", v) for lid, v in self.cost_means.items())
+        for key, mean in means.items():
+            if not math.isfinite(mean):
+                raise DataError(f"bad value for {key!r}: means must be finite, got {mean}")
+        sds = {"sd": self.cost_sd_default}
+        sds.update((f"sd.{lid}", v) for lid, v in self.cost_sds.items())
+        for key, sd in sds.items():
+            if not 0.0 <= sd < math.inf:
+                raise DataError(
+                    f"bad value for {key!r}: standard deviations must be finite and >= 0, got {sd}"
+                )
         for a, b, rho in self.correlations:
             if not -1.0 <= rho <= 1.0:
-                raise DataError(f"correlation({a},{b}) = {rho} outside [-1, 1]")
+                raise DataError(f"bad value for 'correlation': {a},{b},{rho} is outside [-1, 1]")
         if self.samples is not None and self.samples <= 0:
-            raise DataError("sample count must be positive")
+            raise DataError(f"bad value for 'samples': must be positive, got {self.samples}")
         for seg in self.segments:
             if seg.count < 0:
-                raise DataError("segment counts must be >= 0")
+                raise DataError(f"bad value for 'count': must be >= 0, got {seg.count}")
 
 
 def load_scenario(path: FilePath | str) -> ScenarioSpec:
+    """Read a scenario file, each section through one table of keys.
+
+    The table maps a key to its field of ``ScenarioSpec`` (in a ``[segment]``,
+    of ``Segment``) and to its parser; a key left out keeps the field's default.
+    ``mean.<link>`` and ``sd.<link>`` set one link, and each ``correlation``
+    line adds one pair.  An unknown, repeated or missing key, and a value the
+    parser or the spec refuses, are data errors naming the file.
+    """
+
     fp = FilePath(path)
     try:
         text = fp.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise DataError(f"cannot read scenario file {fp}: {exc}") from None
 
-    main: dict[str, str] = {}
-    segments: list[dict[str, str]] = []
-    current = main
+    def resolve(name: str) -> str:
+        full = fp.parent / name  # an absolute name replaces the parent
+        if not full.exists():
+            raise DataError(f"{fp}: referenced file does not exist: {full}")
+        return str(full)
+
+    def pair(value: str) -> tuple[LinkId, LinkId, float]:
+        a, b, rho = value.split(",")
+        return int(a), int(b), float(rho)
+
+    # key -> (field, parser); "mean." and "sd." stand for mean.<link> and sd.<link>
+    main_keys: dict[str, tuple[str, Callable[[str], Any]]] = {
+        "kind": ("kind", str), "network": ("network_file", resolve), "seed": ("seed", int),
+        "demand": ("demand_file", resolve), "capacities": ("capacity_file", resolve),
+        "samples": ("samples", int), "mean": ("cost_mean_default", float),
+        "sd": ("cost_sd_default", float), "mean.": ("cost_means", float),
+        "sd.": ("cost_sds", float), "correlation": ("correlations", pair),
+        "steps": ("steps", int), "step_minutes": ("step_minutes", float),
+    }
+    segment_keys = {"capacities": ("capacity_file", resolve), "count": ("count", int)}
+    main: dict[str, Any] = {}
+    segments: list[dict[str, Any]] = []
+    fields, table = main, main_keys
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[segment]":
             segments.append({})
-            current = segments[-1]
+            fields, table = segments[-1], segment_keys
             continue
         if "=" not in line:
             raise DataError(f"{fp}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
-
-    def resolve(name: str) -> str:
-        p = FilePath(name)
-        full = p if p.is_absolute() else fp.parent / p
-        if not full.exists():
-            raise DataError(f"{fp}: referenced file does not exist: {full}")
-        return str(full)
-
-    def parse(section: dict[str, str], key: str, convert: Callable[[str], Any]) -> Any:
+        key, _, value = (part.strip() for part in line.partition("="))
+        stem, dot, link = key.partition(".")
+        if stem + dot not in table:
+            raise DataError(f"{fp}: unknown key {key!r}")
+        name, parse = table[stem + dot]
         try:
-            return convert(section[key])
+            parsed = parse(value)
+            into, slot = (fields.setdefault(name, {}), int(link)) if dot else (fields, name)
         except ValueError as exc:
             raise DataError(f"{fp}: bad value for {key!r}: {exc}") from None
+        if name == "correlations":
+            parsed = fields.get(name, ()) + (parsed,)
+        elif slot in into:
+            raise DataError(f"{fp}: repeated key {key!r}")
+        into[slot] = parsed
 
+    for fields, table, required in [(main, main_keys, ("kind", "network", "seed"))] + [
+            (seg, segment_keys, ("capacities", "count")) for seg in segments]:
+        missing = [key for key in required if table[key][0] not in fields]
+        if missing:
+            raise DataError(f"{fp}: missing required key {missing[0]!r}")
     try:
-        kind = main["kind"]
-        network_file = resolve(main["network"])
-        seed = parse(main, "seed", int)
-    except KeyError as exc:
-        raise DataError(f"{fp}: missing required key {exc.args[0]!r}") from None
-
-    means: dict[LinkId, float] = {}
-    sds: dict[LinkId, float] = {}
-    correlations: list[tuple[LinkId, LinkId, float]] = []
-    for key, value in main.items():
-        try:
-            if key.startswith("mean."):
-                means[int(key[5:])] = float(value)
-            elif key.startswith("sd."):
-                sds[int(key[3:])] = float(value)
-            elif key == "correlation":
-                a, b, rho = value.split(",")
-                correlations.append((int(a), int(b), float(rho)))
-        except ValueError as exc:
-            raise DataError(f"{fp}: bad value for {key!r}: {exc}") from None
-
-    seg_specs = []
-    for seg in segments:
-        try:
-            seg_specs.append(Segment(resolve(seg["capacities"]), parse(seg, "count", int)))
-        except KeyError as exc:
-            raise DataError(f"{fp}: segment missing key {exc.args[0]!r}") from None
-
-    return ScenarioSpec(
-        kind=kind,
-        network_file=network_file,
-        seed=seed,
-        demand_file=resolve(main["demand"]) if "demand" in main else None,
-        capacity_file=resolve(main["capacities"]) if "capacities" in main else None,
-        samples=parse(main, "samples", int) if "samples" in main else None,
-        cost_mean_default=parse(main, "mean", float) if "mean" in main else 0.0,
-        cost_sd_default=parse(main, "sd", float) if "sd" in main else 0.0,
-        cost_means=means,
-        cost_sds=sds,
-        correlations=tuple(correlations),
-        segments=tuple(seg_specs),
-        steps=parse(main, "steps", int) if "steps" in main else 37,
-        step_minutes=parse(main, "step_minutes", float) if "step_minutes" in main else 5.0,
-    )
+        return ScenarioSpec(**main, segments=tuple(Segment(**seg) for seg in segments))
+    except DataError as exc:
+        raise DataError(f"{fp}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +320,7 @@ def _widest_route(
 def sample_flow_observations(spec: ScenarioSpec) -> list[Observation]:
     """Draw observed routes with probability proportional to optimal path flows."""
 
-    if spec.kind not in ("FLOW_SAMPLING", "REGIME_STREAM"):
+    if spec.kind != "FLOW_SAMPLING":
         raise DataError(f"sample_flow_observations requires FLOW_SAMPLING, got {spec.kind}")
     if spec.demand_file is None or spec.capacity_file is None:
         raise DataError("flow sampling requires demand and capacity files")
@@ -341,6 +348,8 @@ def _sample_from_flows(
         for route in sorted(decomposition[commodity], key=lambda p: p.links):
             routes.append(route)
             weights.append(decomposition[commodity][route])
+    if not routes:
+        raise DataError("the demand carries no flow, so there is no route to sample")
     probabilities = np.array(weights) / sum(weights)
     picks = rng.choice(len(routes), size=count, p=probabilities)
     return [

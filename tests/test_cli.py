@@ -72,6 +72,23 @@ class TestSimulate:
         assert code == 3
         assert "solver failure" in err
 
+    @pytest.mark.parametrize("kind, lines", [
+        ("FLOW_SAMPLING", "capacities = {data}/nd_caps_800.csv\nsamples = 10"),
+        ("REGIME_STREAM", "[segment]\ncapacities = {data}/nd_caps_800.csv\ncount = 10"),
+    ])
+    def test_demand_without_flow_is_data_error(self, capsys, data_dir, tmp_path, kind, lines):
+        demand = tmp_path / "demand.csv"
+        demand.write_text("origin,destination,flow\n1,2,0\n")
+        scn = tmp_path / "zero.scn"
+        scn.write_text(
+            f"kind = {kind}\nnetwork = {data_dir / 'nd_links.csv'}\ndemand = {demand}\n"
+            "seed = 1\n" + lines.format(data=data_dir) + "\n"
+        )
+        code, _, err = run(capsys, "simulate", str(scn), "-o", str(tmp_path / "o.csv"))
+        assert code == 2, err
+        assert err.startswith("data error: the demand carries no flow"), err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_simulate_writes_observations(self, capsys, data_dir, tmp_path):
         out_file = tmp_path / "obs.csv"
         code, out, _ = run(
@@ -493,6 +510,10 @@ class TestUnreadableInputs:
         ("step_minutes", "step_minutes = y"),
         ("mean", "mean = z"),
         ("sd", "sd = w"),
+        ("mean", "mean = nan"),
+        ("mean.1", "mean.1 = inf"),
+        ("sd", "sd = nan"),
+        ("sd.3", "sd.3 = inf"),
         ("count", "[segment]\ncapacities = {data}/nd_caps_500.csv\ncount = many"),
     ])
     def test_malformed_scenario_value(self, capsys, data_dir, tmp_path, key, lines):

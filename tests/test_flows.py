@@ -53,8 +53,9 @@ class TestShortestPath:
             shortest_path(nd_net, nd_net.base_costs(), ("1", "1"))
 
     def test_negative_cost_rejected(self, toy_net):
-        with pytest.raises(DataError, match="negative"):
-            shortest_path(toy_net, {1: -0.1, 2: 2.0, 3: 4.0}, ("O", "D"))
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(DataError, match=f"cost of link 1 is negative .*: {value}"):
+                shortest_path(toy_net, {1: value, 2: 2.0, 3: 4.0}, ("O", "D"))
 
     def test_subnetwork_restriction(self, toy_net):
         route, cost = shortest_path(

@@ -274,6 +274,13 @@ class TestInferDualPrices:
                 Path("O", "D", (3,)),
             )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_base_cost_rejected(self, toy_net, toy_priced, value):
+        costs = {1: 1.0, 2: 2.0, 3: value}
+        message = f"base cost of link 3 is negative or not finite: {value}"
+        with pytest.raises(DataError, match=message):
+            infer_dual_prices(toy_net, costs, toy_priced, {1: 0.0, 2: 0.0}, Path("O", "D", (1,)))
+
     def test_posterior_nonnegative_and_unpriced_untouched(self, nd_net, nd_priced):
         rng = np.random.default_rng(71)
         routes = enumerate_paths(nd_net, ("1", "3"), 100)

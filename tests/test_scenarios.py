@@ -72,6 +72,43 @@ class TestScenarioFiles:
                 kind="COST_HETEROGENEITY", network_file="x", seed=1, cost_sd_default=-1.0
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="bad value for 'seed': must be >= 0, got -3"):
+            ScenarioSpec(kind="COST_HETEROGENEITY", network_file="x", seed=-3)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("means.3 = 9", "unknown key 'means.3'"),
+        ("stddev = 2", "unknown key 'stddev'"),
+        ("seed = 2", "repeated key 'seed'"),
+        ("mean.3 = 1\nmean.03 = 2", "repeated key 'mean.03'"),
+        ("[segment]\ncount = 1\ncount = 2", "repeated key 'count'"),
+        ("[segment]\ncount = 1\nbogus = 2", "unknown key 'bogus'"),
+        ("[segment]\ncount = 1", "missing required key 'capacities'"),
+    ])
+    def test_unknown_repeated_or_missing_key(self, tmp_path, data_dir, lines, message):
+        f = tmp_path / "bad.scn"
+        f.write_text(f"kind = REPLAY\nnetwork = {data_dir / 'queens_links.csv'}\nseed = 1\n"
+                     f"{lines}\n")
+        with pytest.raises(DataError) as exc:
+            load_scenario(f)
+        assert str(exc.value) == f"{f}: {message}"
+
+    def test_each_correlation_line_adds_a_pair(self, tmp_path, data_dir):
+        shipped = (data_dir / "scenarios" / "population_correlated.scn").read_text()
+        f = tmp_path / "two.scn"
+        f.write_text(shipped.replace("= ../", f"= {data_dir}/") + "correlation = 1,2,-0.2\n")
+        spec = load_scenario(f)
+        assert spec.correlations == ((3, 5, 0.35), (1, 2, -0.2))
+        assert len(simulate_population(spec)) == 500
+
+    def test_spec_errors_name_the_file(self, tmp_path, data_dir):
+        f = tmp_path / "bad.scn"
+        f.write_text(f"kind = REPLAY\nnetwork = {data_dir / 'queens_links.csv'}\nseed = 1\n"
+                     "steps = 3\nsd.4 = -1\n")
+        with pytest.raises(DataError) as exc:
+            load_scenario(f)
+        assert str(exc.value).startswith(f"{f}: bad value for 'sd.4': standard deviations")
+
 
 class TestSimulatePopulation:
     def test_independent_route_shares(self, data_dir):
