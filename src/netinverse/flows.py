@@ -113,8 +113,6 @@ def solve_multicommodity(
 
     demand.validate_against(net)
     caps.validate_against(net)
-    if not caps.is_fully_numeric:
-        raise DataError("multicommodity solve requires numeric capacities on all entries")
     capacities = caps.numeric()
 
     commodities: list[tuple[Commodity, float]] = [

@@ -55,13 +55,11 @@ class InverseResult:
 
     ``posterior`` covers the adjustable link set (all links for the cost
     variant, the priced links for the price variant); ``objective`` is the
-    total L1 deviation from the prior; ``node_potentials`` are the shortest
-    path potentials certifying optimality of the observed route.
+    total L1 deviation from the prior.
     """
 
     posterior: PriceVector
     objective: float
-    node_potentials: dict[NodeId, float]
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,6 @@ class _Layout:
     deviation: list[int]                    # the e and f variables
     secondary: list[int]                    # the deviation set stage 2 minimises
     names: list[tuple[LinkId, str, str]]    # each priced link's e and f variable names
-    potentials: list[tuple[NodeId, str]]    # each node's potential variable name
 
 
 @dataclass
@@ -210,8 +207,7 @@ def _inverse(
         lid: _posterior(lid, prior[lid] - primal[e_name] + primal[f_name])
         for lid, e_name, f_name in layout.names
     }
-    potentials = {n: primal[y_name] for n, y_name in layout.potentials}
-    return InverseResult(posterior, _snap(solution.objective), potentials)
+    return InverseResult(posterior, _snap(solution.objective))
 
 
 def _prior_values(prior: PriceVector, priced_ids: list[LinkId]) -> np.ndarray:
@@ -260,7 +256,6 @@ def _rebuild(lps: InverseLPs, key: tuple, prior: PriceVector) -> None:
         deviation=e_vars + f_vars,
         secondary=e_vars if tie_break == "e" else f_vars,
         names=[(lid, f"e[{lid}]", f"f[{lid}]") for lid in priced_ids],
-        potentials=[(n, f"y[{n}]") for n in nodes],
     )
     stage1 = _build(links, nodes, priced_ids, observed)
     # stage 2 is stage 1 restricted to its optimal set: total deviation pinned

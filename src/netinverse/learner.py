@@ -160,8 +160,8 @@ def _fixed_point(
     built once and each re-solve replays the last one's pivot decisions as
     far as they still hold, with the same results as fresh LPs give.  The
     handles are dropped on return.
-    An observation whose subnetwork leaves out one of ``link_ids``
-    raises :class:`~netinverse.errors.DataError` before any solve.  Groups
+    An observation whose agent id repeats, or whose subnetwork leaves out one
+    of ``link_ids``, raises :class:`~netinverse.errors.DataError` before any solve.  Groups
     the inverse finds inconsistent under ``prior0`` are dropped, reported
     and logged; a batch with nothing left raises
     :class:`~netinverse.errors.NoUsableObservations`.
@@ -173,6 +173,10 @@ def _fixed_point(
         raise DataError("max_iter must be at least 1")
     if not observations:
         raise NoUsableObservations("no observations supplied")
+    if len({ob.agent_id for ob in observations}) < len(observations):  # one posterior each
+        ids = sorted(ob.agent_id for ob in observations)
+        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise DataError(f"agent id {repeated!r} appears more than once in the batch")
     groups = _group(observations)
     keys = sorted(groups, key=lambda k: (k[0].links, tuple(sorted(k[1])) if k[1] else ()))
     for route, subnetwork in keys:

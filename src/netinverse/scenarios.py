@@ -4,7 +4,7 @@ A scenario file is a flat ``key = value`` text format with optional
 ``[segment]`` sections (one per stream segment); ``#`` starts a comment.
 ``load_scenario`` reads each section through one table of keys, so a key it
 does not know, or a key given twice, is an error rather than ignored or
-overwritten.  Recognized kinds:
+overwritten; so is a key its kind does not read (see ``_KINDS``).  Kinds:
 
 * ``COST_HETEROGENEITY``: draw per-agent perceived link costs from
   truncated-at-zero normals (optionally correlated across links) and record
@@ -52,8 +52,6 @@ from .network import (
 
 logger = logging.getLogger(__name__)
 
-KINDS = ("COST_HETEROGENEITY", "FLOW_SAMPLING", "REGIME_STREAM", "REPLAY")
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -79,7 +77,7 @@ class ScenarioSpec:
     step_minutes: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise DataError(f"unknown scenario kind {self.kind!r}")
         if self.seed < 0:
             raise DataError(f"bad value for 'seed': must be >= 0, got {self.seed}")
@@ -101,9 +99,15 @@ class ScenarioSpec:
                 raise DataError(f"bad value for 'correlation': {a},{b},{rho} is outside [-1, 1]")
         if self.samples is not None and self.samples <= 0:
             raise DataError(f"bad value for 'samples': must be positive, got {self.samples}")
+        for key, value in {"steps": self.steps, "step_minutes": self.step_minutes}.items():
+            if not 0 < value < math.inf:
+                raise DataError(f"bad value for {key!r}: must be positive and finite, got {value}")
         for seg in self.segments:
             if seg.count < 0:
                 raise DataError(f"bad value for 'count': must be >= 0, got {seg.count}")
+        for key, name in _KINDS[self.kind][1].items():
+            if getattr(self, name) in (None, ()):
+                raise DataError(f"a {self.kind} scenario requires {key!r}")
 
 
 def load_scenario(path: FilePath | str) -> ScenarioSpec:
@@ -112,8 +116,8 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
     The table maps a key to its field of ``ScenarioSpec`` (in a ``[segment]``,
     of ``Segment``) and to its parser; a key left out keeps the field's default.
     ``mean.<link>`` and ``sd.<link>`` set one link, and each ``correlation``
-    line adds one pair.  An unknown, repeated or missing key, and a value the
-    parser or the spec refuses, are data errors naming the file.
+    line adds one pair.  An unknown, repeated or missing key, a key the kind
+    does not take, and a value the parser or the spec refuses name the file.
     """
 
     fp = FilePath(path)
@@ -143,15 +147,16 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
     }
     segment_keys = {"capacities": ("capacity_file", resolve), "count": ("count", int)}
     main: dict[str, Any] = {}
+    given: list[tuple[str, str]] = []  # (table key, key) of the main section's lines
     segments: list[dict[str, Any]] = []
-    fields, table = main, main_keys
+    fields, table, keys = main, main_keys, given
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[segment]":
             segments.append({})
-            fields, table = segments[-1], segment_keys
+            fields, table, keys = segments[-1], segment_keys, []
             continue
         if "=" not in line:
             raise DataError(f"{fp}:{lineno}: expected 'key = value', got {line!r}")
@@ -170,6 +175,7 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
         elif slot in into:
             raise DataError(f"{fp}: repeated key {key!r}")
         into[slot] = parsed
+        keys.append((stem + dot, key))
 
     for fields, table, required in [(main, main_keys, ("kind", "network", "seed"))] + [
             (seg, segment_keys, ("capacities", "count")) for seg in segments]:
@@ -177,9 +183,13 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
         if missing:
             raise DataError(f"{fp}: missing required key {missing[0]!r}")
     try:
-        return ScenarioSpec(**main, segments=tuple(Segment(**seg) for seg in segments))
+        spec = ScenarioSpec(**main, segments=tuple(Segment(**seg) for seg in segments))
     except DataError as exc:
         raise DataError(f"{fp}: {exc}") from None
+    for stem, key in given + [("[segment]", "[segment]")] * bool(segments):
+        if stem not in {"kind", "network", "seed", *_KINDS[spec.kind][1], *_KINDS[spec.kind][2]}:
+            raise DataError(f"{fp}: a {spec.kind} scenario does not take {key!r}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +215,10 @@ def draw_perceived_costs(
             raise DataError(f"link {lid}: degenerate distribution with negative mean")
     corr = np.eye(len(link_ids))
     index = {lid: k for k, lid in enumerate(link_ids)}
+    named = {*spec.cost_means, *spec.cost_sds, *(lid for c in spec.correlations for lid in c[:2])}
+    if not named <= index.keys():
+        raise DataError(f"scenario names links {sorted(named - index.keys())} the network lacks")
     for a, b, rho in spec.correlations:
-        if a not in index or b not in index:
-            raise DataError(f"correlation references unknown link ({a},{b})")
         corr[index[a], index[b]] = corr[index[b], index[a]] = rho
     cov = np.outer(sds, sds) * corr
     if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
@@ -222,8 +233,6 @@ def simulate_population(spec: ScenarioSpec) -> list[Observation]:
 
     if spec.kind != "COST_HETEROGENEITY":
         raise DataError(f"simulate_population requires COST_HETEROGENEITY, got {spec.kind}")
-    if spec.demand_file is None:
-        raise DataError("COST_HETEROGENEITY scenario requires a demand file")
     net = load_network(spec.network_file)
     demand = load_demand(spec.demand_file, net)
     rng = np.random.default_rng(spec.seed)
@@ -322,10 +331,6 @@ def sample_flow_observations(spec: ScenarioSpec) -> list[Observation]:
 
     if spec.kind != "FLOW_SAMPLING":
         raise DataError(f"sample_flow_observations requires FLOW_SAMPLING, got {spec.kind}")
-    if spec.demand_file is None or spec.capacity_file is None:
-        raise DataError("flow sampling requires demand and capacity files")
-    if spec.samples is None:
-        raise DataError("flow sampling requires a sample count")
     net = load_network(spec.network_file)
     demand = load_demand(spec.demand_file, net)
     caps = load_capacities(spec.capacity_file, net)
@@ -362,8 +367,6 @@ def build_regime_stream(spec: ScenarioSpec) -> list[Observation]:
 
     if spec.kind != "REGIME_STREAM":
         raise DataError(f"build_regime_stream requires REGIME_STREAM, got {spec.kind}")
-    if spec.demand_file is None or not spec.segments:
-        raise DataError("REGIME_STREAM requires a demand file and at least one segment")
     net = load_network(spec.network_file)
     demand = load_demand(spec.demand_file, net)
     rng = np.random.default_rng(spec.seed)
@@ -438,15 +441,19 @@ def simulate_gateway_stream(spec: ScenarioSpec) -> list[Observation]:
     return observations
 
 
+# kind -> (generator, {required key: its field}, other keys it takes besides kind, network, seed)
+_KINDS: dict[str, tuple[Callable[[ScenarioSpec], list[Observation]], dict, tuple]] = {
+    "COST_HETEROGENEITY": (simulate_population, {"demand": "demand_file"},
+                           ("mean", "sd", "mean.", "sd.", "correlation")),
+    "FLOW_SAMPLING": (sample_flow_observations, {
+        "demand": "demand_file", "capacities": "capacity_file", "samples": "samples"}, ()),
+    "REGIME_STREAM": (build_regime_stream, {"demand": "demand_file", "[segment]": "segments"}, ()),
+    "REPLAY": (simulate_gateway_stream, {}, ("steps", "step_minutes")),
+}
+
+
 def generate_observations(spec: ScenarioSpec) -> tuple[list[Observation], list[str]]:
-    """Run the generator matching the scenario kind; return (observations, header)."""
+    """Run the generator of the scenario's kind; return (observations, header)."""
 
     header = [f"generator=pcg64 seed={spec.seed} kind={spec.kind}"]
-    if spec.kind == "COST_HETEROGENEITY":
-        return simulate_population(spec), header
-    if spec.kind == "FLOW_SAMPLING":
-        return sample_flow_observations(spec), header
-    if spec.kind == "REGIME_STREAM":
-        return build_regime_stream(spec), header
-    header.append("synthetic=true")
-    return simulate_gateway_stream(spec), header
+    return _KINDS[spec.kind][0](spec), header + ["synthetic=true"] * (spec.kind == "REPLAY")

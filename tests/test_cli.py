@@ -89,6 +89,32 @@ class TestSimulate:
         assert err.startswith("data error: the demand carries no flow"), err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("kind, lines, message", [
+        ("REPLAY", "mean = 3\nsamples = 4\n[segment]\ncapacities = {data}/nd_caps_500.csv\n"
+                   "count = 1", "a REPLAY scenario does not take 'mean'"),
+        ("FLOW_SAMPLING", "demand = {data}/nd_demand.csv\ncapacities = {data}/nd_caps_800.csv\n"
+                          "samples = 4\nsteps = 5\ncorrelation = 1,2,0.5",
+         "a FLOW_SAMPLING scenario does not take 'steps'"),
+        ("REGIME_STREAM", "demand = {data}/nd_demand.csv\nsamples = 9\n"
+                          "capacities = {data}/nd_caps_800.csv\n"
+                          "[segment]\ncapacities = {data}/nd_caps_500.csv\ncount = 5",
+         "a REGIME_STREAM scenario does not take 'samples'"),
+        ("FLOW_SAMPLING", "demand = {data}/nd_demand.csv\ncapacities = {data}/nd_caps_800.csv",
+         "a FLOW_SAMPLING scenario requires 'samples'"),
+        ("REGIME_STREAM", "demand = {data}/nd_demand.csv",
+         "a REGIME_STREAM scenario requires '[segment]'"),
+        ("COST_HETEROGENEITY", "mean = 1", "a COST_HETEROGENEITY scenario requires 'demand'"),
+    ])
+    def test_key_the_kind_does_not_read_or_lacks(self, capsys, data_dir, tmp_path, kind, lines,
+                                                 message):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(f"kind = {kind}\nnetwork = {data_dir / 'nd_links.csv'}\nseed = 1\n"
+                       + lines.format(data=data_dir) + "\n")
+        code, _, err = run(capsys, "simulate", str(scn), "-o", str(tmp_path / "o.csv"))
+        assert code == 2, err
+        assert err == f"data error: {scn}: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_simulate_writes_observations(self, capsys, data_dir, tmp_path):
         out_file = tmp_path / "obs.csv"
         code, out, _ = run(
@@ -125,6 +151,23 @@ class TestEstimateCosts:
         assert (trace_dir / "agent_posteriors.csv").exists()
         assert (trace_dir / "summary.txt").exists()
 
+    def test_repeated_agent_id_is_data_error(self, capsys, data_dir, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "agent_id,timestamp,origin,destination,link_seq\n"
+            "a,,1,4,1;4\na,,1,4,2;5\nb,,1,4,1;3;5\n"
+        )
+        code, _, err = run(
+            capsys,
+            "estimate-costs",
+            str(data_dir / "fourlink_links.csv"),
+            str(obs_file),
+            "--prior", "1",
+            "-o", str(tmp_path / "trace"),
+        )
+        assert code == 2, err
+        assert "agent id 'a' appears more than once" in err
+        assert not (tmp_path / "trace").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_scalar_prior_is_data_error(self, capsys, data_dir, tmp_path, value):
@@ -514,6 +557,9 @@ class TestUnreadableInputs:
         ("mean.1", "mean.1 = inf"),
         ("sd", "sd = nan"),
         ("sd.3", "sd.3 = inf"),
+        ("steps", "steps = -2"),
+        ("step_minutes", "step_minutes = -5"),
+        ("step_minutes", "step_minutes = nan"),
         ("count", "[segment]\ncapacities = {data}/nd_caps_500.csv\ncount = many"),
     ])
     def test_malformed_scenario_value(self, capsys, data_dir, tmp_path, key, lines):

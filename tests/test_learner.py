@@ -494,6 +494,30 @@ class TestSubnetworkCoverage:
         raise AssertionError("the batch solved an inverse before checking its observations")
 
 
+class TestRepeatedAgentId:
+    """A batch with one agent id on two observations: each agent has one posterior."""
+
+    NET = Network([Link(1, "a", "b", 1.0), Link(2, "a", "b", 2.0)])
+    OBS = [Observation("x", Path("a", "b", (1,))), Observation("x", Path("a", "b", (2,))),
+           Observation("y", Path("a", "b", (1,)))]
+
+    def test_one_observation_listed_twice(self, monkeypatch):
+        monkeypatch.setattr(learner, "infer_link_costs", TestSubnetworkCoverage.no_solve)
+        with pytest.raises(DataError, match="agent id 'y' appears more than once"):
+            estimate_costs(self.OBS[2:] * 2, self.NET, {1: 0.5, 2: 0.5})
+
+    def test_estimate_costs(self, monkeypatch):
+        monkeypatch.setattr(learner, "infer_link_costs", TestSubnetworkCoverage.no_solve)
+        with pytest.raises(DataError, match="agent id 'x' appears more than once"):
+            estimate_costs(self.OBS, self.NET, {1: 0.5, 2: 0.5})
+
+    def test_recover_prices(self, monkeypatch):
+        monkeypatch.setattr(learner, "infer_dual_prices", TestSubnetworkCoverage.no_solve)
+        priced = CapacitySpec.priced_only([1, 2])
+        with pytest.raises(DataError, match="agent id 'x' appears more than once"):
+            recover_prices(self.OBS, self.NET, self.NET.base_costs(), priced)
+
+
 class TestGroup:
     def test_groups_and_order_equal_dataclass_keyed_grouping(self):
         """Equal routes and subnetworks group together, however many objects carry them."""

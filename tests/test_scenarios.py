@@ -109,6 +109,63 @@ class TestScenarioFiles:
             load_scenario(f)
         assert str(exc.value).startswith(f"{f}: bad value for 'sd.4': standard deviations")
 
+    # every key each kind requires; the [segment] comes after the extra lines of a test
+    REQUIRED = {
+        "COST_HETEROGENEITY": "demand = {data}/fourlink_demand.csv",
+        "FLOW_SAMPLING": "demand = {data}/nd_demand.csv\ncapacities = {data}/nd_caps_800.csv\n"
+                         "samples = 3",
+        "REGIME_STREAM": "demand = {data}/nd_demand.csv\n"
+                         "[segment]\ncapacities = {data}/nd_caps_500.csv\ncount = 2",
+        "REPLAY": "",
+    }
+
+    def scenario(self, tmp_path, data_dir, kind, extra, required=None):
+        network = {"COST_HETEROGENEITY": "fourlink_links.csv", "REPLAY": "queens_links.csv"}
+        f = tmp_path / "kind.scn"
+        f.write_text((f"kind = {kind}\nnetwork = {{data}}/{network.get(kind, 'nd_links.csv')}\n"
+                      f"seed = 1\n{extra}\n{self.REQUIRED[kind] if required is None else required}\n"
+                      ).format(data=data_dir))
+        return f
+
+    @pytest.mark.parametrize("kind, extra, key", [
+        ("REPLAY", "mean = 3\nsamples = 4\n[segment]\ncapacities = {data}/nd_caps_500.csv\n"
+                   "count = 1", "mean"),
+        ("REPLAY", "samples = 4", "samples"),
+        ("REPLAY", "[segment]\ncapacities = {data}/nd_caps_500.csv\ncount = 1", "[segment]"),
+        ("REPLAY", "demand = {data}/nd_demand.csv", "demand"),
+        ("FLOW_SAMPLING", "steps = 5", "steps"),
+        ("FLOW_SAMPLING", "correlation = 1,2,0.5", "correlation"),
+        ("FLOW_SAMPLING", "mean.3 = 1", "mean.3"),
+        ("REGIME_STREAM", "samples = 9", "samples"),
+        ("REGIME_STREAM", "capacities = {data}/nd_caps_800.csv", "capacities"),
+        ("COST_HETEROGENEITY", "step_minutes = 2", "step_minutes"),
+    ])
+    def test_key_the_kind_does_not_take(self, tmp_path, data_dir, kind, extra, key):
+        f = self.scenario(tmp_path, data_dir, kind, extra)
+        with pytest.raises(DataError) as exc:
+            load_scenario(f)
+        assert str(exc.value) == f"{f}: a {kind} scenario does not take {key!r}"
+
+    @pytest.mark.parametrize("kind, required, key", [
+        ("COST_HETEROGENEITY", "mean = 1", "demand"),
+        ("FLOW_SAMPLING", "demand = {data}/nd_demand.csv\nsamples = 3", "capacities"),
+        ("FLOW_SAMPLING", "demand = {data}/nd_demand.csv\ncapacities = {data}/nd_caps_800.csv",
+         "samples"),
+        ("REGIME_STREAM", "demand = {data}/nd_demand.csv", "[segment]"),
+        ("REGIME_STREAM", "[segment]\ncapacities = {data}/nd_caps_500.csv\ncount = 2", "demand"),
+    ])
+    def test_key_the_kind_requires(self, tmp_path, data_dir, kind, required, key):
+        f = self.scenario(tmp_path, data_dir, kind, "", required)
+        with pytest.raises(DataError) as exc:
+            load_scenario(f)
+        assert str(exc.value) == f"{f}: a {kind} scenario requires {key!r}"
+
+    def test_library_spec_needs_the_same_keys(self):
+        with pytest.raises(DataError) as exc:
+            ScenarioSpec(kind="FLOW_SAMPLING", network_file="x", seed=1, demand_file="d",
+                         capacity_file="c")
+        assert str(exc.value) == "a FLOW_SAMPLING scenario requires 'samples'"
+
 
 class TestSimulatePopulation:
     def test_independent_route_shares(self, data_dir):
@@ -155,12 +212,28 @@ class TestSimulatePopulation:
             kind="COST_HETEROGENEITY",
             network_file=str(data_dir / "fourlink_links.csv"),
             seed=1,
+            demand_file=str(data_dir / "fourlink_demand.csv"),
             cost_mean_default=0.5,
             cost_means={2: -1.0},
         )
         rng = np.random.default_rng(1)
         with pytest.raises(DataError, match="degenerate"):
             draw_perceived_costs(fourlink_net, spec, 10, rng)
+
+    @pytest.mark.parametrize("lines, links", [
+        ("mean.99 = 5\nsd.42 = 1", "[42, 99]"),
+        ("mean.99 = 5", "[99]"),
+        ("sd.7 = 0.1", "[7]"),
+        ("correlation = 1,6,0.2", "[6]"),
+    ])
+    def test_per_link_keys_name_links_of_the_network(self, data_dir, tmp_path, lines, links):
+        f = tmp_path / "links.scn"
+        f.write_text(f"kind = COST_HETEROGENEITY\nnetwork = {data_dir / 'fourlink_links.csv'}\n"
+                     f"demand = {data_dir / 'fourlink_demand.csv'}\nseed = 1\n"
+                     f"mean = 1\nsd = 0.3\n{lines}\n")
+        with pytest.raises(DataError) as exc:
+            simulate_population(load_scenario(f))
+        assert str(exc.value) == f"scenario names links {links} the network lacks"
 
     def test_costs_truncated_at_zero(self, data_dir, fourlink_net):
         spec = load_scenario(data_dir / "scenarios" / "population_independent.scn")
