@@ -115,8 +115,11 @@ def _cmd_net_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = load_scenario(args.scenario_file)
-    observations, header = generate_observations(spec)
+    spec = load_scenario(args.scenario_file)  # its errors name the file already
+    try:
+        observations, header = generate_observations(spec)
+    except DataError as exc:
+        raise DataError(f"{args.scenario_file}: {exc}") from None
     write_observations(observations, args.output, header_comments=header)
     print(f"wrote {len(observations)} observations to {args.output}")
     return 0

@@ -9,7 +9,6 @@ safe to call concurrently.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Mapping, Sequence
@@ -23,6 +22,7 @@ from .network import (
     NodeId,
     Path,
     PriceVector,
+    _check_values,
     _format_float,
     _write_lines,
     path_cost,
@@ -50,14 +50,8 @@ def shortest_path(
         raise DataError(f"unknown node in OD pair {od!r}")
     if origin == destination:
         raise DataError(f"origin and destination coincide: {origin!r}")
-    for link in net.links:
-        if subnetwork is not None and link.id not in subnetwork:
-            continue
-        value = costs.get(link.id)
-        if value is None:
-            raise DataError(f"no cost entry for link {link.id}")
-        if not 0.0 <= value < math.inf:
-            raise DataError(f"cost of link {link.id} is negative or not finite: {value}")
+    _check_values("cost", costs,
+                  [l.id for l in net.links if subnetwork is None or l.id in subnetwork])
 
     # label-setting with (cost, link sequence) lexicographic priority
     heap: list[tuple[float, tuple[LinkId, ...], NodeId]] = [(0.0, (), origin)]

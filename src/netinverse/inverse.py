@@ -26,7 +26,6 @@ settled by the LP kernel's deterministic pivoting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
@@ -41,6 +40,7 @@ from .network import (
     NodeId,
     Path,
     PriceVector,
+    _check_values,
     path_cost,
     validate_path,
 )
@@ -180,9 +180,10 @@ def _inverse(
     lps = lps if lps is not None else InverseLPs()
     key = (net, observed, subnetwork, tuple(adjustable), tie_break, costs)
     if lps.key != key:
-        _rebuild(lps, key, prior)
+        _rebuild(lps, key)
     layout = lps.layout
-    values = _prior_values(prior, layout.priced_ids)
+    _check_values("prior", prior, layout.priced_ids)
+    values = np.array([prior[lid] for lid in layout.priced_ids], dtype=float)
 
     # right-hand sides: every feas[*] row, every nonneg[*] row, then tight
     rhs = np.concatenate((layout.base, values, (0.0,)))
@@ -210,23 +211,7 @@ def _inverse(
     return InverseResult(posterior, _snap(solution.objective))
 
 
-def _prior_values(prior: PriceVector, priced_ids: list[LinkId]) -> np.ndarray:
-    """The prior of each priced link; a missing, negative or non-finite one raises DataError."""
-
-    try:
-        values = np.array([prior[lid] for lid in priced_ids], dtype=float)
-    except KeyError:
-        values = None
-    if values is None or not (np.isfinite(values).all() and (values >= 0).all()):
-        for lid in priced_ids:  # name the first bad entry
-            if lid not in prior:
-                raise DataError(f"prior has no entry for link {lid}")
-            if not math.isfinite(prior[lid]) or prior[lid] < 0:
-                raise DataError(f"prior for link {lid} is negative or not finite: {prior[lid]}")
-    return values
-
-
-def _rebuild(lps: InverseLPs, key: tuple, prior: PriceVector) -> None:
+def _rebuild(lps: InverseLPs, key: tuple) -> None:
     """Check the problem ``key`` names and build its two stage LPs and layout into ``lps``."""
 
     net, observed, subnetwork, adjustable, tie_break, costs = key
@@ -234,13 +219,7 @@ def _rebuild(lps: InverseLPs, key: tuple, prior: PriceVector) -> None:
     links, nodes = _restrict(net, subnetwork)
     link_ids = {l.id for l in links}
     priced_ids = [lid for lid in adjustable if lid in link_ids]
-    _prior_values(prior, priced_ids)
-    for link in links:
-        if link.id not in costs:
-            raise DataError(f"no base cost for link {link.id}")
-        if not 0.0 <= costs[link.id] < math.inf:
-            raise DataError(f"base cost of link {link.id} is negative or not finite: "
-                            f"{costs[link.id]}")
+    _check_values("base cost", costs, [l.id for l in links])
 
     row = {l.id: i for i, l in enumerate(links)}
     priced_set = set(priced_ids)

@@ -42,6 +42,7 @@ from .network import (
     Observation,
     Path,
     PriceVector,
+    _check_values,
     _format_float,
     _write_lines,
     _writing,
@@ -94,9 +95,7 @@ class OnlineState:
     log: tuple[OnlineLogEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        for lid, value in self.prices.items():
-            if not math.isfinite(value) or value < 0:
-                raise DataError(f"online price for link {lid} is negative or not finite: {value}")
+        _check_values("online price", self.prices, self.prices)
 
 
 def _group(observations: Sequence[Observation]) -> dict[_GroupKey, list[Observation]]:

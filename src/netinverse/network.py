@@ -7,11 +7,11 @@ share across concurrent tasks.
 
 File formats are UTF-8 CSV.  Blank and ``#`` lines are skipped, the first other
 line must be the header, later lines have its field count, fields are trimmed,
-and errors name ``file:line``.  Written files read back: timestamps and flow
-exports are exact, and an id that is empty, untrimmed or holds a comma or line
-break, or an agent id starting with ``#``, is refused.  An unwritable output is
-a DataError (exit 2).  Observations loaded with equal route text share one
-immutable ``Path``, built and validated once per file.
+and errors name ``file:line``.  Written files read back: link costs, timestamps
+and flow exports are exact, and an id that is empty, untrimmed or holds a comma
+or line break, or an agent id starting with ``#``, is refused.  An unwritable
+output is a DataError (exit 2).  Observations loaded with equal route text share
+one immutable ``Path``, built and validated once per file.
 
 * links:        ``link_id,start_node,end_node,cost``
 * demand:       ``origin,destination,flow``
@@ -198,10 +198,6 @@ class CapacitySpec:
             raise DataError(f"links {sorted(missing)} carry no numeric capacity")
         return {lid: float(cap) for lid, cap in self.entries.items()}  # type: ignore[arg-type]
 
-    @property
-    def is_fully_numeric(self) -> bool:
-        return all(cap is not None for cap in self.entries.values())
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -360,6 +356,17 @@ def _check_ids(kind: str, ids: Iterable[str]) -> None:
                             "comma or line break, and agent ids do not start with '#'")
 
 
+def _check_values(what: str, values: Mapping[LinkId, float], link_ids: Iterable[LinkId]) -> None:
+    """Raise DataError at the first of ``link_ids`` lacking a finite value >= 0 in ``values``."""
+
+    for lid in link_ids:
+        value = values.get(lid)
+        if value is None:
+            raise DataError(f"{what} has no entry for link {lid}")
+        if not 0.0 <= value < math.inf:
+            raise DataError(f"{what} of link {lid} is negative or not finite: {value}")
+
+
 def _format_float(value: float | None) -> str:
     """``format(value, "g")`` if that reads back exactly, else ``repr(value)``; None is ``""``."""
 
@@ -377,9 +384,7 @@ def load_network(links_file: FilePath | str) -> Network:
 def write_network(net: Network, path: FilePath | str) -> None:
     lines = ["link_id,start_node,end_node,cost"]
     for link in net.links:
-        cost = link.base_cost
-        cost_str = repr(int(cost)) if float(cost).is_integer() else repr(cost)
-        lines.append(f"{link.id},{link.tail},{link.head},{cost_str}")
+        lines.append(f"{link.id},{link.tail},{link.head},{_format_float(link.base_cost)}")
     _write_lines(path, lines)
 
 
@@ -417,14 +422,11 @@ def load_prices(path: FilePath | str, link_ids: Collection[LinkId]) -> PriceVect
             raise DataError(f"link {link_id} has a second price entry")
         if link_id not in link_ids:
             raise DataError(f"link {link_id} has a price entry but is not estimated")
-        value = prices[link_id] = float(fields[1])
-        if not math.isfinite(value) or value < 0:
-            raise DataError(f"price for link {link_id} is negative or not finite: {value}")
+        prices[link_id] = float(fields[1])
+        _check_values("price", prices, (link_id,))
 
     _read_rows(path, "link_id,value", add)
-    missing = [lid for lid in link_ids if lid not in prices]
-    if missing:
-        raise DataError(f"{path}: missing price entries for links {missing}")
+    _check_values(f"{path}: price", prices, link_ids)
     return prices
 
 

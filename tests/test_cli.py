@@ -86,7 +86,7 @@ class TestSimulate:
         )
         code, _, err = run(capsys, "simulate", str(scn), "-o", str(tmp_path / "o.csv"))
         assert code == 2, err
-        assert err.startswith("data error: the demand carries no flow"), err
+        assert err.startswith(f"data error: {scn}: the demand carries no flow"), err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("kind, lines, message", [
@@ -104,6 +104,8 @@ class TestSimulate:
         ("REGIME_STREAM", "demand = {data}/nd_demand.csv",
          "a REGIME_STREAM scenario requires '[segment]'"),
         ("COST_HETEROGENEITY", "mean = 1", "a COST_HETEROGENEITY scenario requires 'demand'"),
+        ("COST_HETEROGENEITY", "demand = {data}/nd_demand.csv\nmean.99 = 1",
+         "scenario names links [99] the network lacks"),
     ])
     def test_key_the_kind_does_not_read_or_lacks(self, capsys, data_dir, tmp_path, kind, lines,
                                                  message):
@@ -113,6 +115,17 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", str(scn), "-o", str(tmp_path / "o.csv"))
         assert code == 2, err
         assert err == f"data error: {scn}: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_demand_pair_without_route_exits_2(self, capsys, data_dir, tmp_path):
+        demand = tmp_path / "demand.csv"
+        demand.write_text("origin,destination,flow\n2,1,3\n")  # nothing leaves node 2 for 1
+        scn = tmp_path / "unreachable.scn"
+        scn.write_text(f"kind = COST_HETEROGENEITY\nnetwork = {data_dir / 'nd_links.csv'}\n"
+                       f"demand = {demand}\nseed = 1\n")
+        code, _, err = run(capsys, "simulate", str(scn), "-o", str(tmp_path / "o.csv"))
+        assert code == 2, err
+        assert err == "error: no route from '2' to '1'\n"
         assert not (tmp_path / "o.csv").exists()
 
     def test_simulate_writes_observations(self, capsys, data_dir, tmp_path):
@@ -150,6 +163,28 @@ class TestEstimateCosts:
         assert (trace_dir / "prior_trace.csv").exists()
         assert (trace_dir / "agent_posteriors.csv").exists()
         assert (trace_dir / "summary.txt").exists()
+
+    def test_prior_file_equals_scalar_prior(self, capsys, data_dir, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "agent_id,timestamp,origin,destination,link_seq\n"
+            "a,,1,4,1;4\nb,,1,4,2;5\nc,,1,4,1;3;5\n"
+        )
+        prior_file = tmp_path / "prior.csv"
+        prior_file.write_text("link_id,value\n" + "".join(f"{lid},0.5\n" for lid in range(1, 6)))
+        for prior, trace in ((prior_file, "from_file"), ("0.5", "from_scalar")):
+            code, _, err = run(
+                capsys,
+                "estimate-costs",
+                str(data_dir / "fourlink_links.csv"),
+                str(obs_file),
+                "--prior", str(prior),
+                "-o", str(tmp_path / trace),
+            )
+            assert code == 0, err
+        for name in ("prior_trace.csv", "agent_posteriors.csv", "summary.txt"):
+            written = (tmp_path / "from_file" / name).read_bytes()
+            assert written == (tmp_path / "from_scalar" / name).read_bytes()
 
     def test_repeated_agent_id_is_data_error(self, capsys, data_dir, tmp_path):
         obs_file = tmp_path / "obs.csv"
@@ -285,15 +320,40 @@ class TestRecoverDuals:
         obs_file.write_text(
             "agent_id,timestamp,origin,destination,link_seq\na,,1,2,2;18;11\n"
         )
-        code, _, err = run(
+        for priced, message in (
+            ("1,99", "unknown link id 99"),
+            ("1,x", "--priced expects integer link ids, got '1,x'"),
+            (",", "--priced received no link ids"),
+        ):
+            code, _, err = run(
+                capsys,
+                "recover-duals",
+                str(data_dir / "nd_links.csv"),
+                str(obs_file),
+                "--priced", priced,
+                "-o", str(tmp_path / "t"),
+            )
+            assert code == 2
+            assert message in err
+
+    def test_inconsistent_observation_is_skipped(self, capsys, data_dir, tmp_path):
+        # 1;5;7;10;15 costs 33 and can only gain from prices on 1 and 7, while
+        # the unpriced 2;18;11 costs 32: no pricing makes it a shortest route
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "agent_id,timestamp,origin,destination,link_seq\na,,1,2,2;18;11\nb,,1,2,1;5;7;10;15\n"
+        )
+        code, out, err = run(
             capsys,
             "recover-duals",
             str(data_dir / "nd_links.csv"),
             str(obs_file),
-            "--priced", "1,99",
+            "--priced", "1,7",
             "-o", str(tmp_path / "t"),
         )
-        assert code == 2
+        assert code == 0, err
+        assert out.startswith("converged")
+        assert err == "skipped 1 inconsistent observations\n"
 
     def test_nan_in_prior_file_is_data_error(self, capsys, data_dir, tmp_path):
         obs_file = tmp_path / "obs.csv"

@@ -8,7 +8,11 @@ import re
 import pytest
 
 from netinverse.errors import DataError
+from netinverse.flows import shortest_path
+from netinverse.inverse import infer_dual_prices
+from netinverse.learner import OnlineState
 from netinverse.network import (
+    CapacitySpec,
     Link,
     Network,
     Path,
@@ -130,8 +134,7 @@ class TestLoadNetwork:
         spec = load_capacities(f, nd_net)
         assert spec.entries[1] == 400.0
         assert spec.entries[7] is None
-        assert not spec.is_fully_numeric
-        with pytest.raises(DataError, match="no numeric capacity"):
+        with pytest.raises(DataError, match=r"links \[7\] carry no numeric capacity"):
             spec.numeric()
 
 
@@ -333,6 +336,34 @@ class TestReader:
             load_observations(f, nd_net)
 
 
+class TestLinkValues:
+    """Each caller of the one link-value check names the first link it finds at fault."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda net, f: shortest_path(net, {1: 1.0, 2: 2.0}, ("O", "D")),
+         "cost has no entry for link 3"),
+        (lambda net, f: shortest_path(net, {1: -0.5, 2: 2.0, 3: 4.0}, ("O", "D")),
+         "cost of link 1 is negative or not finite: -0.5"),
+        (lambda net, f: shortest_path(net, {1: 1.0, 2: math.nan, 3: -1.0}, ("O", "D")),
+         "cost of link 2 is negative or not finite: nan"),
+        (lambda net, f: shortest_path(net, {1: 1.0, 2: 2.0, 3: math.inf}, ("O", "D")),
+         "cost of link 3 is negative or not finite: inf"),
+        (lambda net, f: infer_dual_prices(net, {1: 1.0, 2: 2.0}, CapacitySpec.priced_only([1, 2]),
+                                          {1: 0.0, 2: 0.0}, Path("O", "D", (1,))),
+         "base cost has no entry for link 3"),
+        (lambda net, f: OnlineState({1: 0.5, 2: -1.0}),
+         "online price of link 2 is negative or not finite: -1.0"),
+        (lambda net, f: load_prices(f, (1, 7)), "{f}: price has no entry for link 7"),
+    ], ids=["cost missing", "cost negative", "cost nan", "cost inf", "base cost missing",
+            "online price negative", "price file without link 7"])
+    def test_first_bad_link_named(self, toy_net, tmp_path, call, message):
+        f = tmp_path / "prices.csv"
+        f.write_text("link_id,value\n1,0.5\n")
+        with pytest.raises(DataError) as raised:
+            call(toy_net, f)
+        assert str(raised.value) == message.format(f=f)
+
+
 class TestWrittenFilesReadBack:
     def test_network_round_trip(self, tmp_path):
         net = Network([
@@ -340,6 +371,8 @@ class TestWrittenFilesReadBack:
             Link(2, "b", "c-1", 1234567.25),
             Link(3, "c-1", "New York", 3.0),
             Link(4, "b", "New York", 1e-7),
+            Link(5, "c-1", "b", 1234567.0),
+            Link(6, "New York", "c-1", 1e16),
         ])
         f = tmp_path / "links.csv"
         write_network(net, f)
