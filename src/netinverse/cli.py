@@ -35,6 +35,7 @@ from .learner import (
 from .network import (
     CapacitySpec,
     Network,
+    _check_values,
     load_network,
     load_observations,
     load_prices,
@@ -118,8 +119,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_scenario(args.scenario_file)  # its errors name the file already
     try:
         observations, header = generate_observations(spec)
-    except DataError as exc:
-        raise DataError(f"{args.scenario_file}: {exc}") from None
+    except NetinverseError as exc:  # the same error, naming the file
+        raise type(exc)(f"{args.scenario_file}: {exc}") from None
     write_observations(observations, args.output, header_comments=header)
     print(f"wrote {len(observations)} observations to {args.output}")
     return 0
@@ -175,9 +176,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     state_path = FilePath(args.state)
     if state_path.exists():
         state = load_state(state_path)
-        missing = [lid for lid in priced.priced_links() if lid not in state.prices]
-        if missing:
-            raise DataError(f"state file lacks prices for links {missing}")
+        _check_values(f"{state_path}: online price", state.prices, priced.priced_links())
     else:
         state = OnlineState({lid: 0.0 for lid in priced.priced_links()})
     state = run_monitor(state, observations, net, net.base_costs(), priced)

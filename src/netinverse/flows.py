@@ -36,7 +36,6 @@ def shortest_path(
     net: Network,
     costs: Mapping[LinkId, float],
     od: tuple[NodeId, NodeId],
-    subnetwork: frozenset[LinkId] | None = None,
 ) -> tuple[Path, float]:
     """Minimum-cost simple path under nonnegative link costs.
 
@@ -50,8 +49,7 @@ def shortest_path(
         raise DataError(f"unknown node in OD pair {od!r}")
     if origin == destination:
         raise DataError(f"origin and destination coincide: {origin!r}")
-    _check_values("cost", costs,
-                  [l.id for l in net.links if subnetwork is None or l.id in subnetwork])
+    _check_values("cost", costs, [l.id for l in net.links])
 
     # label-setting with (cost, link sequence) lexicographic priority
     heap: list[tuple[float, tuple[LinkId, ...], NodeId]] = [(0.0, (), origin)]
@@ -65,8 +63,6 @@ def shortest_path(
             return Path(origin, destination, seq), cost
         for link in net.outgoing(node):
             if link.head in settled:
-                continue
-            if subnetwork is not None and link.id not in subnetwork:
                 continue
             heapq.heappush(heap, (cost + costs[link.id], seq + (link.id,), link.head))
     raise UnreachableError(f"no route from {origin!r} to {destination!r}")

@@ -31,13 +31,11 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import DataError, InconsistentObservation, SolverError
+from .errors import InconsistentObservation, SolverError
 from .network import (
     CapacitySpec,
-    Link,
     LinkId,
     Network,
-    NodeId,
     Path,
     PriceVector,
     _check_values,
@@ -80,10 +78,10 @@ class _Layout:
 class InverseLPs:
     """One inverse problem's two stage LPs, kept for re-solves under other priors.
 
-    Pass one handle to every call for one (route, subnetwork) group.  A call
-    with the same network, route, subnetwork, adjustable links, costs and
-    tie-break as the last checks only the new prior, writes it into the LPs'
-    right-hand sides and re-solves them, which replays their last solve (see
+    Pass one handle to every call for one route group.  A call with the
+    same network, route, adjustable links, costs and tie-break as the last
+    checks only the new prior, writes it into the LPs' right-hand sides and
+    re-solves them, which replays their last solve (see
     :mod:`netinverse.simplex`); any other call rebuilds them.
     """
 
@@ -91,14 +89,6 @@ class InverseLPs:
     stage1: LinearProgram | None = None
     stage2: LinearProgram | None = None
     layout: _Layout | None = None
-
-
-def _restrict(net: Network, subnetwork: frozenset[LinkId] | None):
-    links = [l for l in net.links if subnetwork is None or l.id in subnetwork]
-    if not links:
-        raise DataError("empty subnetwork")
-    nodes = sorted({l.tail for l in links} | {l.head for l in links})
-    return links, nodes
 
 
 def _snap(value: float) -> float:
@@ -121,7 +111,6 @@ def infer_link_costs(
     net: Network,
     prior: PriceVector,
     observed: Path,
-    subnetwork: frozenset[LinkId] | None = None,
     lps: InverseLPs | None = None,
 ) -> InverseResult:
     """L1-nearest nonnegative cost vector to ``prior`` rationalizing ``observed``.
@@ -134,7 +123,7 @@ def infer_link_costs(
     """
 
     zero = {l.id: 0.0 for l in net.links}
-    return _inverse(net, zero, zero.keys(), prior, observed, subnetwork, "f", lps)
+    return _inverse(net, zero, zero.keys(), prior, observed, "f", lps)
 
 
 def infer_dual_prices(
@@ -143,7 +132,6 @@ def infer_dual_prices(
     priced: CapacitySpec,
     prior: PriceVector,
     observed: Path,
-    subnetwork: frozenset[LinkId] | None = None,
     lps: InverseLPs | None = None,
 ) -> InverseResult:
     """L1-nearest nonnegative prices on the priced links rationalizing ``observed``.
@@ -157,7 +145,7 @@ def infer_dual_prices(
     """
 
     priced.validate_against(net)
-    return _inverse(net, costs, priced.priced_links(), prior, observed, subnetwork, "e", lps)
+    return _inverse(net, costs, priced.priced_links(), prior, observed, "e", lps)
 
 
 def _inverse(
@@ -166,19 +154,18 @@ def _inverse(
     adjustable: Iterable[LinkId],
     prior: PriceVector,
     observed: Path,
-    subnetwork: frozenset[LinkId] | None,
     tie_break: Literal["e", "f"],
     lps: InverseLPs | None,
 ) -> InverseResult:
     """Build, or update, and solve the one inverse LP (see the module docstring).
 
-    Links of the subnetwork in ``adjustable`` cost ``costs + prior - e + f``;
-    the others keep ``costs``.  ``tie_break`` names the deviation set the
-    second stage minimises.  The prior enters only the right-hand sides.
+    Links in ``adjustable`` cost ``costs + prior - e + f``; the others keep
+    ``costs``.  ``tie_break`` names the deviation set the second stage
+    minimises.  The prior enters only the right-hand sides.
     """
 
     lps = lps if lps is not None else InverseLPs()
-    key = (net, observed, subnetwork, tuple(adjustable), tie_break, costs)
+    key = (net, observed, tuple(adjustable), tie_break, costs)
     if lps.key != key:
         _rebuild(lps, key)
     layout = lps.layout
@@ -214,21 +201,19 @@ def _inverse(
 def _rebuild(lps: InverseLPs, key: tuple) -> None:
     """Check the problem ``key`` names and build its two stage LPs and layout into ``lps``."""
 
-    net, observed, subnetwork, adjustable, tie_break, costs = key
+    net, observed, adjustable, tie_break, costs = key
     validate_path(net, observed)
-    links, nodes = _restrict(net, subnetwork)
-    link_ids = {l.id for l in links}
-    priced_ids = [lid for lid in adjustable if lid in link_ids]
-    _check_values("base cost", costs, [l.id for l in links])
+    priced_ids = list(adjustable)
+    _check_values("base cost", costs, [l.id for l in net.links])
 
-    row = {l.id: i for i, l in enumerate(links)}
+    row = {l.id: i for i, l in enumerate(net.links)}
     priced_set = set(priced_ids)
     # e[l] and f[l] of the n-th adjustable link are variables 2n and 2n + 1
     e_vars = list(range(0, 2 * len(priced_ids), 2))
     f_vars = [j + 1 for j in e_vars]
     layout = _Layout(
         priced_ids=priced_ids,
-        base=np.array([costs[l.id] for l in links], dtype=float),
+        base=np.array([costs[l.id] for l in net.links], dtype=float),
         priced_rows=np.array([row[lid] for lid in priced_ids], dtype=np.intp),
         route_cost=path_cost(net, costs, observed),
         route_priced=[lid for lid in observed.links if lid in priced_set],
@@ -236,7 +221,7 @@ def _rebuild(lps: InverseLPs, key: tuple) -> None:
         secondary=e_vars if tie_break == "e" else f_vars,
         names=[(lid, f"e[{lid}]", f"f[{lid}]") for lid in priced_ids],
     )
-    stage1 = _build(links, nodes, priced_ids, observed)
+    stage1 = _build(net, priced_ids, observed)
     # stage 2 is stage 1 restricted to its optimal set: total deviation pinned
     stage2 = stage1.copy()
     stage2.add_constraint({j: 1.0 for j in layout.deviation}, "<=", 0.0, name="stage1")
@@ -245,7 +230,7 @@ def _rebuild(lps: InverseLPs, key: tuple) -> None:
     lps.key, lps.layout, lps.stage1, lps.stage2 = key[:-1] + (dict(costs),), layout, stage1, stage2
 
 
-def _build(links: list[Link], nodes: list[NodeId], priced_ids: list[LinkId], observed: Path):
+def _build(net: Network, priced_ids: list[LinkId], observed: Path):
     """The stage-1 LP with every right-hand side 0, for ``_inverse`` to set."""
 
     lp = LinearProgram()
@@ -253,9 +238,9 @@ def _build(links: list[Link], nodes: list[NodeId], priced_ids: list[LinkId], obs
     for lid in priced_ids:
         e_var[lid] = lp.add_variable(f"e[{lid}]", cost=1.0)
         lp.add_variable(f"f[{lid}]", cost=1.0)  # index e_var[lid] + 1
-    y_var = {n: lp.add_variable(f"y[{n}]", free=True) for n in nodes}
+    y_var = {n: lp.add_variable(f"y[{n}]", free=True) for n in sorted(net.nodes)}
 
-    for link in links:
+    for link in net.links:
         # y[head] - y[tail] <= cost + prior - e + f  (potential feasibility)
         coeffs = {y_var[link.head]: 1.0, y_var[link.tail]: -1.0}
         if link.id in e_var:

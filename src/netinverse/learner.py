@@ -18,8 +18,8 @@ promotes each posterior to be the next prior, which makes the current state
 track regime changes revealed by newly observed routes.
 
 Agents whose observations are identical share one inverse solve per
-iteration; results depend only on (prior, route, subnetwork), so grouping
-changes nothing but the run time.
+iteration; results depend only on (prior, route), so grouping changes
+nothing but the run time.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ from .network import (
 )
 
 logger = logging.getLogger(__name__)
-
-_GroupKey = tuple[Path, frozenset[LinkId] | None]
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,8 @@ class OnlineState:
         _check_values("online price", self.prices, self.prices)
 
 
-def _group(observations: Sequence[Observation]) -> dict[_GroupKey, list[Observation]]:
-    """Observations by ``(route, subnetwork)``, in first-seen order.
+def _group(observations: Sequence[Observation]) -> dict[Path, list[Observation]]:
+    """Observations by route, in first-seen order.
 
     Each group is keyed by its first observation's ``Path``.  The grouping
     itself keys by the route's fields, plain tuples and strings, so that no
@@ -109,8 +107,8 @@ def _group(observations: Sequence[Observation]) -> dict[_GroupKey, list[Observat
     groups: dict[tuple, list[Observation]] = {}
     for ob in observations:
         path = ob.path
-        groups.setdefault((path.links, path.origin, path.destination, ob.subnetwork), []).append(ob)
-    return {(obs[0].path, obs[0].subnetwork): obs for obs in groups.values()}
+        groups.setdefault((path.links, path.origin, path.destination), []).append(ob)
+    return {obs[0].path: obs for obs in groups.values()}
 
 
 def _weighted_mean(
@@ -144,7 +142,7 @@ def _agents_off_prior(
 def _fixed_point(
     observations: Sequence[Observation],
     link_ids: Sequence[LinkId],
-    inverse: Callable[[PriceVector, _GroupKey, InverseLPs], InverseResult],
+    inverse: Callable[[PriceVector, Path, InverseLPs], InverseResult],
     prior0: PriceVector,
     tol: float,
     max_iter: int,
@@ -152,17 +150,16 @@ def _fixed_point(
 ) -> FixedPointTrace:
     """Iterate the weighted mean of per-group posteriors until ``gap < tol``.
 
-    ``inverse(prior, (route, subnetwork), lps)`` solves one group's inverse
-    problem.  Each group gets its own :class:`~netinverse.inverse.InverseLPs`
-    for the run: only the prior changes between iterations, and it enters
-    the group's LPs only through their right-hand sides, so the LPs are
-    built once and each re-solve replays the last one's pivot decisions as
-    far as they still hold, with the same results as fresh LPs give.  The
-    handles are dropped on return.
-    An observation whose agent id repeats, or whose subnetwork leaves out one
-    of ``link_ids``, raises :class:`~netinverse.errors.DataError` before any solve.  Groups
-    the inverse finds inconsistent under ``prior0`` are dropped, reported
-    and logged; a batch with nothing left raises
+    ``inverse(prior, route, lps)`` solves one group's inverse problem.  Each
+    group gets its own :class:`~netinverse.inverse.InverseLPs` for the run:
+    only the prior changes between iterations, and it enters the group's LPs
+    only through their right-hand sides, so the LPs are built once and each
+    re-solve replays the last one's pivot decisions as far as they still
+    hold, with the same results as fresh LPs give.  The handles are dropped
+    on return.  An observation whose agent id repeats raises
+    :class:`~netinverse.errors.DataError` before any solve.  Groups the
+    inverse finds inconsistent under ``prior0`` are dropped, reported and
+    logged; a batch with nothing left raises
     :class:`~netinverse.errors.NoUsableObservations`.
     """
 
@@ -177,29 +174,20 @@ def _fixed_point(
         repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
         raise DataError(f"agent id {repeated!r} appears more than once in the batch")
     groups = _group(observations)
-    keys = sorted(groups, key=lambda k: (k[0].links, tuple(sorted(k[1])) if k[1] else ()))
-    for route, subnetwork in keys:
-        # the inverse has no posterior for a link outside the subnetwork
-        missing = [lid for lid in link_ids if subnetwork is not None and lid not in subnetwork]
-        if missing:
-            agent = groups[route, subnetwork][0].agent_id
-            raise DataError(
-                f"observation {agent!r} has a subnetwork without links {missing}, "
-                "which the batch estimates"
-            )
+    routes = sorted(groups, key=lambda route: route.links)
 
     # the consistency pass solves every group under prior0, which is exactly
     # iteration 1's work: its results are reused there
-    usable: list[tuple[_GroupKey, InverseLPs]] = []
+    usable: list[tuple[Path, InverseLPs]] = []
     results: list[InverseResult] = []
     skipped: list[str] = []
-    for key in keys:
+    for route in routes:
         lps = InverseLPs()
         try:
-            results.append(inverse(prior0, key, lps))
-            usable.append((key, lps))
+            results.append(inverse(prior0, route, lps))
+            usable.append((route, lps))
         except InconsistentObservation:
-            skipped.extend(ob.agent_id for ob in groups[key])
+            skipped.extend(ob.agent_id for ob in groups[route])
     if not usable:
         raise NoUsableObservations("every observation was inconsistent with the priced links")
     if skipped:
@@ -209,14 +197,14 @@ def _fixed_point(
             len(skipped),
             len(observations),
         )
-    weights = [sum(ob.weight for ob in groups[k]) for k, _ in usable]
+    weights = [sum(ob.weight for ob in groups[route]) for route, _ in usable]
 
     priors: list[PriceVector] = [prior0]
     converged = False
     for iteration in range(max_iter):
         prior = priors[-1]
         if iteration:
-            results = [inverse(prior, key, lps) for key, lps in usable]
+            results = [inverse(prior, route, lps) for route, lps in usable]
         mean = _weighted_mean(results, weights, link_ids)
         residual = gap(prior, mean, results)
         priors.append(mean)
@@ -225,9 +213,9 @@ def _fixed_point(
             break
 
     per_agent: dict[str, Mapping[LinkId, float]] = {}
-    for (key, _), res in zip(usable, results):
+    for (route, _), res in zip(usable, results):
         posterior = MappingProxyType(dict(res.posterior))
-        for ob in groups[key]:
+        for ob in groups[route]:
             per_agent[ob.agent_id] = posterior
     return FixedPointTrace(
         tuple(priors), per_agent, len(priors) - 1, converged, residual, tuple(sorted(skipped))
@@ -253,7 +241,7 @@ def estimate_costs(
     return _fixed_point(
         observations,
         [l.id for l in net.links],
-        lambda prior, key, lps: infer_link_costs(net, prior, key[0], key[1], lps),
+        lambda prior, route, lps: infer_link_costs(net, prior, route, lps),
         dict(initial_prior),
         tol,
         max_iter,
@@ -284,7 +272,7 @@ def recover_prices(
     return _fixed_point(
         observations,
         priced_ids,
-        lambda prior, key, lps: infer_dual_prices(net, costs, priced, prior, key[0], key[1], lps),
+        lambda prior, route, lps: infer_dual_prices(net, costs, priced, prior, route, lps),
         {lid: 0.0 for lid in priced_ids} if initial_prior is None else dict(initial_prior),
         tol,
         max_iter,
@@ -302,30 +290,23 @@ def online_update(
     """Fold one observation into the online price state.
 
     The newly arrived agent's inverse problem is solved from the current
-    prices and its posterior becomes the new common prior.  The posterior
-    covers the priced links of the observation's subnetwork; priced links
-    outside it keep their current prices.  An observation that cannot be
-    rationalized leaves the prices unchanged and is logged as skipped.  A
+    prices and its posterior becomes the new common prior.  An observation
+    that cannot be rationalized leaves the prices unchanged and is logged as
+    skipped.  A
     route that is already optimal under the current prices also leaves them
     unchanged (its minimum deviation is zero).
     """
 
     try:
-        result = infer_dual_prices(net, costs, priced, state.prices, ob.path, ob.subnetwork)
+        result = infer_dual_prices(net, costs, priced, state.prices, ob.path)
+        # a resumed state may price links beyond ``priced``: they keep their prices
         prices = {**state.prices, **result.posterior}
-        entry = OnlineLogEntry(
-            state.update_count + 1, ob.agent_id, ob.timestamp, result.objective, prices
-        )
+        objective, skipped = result.objective, False
     except InconsistentObservation:
-        prices = dict(state.prices)
-        entry = OnlineLogEntry(
-            state.update_count + 1,
-            ob.agent_id,
-            ob.timestamp,
-            float("nan"),
-            prices,
-            skipped=True,
-        )
+        prices, objective, skipped = dict(state.prices), float("nan"), True
+    entry = OnlineLogEntry(
+        state.update_count + 1, ob.agent_id, ob.timestamp, objective, prices, skipped
+    )
     return OnlineState(
         prices,
         state.update_count + 1,

@@ -207,7 +207,6 @@ class Observation:
     path: Path
     weight: float = 1.0
     timestamp: float | None = None
-    subnetwork: frozenset[LinkId] | None = None
 
     def __post_init__(self) -> None:
         _check_ids("agent", (self.agent_id,))
@@ -217,12 +216,6 @@ class Observation:
             raise DataError(
                 f"observation {self.agent_id!r} has non-finite timestamp {self.timestamp}"
             )
-        if self.subnetwork is not None:
-            outside = [l for l in self.path.links if l not in self.subnetwork]
-            if outside:
-                raise DataError(
-                    f"observation {self.agent_id!r} uses links {outside} outside its subnetwork"
-                )
 
 
 def validate_path(net: Network, path: Path) -> None:

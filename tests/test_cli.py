@@ -125,7 +125,7 @@ class TestSimulate:
                        f"demand = {demand}\nseed = 1\n")
         code, _, err = run(capsys, "simulate", str(scn), "-o", str(tmp_path / "o.csv"))
         assert code == 2, err
-        assert err == "error: no route from '2' to '1'\n"
+        assert err == f"error: {scn}: no route from '2' to '1'\n"
         assert not (tmp_path / "o.csv").exists()
 
     def test_simulate_writes_observations(self, capsys, data_dir, tmp_path):
@@ -472,7 +472,7 @@ class TestMonitor:
             "-o", str(tmp_path / "log.csv"),
         )
         assert code == 2
-        assert "lacks prices" in err
+        assert err == f"data error: {state_file}: online price has no entry for link 7\n"
 
     def test_state_file_round_trips_through_cli(self, tmp_path, data_dir, capsys):
         state_file = tmp_path / "state.json"

@@ -57,12 +57,6 @@ class TestShortestPath:
             with pytest.raises(DataError, match=f"cost of link 1 is negative .*: {value}"):
                 shortest_path(toy_net, {1: value, 2: 2.0, 3: 4.0}, ("O", "D"))
 
-    def test_subnetwork_restriction(self, toy_net):
-        route, cost = shortest_path(
-            toy_net, toy_net.base_costs(), ("O", "D"), subnetwork=frozenset({2, 3})
-        )
-        assert route.links == (2,) and cost == 2.0
-
     def test_tie_break_lexicographic(self):
         net = Network(
             [

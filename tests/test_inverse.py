@@ -190,15 +190,6 @@ class TestInferLinkCosts:
                     oracle = oracle_cost_objective(net, prior, observed)
                     assert abs(mine - oracle) < 1e-7, (od, observed.links)
 
-    def test_subnetwork(self, fourlink_net):
-        prior = {i: 0.5 for i in range(1, 6)}
-        sub = frozenset({2, 5})
-        result = infer_link_costs(
-            fourlink_net, prior, Path("1", "4", (2, 5)), subnetwork=sub
-        )
-        assert result.objective == 0.0
-        assert set(result.posterior) == {2, 5}
-
     def test_negative_prior_rejected(self, fourlink_net):
         prior = {i: 0.5 for i in range(1, 6)}
         prior[2] = -0.1
@@ -412,13 +403,13 @@ class TestInverseLPs:
         rng = np.random.default_rng(5)
         for _ in range(6):
             prior = {1: float(rng.uniform(0, 6)), 7: float(rng.uniform(0, 6))}
-            reused = infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0], None, lps)
+            reused = infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0], lps)
             assert reused == infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0])
         assert lps.stage1._record and lps.stage2._record
-        costs = infer_link_costs(nd_net, base, self.ROUTES[1], None, lps)
+        costs = infer_link_costs(nd_net, base, self.ROUTES[1], lps)
         assert costs == infer_link_costs(nd_net, base, self.ROUTES[1])
 
-    @pytest.mark.parametrize("change", ["route", "costs", "subnetwork", "tie-break"])
+    @pytest.mark.parametrize("change", ["route", "costs", "tie-break"])
     def test_handle_for_another_problem_is_rebuilt(self, nd_net, change):
         # the price inverse with zero costs and every link priced differs from
         # the cost inverse in its tie-break only
@@ -426,21 +417,20 @@ class TestInverseLPs:
         every = CapacitySpec.priced_only(zero)
         prior = {lid: 1.0 + lid % 3 for lid in zero}
 
-        def price(lps=None, route=self.ROUTES[0], costs=zero, sub=None):
-            return infer_dual_prices(nd_net, costs, every, prior, route, sub, lps)
+        def price(lps=None, route=self.ROUTES[0], costs=zero):
+            return infer_dual_prices(nd_net, costs, every, prior, route, lps)
 
         lps = InverseLPs()
         for _ in range(3):
             price(lps)
         stage1, key = lps.stage1, lps.key
         if change == "tie-break":
-            result = infer_link_costs(nd_net, prior, self.ROUTES[0], None, lps)
+            result = infer_link_costs(nd_net, prior, self.ROUTES[0], lps)
             assert result == infer_link_costs(nd_net, prior, self.ROUTES[0])
         else:
             problem = {
                 "route": {"route": self.ROUTES[1]},
                 "costs": {"costs": {**zero, 18: 0.5}},
-                "subnetwork": {"sub": frozenset(lid for lid in zero if lid != 5)},
             }[change]
             assert price(lps, **problem) == price(**problem)
         assert lps.key != key and lps.stage1 is not stage1
@@ -451,24 +441,24 @@ class TestInverseLPs:
         base = nd_net.base_costs()
         lps = InverseLPs()
         good = {1: 1.0, 7: 2.0}
-        first = infer_dual_prices(nd_net, base, nd_priced, good, self.ROUTES[0], None, lps)
+        first = infer_dual_prices(nd_net, base, nd_priced, good, self.ROUTES[0], lps)
         for bad, message in (
             ({1: 1.0}, "no entry for link 7"),
             ({1: -1.0, 7: float("nan")}, "link 1 is negative or not finite: -1.0"),
             ({1: 1.0, 7: float("inf")}, "link 7 is negative or not finite: inf"),
         ):
             with pytest.raises(DataError, match=message):
-                infer_dual_prices(nd_net, base, nd_priced, bad, self.ROUTES[0], None, lps)
-        assert infer_dual_prices(nd_net, base, nd_priced, good, self.ROUTES[0], None, lps) == first
+                infer_dual_prices(nd_net, base, nd_priced, bad, self.ROUTES[0], lps)
+        assert infer_dual_prices(nd_net, base, nd_priced, good, self.ROUTES[0], lps) == first
 
     def test_costs_changed_in_place_rebuild_the_handle(self, nd_net, nd_priced):
         costs = dict(nd_net.base_costs())
         prior = {1: 1.0, 7: 2.0}
         lps = InverseLPs()
-        infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], None, lps)
+        infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], lps)
         stage1 = lps.stage1
         costs[18] += 0.5  # the same mapping, changed after the handle was built
-        result = infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], None, lps)
+        result = infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], lps)
         assert lps.stage1 is not stage1
         assert result == infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0])
 

@@ -281,18 +281,24 @@ class TestOnlineUpdate:
         )
         assert folded == batched
 
-    def test_priced_links_outside_the_subnetwork_keep_their_prices(self):
-        net = Network([Link(1, "a", "b", 1.0), Link(2, "a", "b", 2.0), Link(3, "b", "c", 1.0)])
+    def test_prices_beyond_the_priced_links_are_kept(self):
+        """A state resumed from a run that also priced link 3 keeps that price."""
+
+        net = Network([Link(1, "a", "b", 1.0), Link(2, "a", "b", 2.5), Link(3, "b", "c", 1.0),
+                       Link(4, "a", "c", 3.0)])
         priced = CapacitySpec.priced_only([1, 2])
-        state = OnlineState({1: 0.25, 2: 0.5})
-        narrow = Observation("narrow", Path("a", "c", (2, 3)), subnetwork=frozenset({2, 3}))
-        state = online_update(state, narrow, net, net.base_costs(), priced)
-        assert state.prices == {1: 0.25, 2: 0.5}
-        # link 1 is still priced, so a route over it can be folded next
-        state = online_update(state, Observation("wide", Path("a", "c", (1, 3))), net,
+        state = OnlineState({1: 0.25, 2: 0.5, 3: 4.0})
+        # route 4 ties route 1, 3 once link 1's price rises to 1
+        state = online_update(state, Observation("direct", Path("a", "c", (4,))), net,
                               net.base_costs(), priced)
-        assert state.prices == {1: 0.25, 2: 0.5}
         assert not state.log[-1].skipped
+        assert state.prices == {1: pytest.approx(1.0), 2: 0.5, 3: 4.0}
+        # route 2, 3 costs at least 3.5 under any prices, more than the unpriced link 4
+        folded = state.prices
+        state = online_update(state, Observation("long", Path("a", "c", (2, 3))), net,
+                              net.base_costs(), priced)
+        assert state.log[-1].skipped
+        assert state.prices == folded
 
 
 class TestExports:
@@ -472,28 +478,6 @@ class TestExports:
                 for row in hist_file.read_text().splitlines()[1:]] == list(st.clusters)
 
 
-class TestSubnetworkCoverage:
-    """A batch observation whose subnetwork leaves out an estimated link."""
-
-    NET = Network([Link(1, "a", "b", 1.0), Link(2, "a", "b", 2.0), Link(3, "b", "c", 1.0)])
-    OBS = [Observation("short-sighted", Path("a", "c", (2, 3)), subnetwork=frozenset({2, 3}))]
-
-    def test_estimate_costs(self, monkeypatch):
-        monkeypatch.setattr(learner, "infer_link_costs", self.no_solve)
-        with pytest.raises(DataError, match=r"'short-sighted'.*without links \[1\]"):
-            estimate_costs(self.OBS, self.NET, {1: 0.5, 2: 0.5, 3: 0.5})
-
-    def test_recover_prices(self, monkeypatch):
-        monkeypatch.setattr(learner, "infer_dual_prices", self.no_solve)
-        priced = CapacitySpec.priced_only([1, 2])
-        with pytest.raises(DataError, match=r"'short-sighted'.*without links \[1\]"):
-            recover_prices(self.OBS, self.NET, self.NET.base_costs(), priced)
-
-    @staticmethod
-    def no_solve(*args):
-        raise AssertionError("the batch solved an inverse before checking its observations")
-
-
 class TestRepeatedAgentId:
     """A batch with one agent id on two observations: each agent has one posterior."""
 
@@ -501,18 +485,22 @@ class TestRepeatedAgentId:
     OBS = [Observation("x", Path("a", "b", (1,))), Observation("x", Path("a", "b", (2,))),
            Observation("y", Path("a", "b", (1,)))]
 
+    @staticmethod
+    def no_solve(*args):
+        raise AssertionError("the batch solved an inverse before checking its observations")
+
     def test_one_observation_listed_twice(self, monkeypatch):
-        monkeypatch.setattr(learner, "infer_link_costs", TestSubnetworkCoverage.no_solve)
+        monkeypatch.setattr(learner, "infer_link_costs", self.no_solve)
         with pytest.raises(DataError, match="agent id 'y' appears more than once"):
             estimate_costs(self.OBS[2:] * 2, self.NET, {1: 0.5, 2: 0.5})
 
     def test_estimate_costs(self, monkeypatch):
-        monkeypatch.setattr(learner, "infer_link_costs", TestSubnetworkCoverage.no_solve)
+        monkeypatch.setattr(learner, "infer_link_costs", self.no_solve)
         with pytest.raises(DataError, match="agent id 'x' appears more than once"):
             estimate_costs(self.OBS, self.NET, {1: 0.5, 2: 0.5})
 
     def test_recover_prices(self, monkeypatch):
-        monkeypatch.setattr(learner, "infer_dual_prices", TestSubnetworkCoverage.no_solve)
+        monkeypatch.setattr(learner, "infer_dual_prices", self.no_solve)
         priced = CapacitySpec.priced_only([1, 2])
         with pytest.raises(DataError, match="agent id 'x' appears more than once"):
             recover_prices(self.OBS, self.NET, self.NET.base_costs(), priced)
@@ -520,29 +508,22 @@ class TestRepeatedAgentId:
 
 class TestGroup:
     def test_groups_and_order_equal_dataclass_keyed_grouping(self):
-        """Equal routes and subnetworks group together, however many objects carry them."""
+        """Equal routes group together, however many objects carry them."""
 
         def route(*links):
             return Path("O", "D" if len(links) == 1 else "X", links)
 
-        subnetworks = [None, frozenset({1, 2, 3}), frozenset({1, 3, 2}), frozenset({2, 3})]
         routes = [(2,), (1,), (2,), (2, 3), (1,), (2,), (2, 3), (2,)]
-        observations = [
-            Observation(f"a{n}", route(*links), subnetwork=sub)
-            for n, (links, sub) in enumerate(
-                (links, sub) for sub in subnetworks for links in routes
-                if sub is None or set(links) <= sub
-            )
-        ]
+        observations = [Observation(f"a{n}", route(*links)) for n, links in enumerate(routes)]
         observations.append(Observation("b", Path("Y", "D", (2,))))  # same links, other origin
         expected: dict = {}
         for ob in observations:
-            expected.setdefault((ob.path, ob.subnetwork), []).append(ob)
+            expected.setdefault(ob.path, []).append(ob)
         groups = learner._group(observations)
         assert list(groups.items()) == list(expected.items())
         assert len(groups) < len(observations)
-        for (path, subnetwork), members in groups.items():
-            assert path is members[0].path and subnetwork is members[0].subnetwork
+        for path, members in groups.items():
+            assert path is members[0].path
 
 
 class TestPivotMemos:
@@ -754,8 +735,7 @@ class TestBatchFoldProperties:
 @st.composite
 def online_instances(draw):
     """A random connected network of 3-6 nodes, priced links with their
-    starting prices, and a stream of arrivals on routes between one OD pair,
-    some of them restricted to a subnetwork around their route."""
+    starting prices, and a stream of arrivals on routes between one OD pair."""
 
     net, n = connected_network(draw)
     link_ids = [l.id for l in net.links]
@@ -764,12 +744,7 @@ def online_instances(draw):
     routes = draw(st.permutations(routes))
     stream = []
     for arrival in range(draw(st.integers(1, 6))):
-        route = routes[arrival % len(routes)]
-        subnetwork = None
-        if draw(st.booleans()):
-            others = draw(st.lists(st.sampled_from(link_ids), unique=True))
-            subnetwork = frozenset(route.links) | frozenset(others)
-        stream.append(Observation(f"a{arrival}", route, subnetwork=subnetwork))
+        stream.append(Observation(f"a{arrival}", routes[arrival % len(routes)]))
     # most links priced, so that most routes can be priced into optimality
     priced = [lid for lid in link_ids if draw(st.integers(0, 3))] or link_ids
     prices = {lid: draw(COSTS) for lid in priced}
@@ -796,7 +771,7 @@ class TestOnlineFoldProperties:
                 continue
             costs = {lid: c + state.prices.get(lid, 0.0) for lid, c in base.items()}
             od = (ob.path.origin, ob.path.destination)
-            _, best = shortest_path(net, costs, od, ob.subnetwork)
+            _, best = shortest_path(net, costs, od)
             assert abs(path_cost(net, costs, ob.path) - best) < 1e-7
             moved = sum(abs(state.prices[lid] - before[lid]) for lid in before)
             assert abs(entry.objective - moved) < 1e-7

@@ -285,12 +285,6 @@ class TestObservations:
         assert loaded == obs
         assert len({id(o.path) for o in loaded}) == len(obs) == 25
 
-    def test_subnetwork_must_cover_route(self):
-        with pytest.raises(DataError, match="outside its subnetwork"):
-            Observation(
-                "a", Path("1", "2", (2, 18, 11)), subnetwork=frozenset({2, 18})
-            )
-
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(DataError, match="weight"):
             Observation("a", Path("1", "2", (2,)), weight=0.0)
