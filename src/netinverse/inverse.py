@@ -16,12 +16,17 @@ the observed route is forced to optimality by requiring its adjusted cost
 to equal the potential difference between its endpoints.
 
 Alternative optima are pervasive (any route made optimal is typically made
-*tied*), so a deterministic representative matters.  A second solve pins it
-lexicographically, minimising one deviation set among all minimum-deviation
-solutions: costs take the least total increase ``f`` (perturbations stay on
-the observed route), prices the least total decrease ``e`` (existing prices
-are preserved and competing routes are priced up).  Remaining ties are
-settled by the LP kernel's deterministic pivoting.
+*tied*), so the model, not the solver, picks the answer, in three
+lexicographic stages.  Stage 1 minimises the total deviation.  Stage 2
+minimises one deviation set among stage 1's optima: costs take the least
+total increase ``f`` (perturbations stay on the observed route), prices the
+least total decrease ``e`` (existing prices are preserved and competing
+routes are priced up).  Stage 3 minimises ``sum_k (1 + k/n) (e_k + f_k)``
+among stage 2's optima, where ``k`` is a link's 0-based position among the
+``n`` adjustable links: among tied answers it moves the earlier links.
+Each later stage is the stage before plus one row pinning that stage's
+objective at its minimum, and starts from that stage's final basis (see
+:mod:`netinverse.simplex`), so it skips phase 1.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class _Layout:
 
 @dataclass
 class InverseLPs:
-    """One inverse problem's two stage LPs, kept for re-solves under other priors.
+    """One inverse problem's three stage LPs, kept for re-solves under other priors.
 
     Pass one handle to every call for one route group.  A call with the
     same network, route, adjustable links, costs and tie-break as the last
@@ -86,8 +91,7 @@ class InverseLPs:
     """
 
     key: tuple | None = None
-    stage1: LinearProgram | None = None
-    stage2: LinearProgram | None = None
+    stages: tuple[LinearProgram, ...] = ()
     layout: _Layout | None = None
 
 
@@ -179,7 +183,7 @@ def _inverse(
     for lid in layout.route_priced:
         tight += prior[lid]
     rhs[-1] = tight
-    for lp in (lps.stage1, lps.stage2):
+    for lp in lps.stages:
         lp.set_rhs(0, rhs)
 
     solution = _lexicographic_solve(lps, layout.deviation, layout.secondary)
@@ -199,7 +203,7 @@ def _inverse(
 
 
 def _rebuild(lps: InverseLPs, key: tuple) -> None:
-    """Check the problem ``key`` names and build its two stage LPs and layout into ``lps``."""
+    """Check the problem ``key`` names and build its three stage LPs and layout into ``lps``."""
 
     net, observed, adjustable, tie_break, costs = key
     validate_path(net, observed)
@@ -222,12 +226,28 @@ def _rebuild(lps: InverseLPs, key: tuple) -> None:
         names=[(lid, f"e[{lid}]", f"f[{lid}]") for lid in priced_ids],
     )
     stage1 = _build(net, priced_ids, observed)
-    # stage 2 is stage 1 restricted to its optimal set: total deviation pinned
-    stage2 = stage1.copy()
-    stage2.add_constraint({j: 1.0 for j in layout.deviation}, "<=", 0.0, name="stage1")
-    stage2.set_objective({j: 1.0 for j in layout.secondary})
+    stage2 = _next_stage(stage1, layout.deviation, {j: 1.0 for j in layout.secondary}, "stage1")
+    # e[l] and f[l] of the k-th adjustable link weigh 1 + k/n
+    rank_weights = {j: 1.0 + (j // 2) / len(priced_ids) for j in layout.deviation}
+    stage3 = _next_stage(stage2, layout.secondary, rank_weights, "stage2")
     # the key keeps the costs as they are now: a caller may change its mapping later
-    lps.key, lps.layout, lps.stage1, lps.stage2 = key[:-1] + (dict(costs),), layout, stage1, stage2
+    lps.key, lps.layout = key[:-1] + (dict(costs),), layout
+    lps.stages = (stage1, stage2, stage3)
+
+
+def _next_stage(lp: LinearProgram, pinned: list[int], objective: dict[int, float], name: str):
+    """``lp`` restricted to its optimal set, minimising ``objective`` there.
+
+    One appended ``<=`` row pins the sum of the ``pinned`` variables, ``lp``'s
+    objective, at its minimum (the right-hand side is set per solve), and the
+    new LP starts from ``lp``'s final basis.
+    """
+
+    stage = lp.copy()
+    stage.add_constraint({j: 1.0 for j in pinned}, "<=", 0.0, name=name)
+    stage.set_objective(objective)
+    stage.start_from(lp)
+    return stage
 
 
 def _build(net: Network, priced_ids: list[LinkId], observed: Path):
@@ -261,24 +281,28 @@ def _build(net: Network, priced_ids: list[LinkId], observed: Path):
 
 
 def _lexicographic_solve(lps: InverseLPs, deviation: list[int], secondary: list[int]):
-    """Minimize total deviation, then the given subset of deviation variables.
+    """Solve the stages in turn, each among the optima of the one before.
 
-    The second stage restricts to the first stage's optimal set (total
-    deviation pinned at its minimum) and minimizes the secondary sum alone,
-    selecting a reproducible representative among alternative optima.  It is
-    ``lps.stage1`` plus that pinning row, built with it and afterwards only
-    given the new minimum, so both LPs keep their matrix and costs across the
-    calls that reuse ``lps``.
+    Each pinning row gets its stage's objective as its right-hand side, from
+    the same sum and clamped at 0, so a rounding ``-1e-17`` never flips the
+    row and takes away the slack its start basis needs.  The stages keep
+    their matrix and costs across the calls that reuse ``lps``.  A later
+    stage that is not OPTIMAL ends the sequence at the stage before.
     """
 
-    first = solve(lps.stage1)
-    if first.status is not Status.OPTIMAL or not secondary:
-        return first
-    lp = lps.stage2
-    lp.set_rhs(lp.num_constraints - 1, first.objective)
-    second = solve(lp)
-    if second.status is not Status.OPTIMAL:
-        return first
+    first, *later = lps.stages
+    solution = solve(first)
+    if solution.status is not Status.OPTIMAL or not secondary:
+        return solution
+    pivots, pins = solution.pivots, []
+    for lp in later:
+        # the last rows pin every earlier stage's objective, in stage order
+        pins.append(max(0.0, solution.objective))
+        lp.set_rhs(lp.num_constraints - len(pins), pins)
+        stage = solve(lp)
+        if stage.status is not Status.OPTIMAL:
+            break
+        solution, pivots = stage, pivots + stage.pivots
     # report the first-stage objective: the deviation metric, not the tie-break
-    objective = sum(second.primal[lp.variable_name(j)] for j in deviation)
-    return replace(second, objective=objective, pivots=first.pivots + second.pivots)
+    objective = sum(solution.primal[first.variable_name(j)] for j in deviation)
+    return replace(solution, objective=objective, pivots=pivots)

@@ -405,7 +405,7 @@ def write_trace(trace: FixedPointTrace, directory: FilePath | str) -> None:
     lines = ["iteration,link_id,prior_value"]
     for n, prior in enumerate(trace.priors):
         for lid in sorted(prior):
-            lines.append(f"{n},{lid},{prior[lid]:.9g}")
+            lines.append(f"{n},{lid},{_format_float(prior[lid])}")
     _write_lines(d / "prior_trace.csv", lines)
 
     lines = ["agent_id,link_id,value"]
@@ -415,7 +415,7 @@ def write_trace(trace: FixedPointTrace, directory: FilePath | str) -> None:
         posterior = trace.per_agent_posteriors[agent_id]
         tail = tails.get(id(posterior))
         if tail is None:
-            tail = [f",{lid},{posterior[lid]:.9g}" for lid in sorted(posterior)]
+            tail = [f",{lid},{_format_float(posterior[lid])}" for lid in sorted(posterior)]
             tails[id(posterior)] = tail
         if tail:
             lines.append(agent_id + ("\n" + agent_id).join(tail))
@@ -424,7 +424,7 @@ def write_trace(trace: FixedPointTrace, directory: FilePath | str) -> None:
     summary = [
         f"iterations: {trace.iterations}",
         f"converged: {str(trace.converged).lower()}",
-        f"final_gap: {trace.final_gap:.9g}",
+        f"final_gap: {_format_float(trace.final_gap)}",
         f"skipped_observations: {len(trace.skipped_agents)}",
     ]
     _write_lines(d / "summary.txt", summary)

@@ -64,6 +64,25 @@ matrix and costs being solved.  A first solve goes through the same code but
 keeps nothing (most programs are solved once), and a restart under Bland's
 rule records nothing.
 
+A start basis
+-------------
+A program given :meth:`~LinearProgram.start_from` another starts each solve
+from the final basis of that program's last optimal solve, where that basis
+fits: the program is the other one plus appended ``<=`` rows, the shared
+rows normalise to the same signs, and no appended row's right-hand side is
+negative (a flipped row has a surplus and an artificial, not a slack).  The
+shared rows keep their basic columns, artificial columns move up by the
+number of appended rows, and each appended row's slack joins the basis.
+The basis is nonsingular, because the appended rows only border it, and
+where its basic values are feasible to within ``FEAS_TOL`` phase 1 is
+skipped and phase 2 starts from it.  Its artificials are those of redundant
+rows, basic at zero, which phase 2 never moves.  A basis that does not fit,
+or is infeasible under the new right-hand sides, is not used: the solve
+runs phase 1 as any other.  A solve that raises :class:`SolverError`
+restarts under Bland's rule from phase 1, whatever its start.  The pivot
+record keys every state by its basis, so a start basis is replayed like any
+other.
+
 Conventions
 -----------
 * Objective sense is MIN.
@@ -153,13 +172,15 @@ class LinearProgram:
         self._constraints: list[_Constraint] = []
         self._rhs = self._rhs_store = np.zeros(0)  # _rhs: the leading rows of the store
         self._names: set[str] = set()
+        self._start: LinearProgram | None = None  # see start_from
         self._changed()
 
     def _changed(self) -> None:
-        """The structure changed: drop the standard form and the pivot record."""
+        """The structure changed: drop the standard form, the pivot record and the final basis."""
 
         self._std: _Standardized | None = None
         self._record: dict | None = None
+        self._final: tuple[list[int], int, np.ndarray] | None = None
         self._solved = False
 
     # -- construction -----------------------------------------------------
@@ -221,6 +242,16 @@ class LinearProgram:
             raise SolverError(f"constraint rhs must be finite, got {bad!r}")
         self._rhs[row : last + 1] = values
 
+    def start_from(self, other: LinearProgram) -> None:
+        """Start every later solve from the final basis of ``other``'s last optimal solve.
+
+        Meant for a program built as ``other.copy()`` plus appended ``<=``
+        rows; a solve uses the basis only where it fits (see the module
+        docstring) and otherwise runs phase 1 as usual.
+        """
+
+        self._start = other
+
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
         """Replace the objective with the given (sparse) coefficient map."""
 
@@ -245,7 +276,7 @@ class LinearProgram:
         return self._variables[index].name
 
     def copy(self) -> LinearProgram:
-        """A program with the same variables, objective and constraints."""
+        """A program with the same variables, objective and constraints, and no start basis."""
 
         other = LinearProgram()
         other._variables = list(self._variables)
@@ -680,11 +711,40 @@ def _kept_form(lp: LinearProgram) -> _Standardized:
     return lp._std
 
 
+def _start_basis(lp: LinearProgram, std: _Standardized) -> list[int] | None:
+    """The final basis of the program ``lp`` starts from, in ``std``'s columns, if it fits.
+
+    It fits when ``lp`` has that program's variables and constraints, plus
+    appended ``<=`` rows whose right-hand sides are not negative, and each
+    shared row is normalised as it was in that program's solve.  Then the
+    shared rows keep their slack columns, each appended row's slack joins
+    the basis, and the artificial columns move past the new slacks.
+    """
+
+    other = lp._start
+    if other is None or other._final is None:
+        return None
+    basis, n_real, row_flip = other._final
+    m = row_flip.size
+    appended = lp._constraints[m:]
+    k = len(appended)
+    # the shared rows' flags as in that solve, then one unflipped (zero) byte per appended row
+    if (
+        std.row_flip.tobytes() != row_flip.tobytes() + bytes(k)
+        or lp._variables != other._variables
+        or lp._constraints[:m] != other._constraints
+        or any(con.relation != "<=" for con in appended)
+    ):
+        return None
+    return [col if col < n_real else col + k for col in basis] + list(range(n_real, n_real + k))
+
+
 def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     keep = lp._solved  # a first solve keeps nothing: most programs are solved once
     lp._solved = True
+    lp._final = None
     std = _kept_form(lp) if keep else _standardize(lp)
-    (m, width), n_real, basis = std.a.shape, std.n_real, list(std.basis)
+    (m, width), n_real = std.a.shape, std.n_real
 
     replay = _Replay()
     if keep and not force_bland:
@@ -692,9 +752,18 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
         lp._record = replay.new
     pivoter = _Pivoter(std, stall_limit=max(50, 2 * m), replay=replay)
     pivoter.bland = force_bland
+    b_scale = max(1.0, float(np.max(std.b, initial=0.0)))
 
-    # phase 1, from the artificial columns of the rows no slack can start
-    if width > n_real:
+    start = None if force_bland else _start_basis(lp, std)
+    if start is not None:
+        x_b = _lu_solve(pivoter.factor(start), std.b)
+        if x_b.min(initial=0.0) < -FEAS_TOL * b_scale:
+            start = None  # infeasible under this program's right-hand sides
+    basis = list(std.basis) if start is None else start
+
+    # phase 1, from the artificial columns of the rows no slack can start;
+    # a start basis is feasible already
+    if start is None and width > n_real:
         c1 = np.zeros(width)
         c1[n_real:] = 1.0
         outcome = pivoter.run(c1, basis, phase=1)
@@ -702,7 +771,7 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
             raise SolverError("phase 1 reported unbounded")
         x_b = _lu_solve(pivoter.factor(basis), std.b)
         infeas = sum(x_b[[i for i, col in enumerate(basis) if col >= n_real]].tolist())
-        if infeas > FEAS_TOL * max(1.0, float(np.max(std.b, initial=0.0))):
+        if infeas > FEAS_TOL * b_scale:
             return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
         _drive_out_artificials(std, basis, pivoter)
 
@@ -725,6 +794,7 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     duals = np.where(std.row_flip, -y, y)  # not in place: the record may hold y
     dual_objective = float(std.rhs @ duals)
     _verify(std, values, duals, objective, dual_objective)
+    lp._final = (basis, n_real, std.row_flip)
     primal = dict(zip(std.names, values.tolist()))
     return LpSolution(
         Status.OPTIMAL, objective, primal, tuple(duals.tolist()), dual_objective, pivoter.pivots

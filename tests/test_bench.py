@@ -42,7 +42,7 @@ def test_tracer_counts_inverse_calls_and_solves(monkeypatch, toy_net, toy_priced
     summary = tracer.summary()
     assert summary["learner.iterations"] == trace.iterations > 1
     assert summary["inverse.calls"] == 2 * trace.iterations
-    assert summary["simplex.solves"] == 2 * summary["inverse.calls"]
+    assert summary["simplex.solves"] == 3 * summary["inverse.calls"]
     assert summary["simplex.stage2_solves"] == summary["inverse.calls"]
     assert summary["simplex.pivots"] > 0
 
@@ -68,9 +68,9 @@ def test_nd_recovery_work_is_pinned(monkeypatch, data_dir, nd_net, nd_priced):
     summary = tracer.summary()
     assert trace.converged and trace.iterations == 202
     assert summary["inverse.calls"] == 1212
-    assert summary["simplex.solves"] == 2424
+    assert summary["simplex.solves"] == 3636
     assert summary["simplex.stage2_solves"] == 1212
-    assert summary["simplex.pivots"] == 24880
+    assert summary["simplex.pivots"] == 12812
     assert summary["simplex.non_optimal"] == 0
 
 
@@ -96,11 +96,11 @@ def test_grid_online_work_is_pinned(monkeypatch, tmp_path):
     result = workloads.run_online(workloads.setup_grid_online(1, inputs), out)
     summary = tracer.summary()
     assert (result.attempted, result.failed, result.errors) == (16, 0, [])
-    assert summary["simplex.solves"] == 32
-    assert summary["simplex.pivots"] == 2814
+    assert summary["simplex.solves"] == 48
+    assert summary["simplex.pivots"] == 1659
     assert summary["simplex.non_optimal"] == 0
     digest = hashlib.sha256((out / "state.json").read_bytes()).hexdigest()
-    assert digest == "4a580ebe8ac84e85d89f15907fd2c1f46432db370cfc2692fa95ab7990029f62"
+    assert digest == "f1eb9afc91657fbaaf8af8578a1637a981bfee8d8fb7a306968dfbfe58c64287"
 
 
 def test_nd_batch_work_is_pinned(monkeypatch, tmp_path):
@@ -126,9 +126,9 @@ def test_nd_batch_work_is_pinned(monkeypatch, tmp_path):
     assert (result.attempted, result.failed, result.errors) == (3, 0, [])
     assert result.iterations == 272
     assert summary["inverse.calls"] == 1302
-    assert summary["simplex.solves"] == 2604
+    assert summary["simplex.solves"] == 3906
     assert summary["simplex.stage2_solves"] == 1302
-    assert summary["simplex.pivots"] == 23366
+    assert summary["simplex.pivots"] == 12277
     assert summary["simplex.non_optimal"] == 0
     digests = {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -136,23 +136,23 @@ def test_nd_batch_work_is_pinned(monkeypatch, tmp_path):
     }
     assert digests == {
         "costs_correlated/agent_posteriors.csv":
-            "70fa4ed26a2ab27c071ceb22add4a5fa04632bda2044e32ce85e63ffde03bf2c",
+            "0050cce972b31d1118cd7aa7b9a513c1e9122d31719b516f5567253435a891ab",
         "costs_correlated/prior_trace.csv":
-            "9e0e735cf2a9ee55f4164ff9ff1e293ba573b50c143168b6bdc66fc3bc94f73e",
+            "5295fe9d166daeb8a69871c913bb3068faebbb02559e908947ca54392613a47d",
         "costs_correlated/summary.txt":
-            "f6cf3dfa03071c78b0059f41274fb2057430c57193894d5b8a50ec9b5b994876",
+            "fbc158cea294bd82f7364f57e3b2149b0dbc69ef422f2d368b6d29fa41e3c652",
         "costs_independent/agent_posteriors.csv":
-            "321a5315d6290a35bd831e31e37d09461294e6aa0c7e825980529483585034c2",
+            "a89dfecb25c873ef4549067b56c0556805241ff4871f4340aa8245b502823b36",
         "costs_independent/prior_trace.csv":
-            "cf8447488c9862c238d535a87086f507b142955471e0945fde4239c226424010",
+            "886892c67e23b2c054f99645bbfa346d9c4b64a91af01fa1c4884a4de849c50b",
         "costs_independent/summary.txt":
-            "5493f8541e64f6a8ac9801dd7ea7bb27ca43ead974eeed2975097347c77ce6ce",
+            "d7ecfb6829b4b704aa86199dbfe3afdafc7f5e4409234065996b2a41887492ab",
         "nd_duals/agent_posteriors.csv":
-            "da6bf0412a12c7ab4e8de76be665d88dc32c1112444e9a7d086a396d02deb18e",
+            "31f2b3224967d12b520bd6eab581850088719e5bb6fc5ee04566b3894a519d64",
         "nd_duals/prior_trace.csv":
-            "506fa8a95e0a8c89525584b46e68a02e3b308cabb2f0d4de7843ae174ef761f4",
+            "8a6ec0fc811ce3316a67754865fa0ebd787b8367943213b8c19cd48a35b87ca0",
         "nd_duals/summary.txt":
-            "e80884224c1166e85586e86d087d7f1e980ca7a2c090467b331b81b58b470ef2",
+            "779d8bc633274cb33189a13194830d03f83cdaf264da20e9b793e8bd9aee4131",
     }
 
 

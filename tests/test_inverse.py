@@ -26,50 +26,20 @@ from netinverse.network import (
     enumerate_paths,
     path_cost,
 )
-from netinverse.simplex import FEAS_TOL
+from netinverse.simplex import FEAS_TOL, solve
 
 
-def oracle_cost_objective(net, prior, observed) -> float:
-    """Independent L1 minimum over enumerated-path optimality conditions."""
+def oracle_rows(net, costs, priced_ids, prior, observed):
+    """The inverse problem's constraints over enumerated-path optimality conditions.
 
-    link_ids = [l.id for l in net.links]
-    idx = {lid: k for k, lid in enumerate(link_ids)}
-    n = len(link_ids)
-    # variables: u (decrease), v (increase); posterior = prior - u + v >= 0
-    c = np.ones(2 * n)
-    routes = enumerate_paths(net, (observed.origin, observed.destination), 1000)
-    a_ub, b_ub = [], []
-    obs = set(observed.links)
-    for alt in routes:
-        if alt.links == observed.links:
-            continue
-        row = np.zeros(2 * n)
-        for lid in observed.links:
-            row[idx[lid]] -= 1.0  # decrease on observed helps
-            row[n + idx[lid]] += 1.0
-        for lid in alt.links:
-            row[idx[lid]] += 1.0
-            row[n + idx[lid]] -= 1.0
-        gap = path_cost(net, prior, observed) - path_cost(net, prior, alt)
-        a_ub.append(row)
-        b_ub.append(-gap)
-    for lid in link_ids:  # posterior nonnegative: u - v <= prior
-        row = np.zeros(2 * n)
-        row[idx[lid]] = 1.0
-        row[n + idx[lid]] = -1.0
-        a_ub.append(row)
-        b_ub.append(prior[lid])
-    res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub), method="highs")
-    assert res.success
-    return float(res.fun)
-
-
-def oracle_price_objective(net, costs, priced_ids, prior, observed) -> float | None:
-    """Independent L1 minimum for the price variant; None when infeasible."""
+    The variables are each priced link's decrease u, then each one's
+    increase v; a link's posterior is ``prior - u + v``.  Returns ``A_ub``
+    and ``b_ub``: the observed route costs no more than any alternative, and
+    every posterior stays nonnegative.
+    """
 
     idx = {lid: k for k, lid in enumerate(priced_ids)}
     n = len(priced_ids)
-    c = np.ones(2 * n)
     routes = enumerate_paths(net, (observed.origin, observed.destination), 1000)
     a_ub, b_ub = [], []
     for alt in routes:
@@ -78,7 +48,7 @@ def oracle_price_objective(net, costs, priced_ids, prior, observed) -> float | N
         row = np.zeros(2 * n)
         for lid in observed.links:
             if lid in idx:
-                row[idx[lid]] -= 1.0
+                row[idx[lid]] -= 1.0  # a decrease on the observed route helps
                 row[n + idx[lid]] += 1.0
         for lid in alt.links:
             if lid in idx:
@@ -92,14 +62,48 @@ def oracle_price_objective(net, costs, priced_ids, prior, observed) -> float | N
         )
         a_ub.append(row)
         b_ub.append(alt_cost - obs_cost)
-    for lid in priced_ids:
+    for lid in priced_ids:  # posterior nonnegative: u - v <= prior
         row = np.zeros(2 * n)
         row[idx[lid]] = 1.0
         row[n + idx[lid]] = -1.0
         a_ub.append(row)
         b_ub.append(prior[lid])
-    res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub), method="highs")
+    return np.array(a_ub), np.array(b_ub)
+
+
+def oracle_price_objective(net, costs, priced_ids, prior, observed) -> float | None:
+    """Independent L1 minimum for the price variant; None when infeasible."""
+
+    a_ub, b_ub = oracle_rows(net, costs, priced_ids, prior, observed)
+    res = linprog(np.ones(a_ub.shape[1]), A_ub=a_ub, b_ub=b_ub, method="highs")
     return float(res.fun) if res.success else None
+
+
+def oracle_cost_objective(net, prior, observed) -> float:
+    """Independent L1 minimum of the cost variant: every link priced, zero base costs."""
+
+    zero = {l.id: 0.0 for l in net.links}
+    objective = oracle_price_objective(net, zero, list(zero), prior, observed)
+    assert objective is not None
+    return objective
+
+
+def oracle_lexicographic_posterior(net, costs, priced_ids, prior, observed, tie_break):
+    """The three-stage answer (see :mod:`netinverse.inverse`), solved by HiGHS.
+
+    Each stage minimises its objective over the oracle's constraints plus
+    one row per earlier stage pinning that stage's objective at its minimum.
+    """
+
+    a_ub, b_ub = oracle_rows(net, costs, priced_ids, prior, observed)
+    n = len(priced_ids)
+    ones, zeros, rank = np.ones(n), np.zeros(n), 1.0 + np.arange(n) / n
+    secondary = np.concatenate((ones, zeros) if tie_break == "e" else (zeros, ones))
+    for c in (np.ones(2 * n), secondary, np.concatenate((rank, rank))):
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs")
+        assert res.success
+        a_ub, b_ub = np.vstack((a_ub, c)), np.append(b_ub, res.fun)
+    return {lid: prior[lid] - res.x[k] + res.x[n + k] for k, lid in enumerate(priced_ids)}
 
 
 class TestInferLinkCosts:
@@ -392,6 +396,100 @@ class TestInferDualPrices:
                     assert abs(mine.objective - oracle) < 1e-7, (od, observed.links)
 
 
+def grid(k: int, rng: np.random.Generator) -> Network:
+    """A bidirectional k-by-k grid with integer costs 1-3, links numbered row by row."""
+
+    links = []
+    for r in range(k):
+        for c in range(k):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < k and c2 < k:
+                    cost = float(rng.integers(1, 4))
+                    links.append((f"{r}.{c}", f"{r2}.{c2}", cost))
+                    links.append((f"{r2}.{c2}", f"{r}.{c}", cost))
+    return Network(Link(i + 1, a, b, cost) for i, (a, b, cost) in enumerate(links))
+
+
+class TestTieBreak:
+    """The model, not the pivot rule, picks the answer among tied optima.
+
+    A grid from a zero prior with every link priced has many tied optima:
+    the observed route, the grid's costliest simple route between opposite
+    corners, can be made a shortest route by pricing up any of many sets of
+    competing links.
+    """
+
+    K = 4
+
+    @classmethod
+    def problem(cls, variant):
+        """A solve of one variant's inverse, and the arguments of its HiGHS answer."""
+
+        net = grid(cls.K, np.random.default_rng(1))
+        route = enumerate_paths(net, ("0.0", f"{cls.K - 1}.{cls.K - 1}"), 1000)[-1]
+        ids = [l.id for l in net.links]
+        costs, zero = net.base_costs(), dict.fromkeys(ids, 0.0)
+        if variant == "price":
+            priced = CapacitySpec.priced_only(ids)
+            return (
+                lambda: infer_dual_prices(net, costs, priced, zero, route),
+                (net, costs, ids, zero, route, "e"),
+            )
+        return lambda: infer_link_costs(net, costs, route), (net, zero, ids, costs, route, "f")
+
+    @pytest.mark.parametrize("variant", ["price", "cost"])
+    def test_posterior_matches_highs_three_stage_solve(self, variant):
+        infer, oracle_args = self.problem(variant)
+        result = infer()
+        assert result.objective > 0.0  # the prior does not explain the route
+        oracle = oracle_lexicographic_posterior(*oracle_args)
+        for lid, value in result.posterior.items():
+            assert abs(value - oracle[lid]) < 1e-9, lid
+
+    @pytest.mark.parametrize("variant", ["price", "cost"])
+    def test_cold_stages_give_the_same_posterior_with_more_pivots(self, variant, monkeypatch):
+        infer, _ = self.problem(variant)
+        pivots = []
+
+        def counting(lp):
+            solution = solve(lp)
+            pivots.append(solution.pivots)
+            return solution
+
+        monkeypatch.setattr(inverse, "solve", counting)
+        warm = infer()
+        warm_pivots = sum(pivots)
+        pivots.clear()
+        # a copy has no start basis: every stage runs phase 1
+        monkeypatch.setattr(inverse, "solve", lambda lp: counting(lp.copy()))
+        cold = infer()
+        assert len(pivots) == 3 and sum(pivots) > warm_pivots
+        for lid, value in warm.posterior.items():
+            assert abs(value - cold.posterior[lid]) < 1e-9, lid
+
+    def test_pinning_rows_clamp_a_rounding_negative_objective(
+        self, monkeypatch, nd_net, nd_priced
+    ):
+        """A stage objective rounded below zero pins at 0, so the row keeps its slack."""
+
+        pivots = []
+
+        def rounding_below_zero(lp):
+            solution = solve(lp)
+            pivots.append(solution.pivots)
+            return dataclasses.replace(solution, objective=-1e-17)
+
+        monkeypatch.setattr(inverse, "solve", rounding_below_zero)
+        lps = InverseLPs()
+        # a shortest route under the prior: every stage's minimum is 0
+        base = nd_net.base_costs()
+        route, _ = shortest_path(nd_net, base, ("1", "2"))
+        result = infer_dual_prices(nd_net, base, nd_priced, {1: 0.0, 7: 0.0}, route, lps)
+        assert result.objective == 0.0
+        assert [lp._rhs[-1] for lp in lps.stages[1:]] == [0.0, 0.0]
+        assert pivots[0] > 0 and pivots[1:] == [0, 0]
+
+
 class TestInverseLPs:
     """A handle reused across calls gives what fresh LPs give, and is rebuilt when it must."""
 
@@ -405,7 +503,7 @@ class TestInverseLPs:
             prior = {1: float(rng.uniform(0, 6)), 7: float(rng.uniform(0, 6))}
             reused = infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0], lps)
             assert reused == infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0])
-        assert lps.stage1._record and lps.stage2._record
+        assert all(lp._record for lp in lps.stages)
         costs = infer_link_costs(nd_net, base, self.ROUTES[1], lps)
         assert costs == infer_link_costs(nd_net, base, self.ROUTES[1])
 
@@ -423,7 +521,7 @@ class TestInverseLPs:
         lps = InverseLPs()
         for _ in range(3):
             price(lps)
-        stage1, key = lps.stage1, lps.key
+        stage1, key = lps.stages[0], lps.key
         if change == "tie-break":
             result = infer_link_costs(nd_net, prior, self.ROUTES[0], lps)
             assert result == infer_link_costs(nd_net, prior, self.ROUTES[0])
@@ -433,8 +531,8 @@ class TestInverseLPs:
                 "costs": {"costs": {**zero, 18: 0.5}},
             }[change]
             assert price(lps, **problem) == price(**problem)
-        assert lps.key != key and lps.stage1 is not stage1
-        assert lps.stage1._record is None
+        assert lps.key != key and lps.stages[0] is not stage1
+        assert lps.stages[0]._record is None
 
 
     def test_reused_handle_still_checks_the_prior(self, nd_net, nd_priced):
@@ -456,10 +554,10 @@ class TestInverseLPs:
         prior = {1: 1.0, 7: 2.0}
         lps = InverseLPs()
         infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], lps)
-        stage1 = lps.stage1
+        stage1 = lps.stages[0]
         costs[18] += 0.5  # the same mapping, changed after the handle was built
         result = infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], lps)
-        assert lps.stage1 is not stage1
+        assert lps.stages[0] is not stage1
         assert result == infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0])
 
 

@@ -26,7 +26,15 @@ from netinverse.learner import (
     write_online_log,
     write_trace,
 )
-from netinverse.network import CapacitySpec, Link, Network, Observation, Path, enumerate_paths
+from netinverse.network import (
+    CapacitySpec,
+    Link,
+    Network,
+    Observation,
+    Path,
+    _format_float,
+    enumerate_paths,
+)
 from netinverse.scenarios import decompose_path_flows, load_scenario, sample_flow_observations
 from netinverse.inverse import InverseLPs
 
@@ -347,6 +355,28 @@ class TestExports:
         assert posts[0] == "agent_id,link_id,value"
         assert len(posts) == 1 + 3 * 2
 
+    def test_trace_files_read_back_exactly(self, toy_net, toy_priced, tmp_path):
+        # weights of 1/3 each give priors no nine significant digits hold
+        trace = recover_prices(
+            toy_observations((1.0, 1.0, 1.0)), toy_net, toy_net.base_costs(), toy_priced
+        )
+        write_trace(trace, tmp_path / "run")
+        rows = (tmp_path / "run" / "prior_trace.csv").read_text().splitlines()[1:]
+        priors = [{} for _ in trace.priors]
+        for row in rows:
+            n, lid, value = row.split(",")
+            priors[int(n)][int(lid)] = float(value)
+        assert priors == list(trace.priors)
+        assert any(float(f"{v:.9g}") != v for prior in priors for v in prior.values())
+        rows = (tmp_path / "run" / "agent_posteriors.csv").read_text().splitlines()[1:]
+        posteriors = {}
+        for row in rows:
+            agent_id, lid, value = row.split(",")
+            posteriors.setdefault(agent_id, {})[int(lid)] = float(value)
+        assert posteriors == trace.per_agent_posteriors
+        summary = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+        assert float(summary[2].removeprefix("final_gap: ")) == trace.final_gap
+
     def test_agent_posteriors_file_matches_one_line_per_agent_and_link(self, tmp_path):
         """Byte for byte what formatting every agent's every link on its own writes."""
 
@@ -365,7 +395,7 @@ class TestExports:
         for agent_id in sorted(posteriors):
             posterior = posteriors[agent_id]
             for lid in sorted(posterior):
-                reference.append(f"{agent_id},{lid},{posterior[lid]:.9g}")
+                reference.append(f"{agent_id},{lid},{_format_float(posterior[lid])}")
         written = (tmp_path / "run" / "agent_posteriors.csv").read_bytes()
         assert written == ("\n".join(reference) + "\n").encode("utf-8")
         assert b"\na10,9," in written and b"\nskipped," not in written
@@ -550,7 +580,7 @@ class TestPivotMemos:
         with_memos = run()
         computed = len(pricing)
         # every handle kept its LPs and their record across the iterations
-        assert handles and all(lps.stage1._record is not None for lps in handles)
+        assert handles and all(lps.stages[0]._record is not None for lps in handles)
         monkeypatch.setattr(learner, "InverseLPs", lambda: None)
         assert run() == with_memos
         total = len(pricing) - computed

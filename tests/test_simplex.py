@@ -1094,3 +1094,105 @@ class TestSetRhs:
                     assert all(np.array_equal(getattr(matrix, name), getattr(a, name))
                                for name in ("data", "indices", "indptr"))
                 assert kept.b[0] == rhs and kept.b[2] == b[2]
+
+
+class TestStartBasis:
+    """A program started from another's final basis skips phase 1 where that basis fits."""
+
+    @staticmethod
+    def pinned(rhs):
+        """Stage 1 of the 3x3 grid price inverse, solved, and a program started from it.
+
+        The second program is the first plus one ``<=`` row, ``sum(e) <= rhs``,
+        with the same objective.  From a zero prior every ``e`` is 0 at the
+        optimum, so for ``rhs`` 0 the start basis is optimal already.  Returns
+        the first solution, the started program and a copy with no start.
+        """
+
+        first, e, _ = grid_price_inverse(3, np.random.default_rng(1))
+        optimum = solve(first)
+        second = first.copy()
+        second.add_constraint({j: 1.0 for j in e}, "<=", rhs)
+        cold = second.copy()
+        second.start_from(first)
+        return optimum, second, cold
+
+    @pytest.mark.parametrize("rhs", [0.0, -0.0])
+    def test_appended_row_slack_joins_the_basis(self, rhs, caplog):
+        optimum, started, cold = self.pinned(rhs)
+        with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
+            solution = solve(started)
+        assert not caplog.records
+        assert solution.status is Status.OPTIMAL and solution.pivots == 0
+        assert solution.objective == optimum.objective
+        fresh = solve(cold)
+        assert fresh.pivots > 0 and abs(fresh.objective - solution.objective) < 1e-9
+
+    def test_flipped_row_has_no_slack_and_runs_phase_1(self, caplog):
+        # a rounding -1e-17 flips the row: it gets a surplus and an artificial
+        optimum, started, cold = self.pinned(-1e-17)
+        with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
+            solution = solve(started)
+        assert not caplog.records
+        assert solution.status is Status.OPTIMAL and solution.pivots > 0
+        assert solution == solve(cold)
+        assert abs(solution.objective - optimum.objective) < 1e-9
+
+    def test_infeasible_start_basis_runs_phase_1(self):
+        first, e, f = grid_price_inverse(3, np.random.default_rng(1))
+        optimum = solve(first)
+        second = first.copy()
+        second.add_constraint({j: 1.0 for j in e + f}, "<=", optimum.objective - 1.0)
+        second.start_from(first)
+        assert solve(second).status is Status.INFEASIBLE
+
+    def test_start_is_replayed_like_any_other(self):
+        first, e, f = grid_price_inverse(3, np.random.default_rng(1))
+        second = first.copy()
+        second.add_constraint({j: 1.0 for j in e + f}, "<=", 0.0)
+        second.set_objective({j: 1.0 for j in e})
+        second.start_from(first)
+        results = []
+        for _ in range(3):
+            optimum = solve(first)
+            second.set_rhs(second.num_constraints - 1, optimum.objective)
+            results.append(solve(second))
+        assert results == [results[0]] * 3 and second._record
+        cold = second.copy()
+        assert abs(solve(cold).objective - results[0].objective) < 1e-9
+
+    def test_redundant_row_artificial_moves_past_the_new_slack(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y", cost=2.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0)  # redundant: its artificial stays basic
+        lp.add_constraint({x: 1.0}, "<=", 1.5)
+        first = solve(lp)
+        basis, n_real, _ = lp._final
+        assert any(col >= n_real for col in basis)
+        second = lp.copy()
+        second.add_constraint({x: 1.0, y: 2.0}, "<=", first.objective)
+        second.set_objective({y: 1.0})
+        cold = second.copy()
+        second.start_from(lp)
+        solution = solve(second)
+        assert solution.status is Status.OPTIMAL
+        assert solution.primal == pytest.approx(solve(cold).primal, abs=1e-12)
+        assert solution.primal == pytest.approx({"x": 1.5, "y": 0.5}, abs=1e-12)
+
+    def test_bland_restart_ignores_the_start_basis(self, monkeypatch):
+        optimum, started, cold = self.pinned(0.0)
+        real = simplex._verify
+        calls = []
+
+        def fail_first(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                raise SolverError("row 0 violated by 0.001")
+            return real(*args)
+
+        monkeypatch.setattr(simplex, "_verify", fail_first)
+        solution = solve(started)
+        assert len(calls) == 2 and solution.pivots > 0  # phase 1 ran, under Bland's rule
+        assert solution == simplex._solve_once(cold, True)
