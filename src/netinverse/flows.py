@@ -119,15 +119,14 @@ def solve_multicommodity(
                 f"x[{m}][{link.id}]", cost=link.base_cost
             )
     for m, ((o, d), flow) in enumerate(commodities):
+        # each node's balance row: +1 for the links out of it, -1 for those into it
+        rows: dict[NodeId, dict[int, float]] = {node: {} for node in nodes}
+        for link in links:
+            rows[link.tail][var[(m, link.id)]] = 1.0
+            rows[link.head][var[(m, link.id)]] = -1.0
         for node in nodes:
-            coeffs: dict[int, float] = {}
-            for link in net.outgoing(node):
-                coeffs[var[(m, link.id)]] = 1.0
-            for link in links:
-                if link.head == node:
-                    coeffs[var[(m, link.id)]] = coeffs.get(var[(m, link.id)], 0.0) - 1.0
             rhs = flow if node == o else (-flow if node == d else 0.0)
-            lp.add_constraint(coeffs, "=", rhs, name=f"balance[{m}][{node}]")
+            lp.add_constraint(rows[node], "=", rhs, name=f"balance[{m}][{node}]")
     cap_rows: dict[LinkId, int] = {}
     for link_id in sorted(capacities):
         coeffs = {var[(m, link_id)]: 1.0 for m in range(len(commodities))}

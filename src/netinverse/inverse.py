@@ -86,7 +86,7 @@ class InverseLPs:
     Pass one handle to every call for one route group.  A call with the
     same network, route, adjustable links, costs and tie-break as the last
     checks only the new prior, writes it into the LPs' right-hand sides and
-    re-solves them, which replays their last solve (see
+    re-solves them, each from its last optimal basis (see
     :mod:`netinverse.simplex`); any other call rebuilds them.
     """
 

@@ -154,9 +154,9 @@ def _fixed_point(
     group gets its own :class:`~netinverse.inverse.InverseLPs` for the run:
     only the prior changes between iterations, and it enters the group's LPs
     only through their right-hand sides, so the LPs are built once and each
-    re-solve replays the last one's pivot decisions as far as they still
-    hold, with the same results as fresh LPs give.  The handles are dropped
-    on return.  An observation whose agent id repeats raises
+    re-solve starts from the last one's optimal basis, with the results
+    fresh LPs give, to rounding.  The handles are dropped on return.  An
+    observation whose agent id repeats raises
     :class:`~netinverse.errors.DataError` before any solve.  Groups the
     inverse finds inconsistent under ``prior0`` are dropped, reported and
     logged; a batch with nothing left raises
@@ -449,22 +449,40 @@ def save_state(state: OnlineState, path: FilePath | str) -> None:
 
 
 def load_state(path: FilePath | str) -> OnlineState:
-    """The state :func:`save_state` wrote; anything else is a :class:`DataError`."""
+    """The state :func:`save_state` wrote; anything else is a :class:`DataError`.
+
+    That includes a key repeated within one object and a price key that is
+    not a link id as :func:`save_state` writes it (``"01"`` for link 1).
+    """
 
     def number(value, what: str) -> float:
         if type(value) not in (int, float) or not math.isfinite(value):  # bool is no number
             raise ValueError(f"{what} is not finite or not a number: {value!r}")
         return float(value)
 
+    def link(key: str) -> LinkId:
+        lid = int(key)
+        if str(lid) != key:
+            raise ValueError(f"price key {key!r} is not written as link id {lid}")
+        return lid
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        payload = json.loads(FilePath(path).read_text(encoding="utf-8"))
+        payload = json.loads(FilePath(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
         if not isinstance(payload, dict) or not isinstance(payload.get("prices"), dict):
             raise ValueError("expected a JSON object with a 'prices' object")
         count, stamp = payload.get("update_count", 0), payload.get("last_timestamp")
         if type(count) is not int or count < 0:
             raise ValueError(f"update_count is not a nonnegative integer: {count!r}")
         return OnlineState(
-            {int(lid): number(v, f"price of link {lid}") for lid, v in payload["prices"].items()},
+            {link(lid): number(v, f"price of link {lid}") for lid, v in payload["prices"].items()},
             count,
             None if stamp is None else number(stamp, "last_timestamp"),
         )

@@ -13,7 +13,7 @@ factorised last, so a basis is not factorised again while it stays unchanged
 between the pivot loop, the phase-1 infeasibility test, the removal of
 artificials, phase 2's start and the certificate.  The certificate's primal
 values and duals come from an LU of the final basis itself, never from the
-eta file, so they depend only on the pivot path, not on the update history.
+eta file, so they depend only on the final basis, not on the path to it.
 
 A basis of at least ``_SPARSE_ROWS`` rows is factorised by SuperLU
 (``scipy.sparse.linalg.splu``, COLAMD ordering), imported on first use: the
@@ -32,56 +32,31 @@ singular basis) and SuperLU's report of an exactly singular basis raise
 :class:`SolverError`, so :func:`solve` restarts under Bland's rule and, if
 that fails too, reports NUMERICAL_FAILURE.
 
-Re-solves with a changed right-hand side
-----------------------------------------
+Re-solves and start bases
+-------------------------
 A :class:`LinearProgram` holds its right-hand sides in one array, which
-:meth:`~LinearProgram.set_rhs` writes into, one row or a run of rows per
-call.  Solved again after only ``set_rhs`` calls (the inverse problems of a
-fixed point, whose prior enters only through ``b``), it keeps, from its
-second solve on, two things.  The first is its standard form, which is built
-once per structure together with everything the certificate check compares
-against apart from ``b``: the nonzeros of the original rows, the reduced-cost
-slacks ``GAP_TOL (1 + |c_j|)``, the masks of the ``<=``-only, ``>=``-only and
-inequality rows, and the mask of the free variables.  The second is a record
-of the states its latest solve used: the LU of each factorised basis, each
-pricing step's outcome (the entering column or "optimal", with its FTRAN'd
-column and the rows where that column is positive, the only rows the ratio
-test reads) keyed by the basis at the last refactorisation, the
-``(leave, enter)`` pairs since then, the Bland flag and the phase, the column
-that replaces each artificial left basic after phase 1 (none for a redundant
-row, whose artificial stays basic at zero), and the final duals keyed by the
-final basis.  No solve writes the standard form (it is frozen); only ``b``
-changes.  Whatever depends on ``b`` is computed on every solve: basic values,
-the ratio test and leaving choice, the degeneracy counter and the Bland
-switch, the phase-1 infeasibility test, primal values, objectives and the
-certificate check.  A re-solve follows the recorded path only while its
-``b`` makes the same leaving choices, and takes from the record only values
-it would have computed, so every pivot and result is the same, bit for bit.
-``add_variable``, ``add_constraint``, ``set_objective`` and a ``set_rhs``
-that flips a row's sign normalisation drop the standard form, with the
-arrays built alongside it, and the record, so both always belong to the
-matrix and costs being solved.  A first solve goes through the same code but
-keeps nothing (most programs are solved once), and a restart under Bland's
-rule records nothing.
+:meth:`~LinearProgram.set_rhs` writes into.  A program keeps the final basis
+of its last optimal solve.  From its second solve on it also keeps its
+standard form, built once per structure with everything the certificate
+check compares against apart from ``b``, and the LU of that final basis.
+``add_variable``, ``add_constraint`` and ``set_objective`` drop all three;
+a ``set_rhs`` that flips a row's sign normalisation rebuilds the form.
 
-A start basis
--------------
-A program given :meth:`~LinearProgram.start_from` another starts each solve
-from the final basis of that program's last optimal solve, where that basis
-fits: the program is the other one plus appended ``<=`` rows, the shared
-rows normalise to the same signs, and no appended row's right-hand side is
-negative (a flipped row has a surplus and an artificial, not a slack).  The
-shared rows keep their basic columns, artificial columns move up by the
-number of appended rows, and each appended row's slack joins the basis.
-The basis is nonsingular, because the appended rows only border it, and
-where its basic values are feasible to within ``FEAS_TOL`` phase 1 is
-skipped and phase 2 starts from it.  Its artificials are those of redundant
-rows, basic at zero, which phase 2 never moves.  A basis that does not fit,
-or is infeasible under the new right-hand sides, is not used: the solve
-runs phase 1 as any other.  A solve that raises :class:`SolverError`
-restarts under Bland's rule from phase 1, whatever its start.  The pivot
-record keys every state by its basis, so a start basis is replayed like any
-other.
+A solve starts from the first of two bases that fits and is feasible: the
+program's own last optimal basis, then that of the program given to
+:meth:`~LinearProgram.start_from`.  The second fits where the program is
+the other one plus appended ``<=`` rows with nonnegative right-hand sides
+(a flipped row has a surplus and an artificial, not a slack), and the shared
+rows normalise to the same signs.  The shared rows keep their basic columns,
+the artificial columns move past the appended rows' slacks, and those join
+the basis, which stays nonsingular because they only border it.  With no
+appended rows a fit is the same basis, with its LU where one was kept.  A
+fitting basis is taken where its basic values are feasible and its
+artificials, those of redundant rows, are zero, both to within
+``FEAS_TOL`` times the largest ``b`` (or 1); phase 2 then starts from it,
+and an optimal one takes no pivot.  Otherwise, and always in a restart under Bland's rule, the solve
+runs phase 1.  A re-solve's status and objective are a fresh solve's, and
+so are its values, to rounding, where the optimum is unique.
 
 Conventions
 -----------
@@ -163,7 +138,7 @@ class LinearProgram:
     so; any other bound on it is a constraint.  Constraints may use relation
     ``"<="``, ``"="``, or ``">="``; their right-hand sides live in one array,
     in declaration order.  A program re-solved after :meth:`set_rhs` calls
-    only replays its last solve (see the module docstring).
+    only starts from its last optimal basis (see the module docstring).
     """
 
     def __init__(self) -> None:
@@ -176,11 +151,12 @@ class LinearProgram:
         self._changed()
 
     def _changed(self) -> None:
-        """The structure changed: drop the standard form, the pivot record and the final basis."""
+        """The structure changed: drop the standard form and the final basis."""
 
         self._std: _Standardized | None = None
-        self._record: dict | None = None
-        self._final: tuple[list[int], int, np.ndarray] | None = None
+        # the last optimal solve's basis, column count before the artificials,
+        # row flips and, where the form is kept, the basis's LU
+        self._final: tuple[list[int], int, np.ndarray, object] | None = None
         self._solved = False
 
     # -- construction -----------------------------------------------------
@@ -243,11 +219,12 @@ class LinearProgram:
         self._rhs[row : last + 1] = values
 
     def start_from(self, other: LinearProgram) -> None:
-        """Start every later solve from the final basis of ``other``'s last optimal solve.
+        """Start later solves from the final basis of ``other``'s last optimal solve.
 
         Meant for a program built as ``other.copy()`` plus appended ``<=``
-        rows; a solve uses the basis only where it fits (see the module
-        docstring) and otherwise runs phase 1 as usual.
+        rows.  A solve uses that basis where its own last optimal basis is
+        not taken, and only where it fits and is feasible (see the module
+        docstring); otherwise it runs phase 1 as usual.
         """
 
         self._start = other
@@ -517,29 +494,6 @@ def _lu_solve(lu, v: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-class _Replay:
-    """One solve's pivoting states, from the record of the program's last solve.
-
-    A state ``old`` lacks is computed; every state goes into ``new``, the
-    record this solve leaves.  Without a ``new`` record all are computed.
-    """
-
-    def __init__(self, old: dict | None = None, new: dict | None = None):
-        self.old = old or {}
-        self.new = new
-
-    def recall(self, key: tuple, compute):
-        if self.new is None:
-            return compute()
-        state = self.new.get(key)
-        if state is None:
-            state = self.old.get(key)
-            if state is None:
-                state = compute()
-            self.new[key] = state
-        return state
-
-
 class _Pivoter:
     """Shared pivoting loop for both simplex phases.
 
@@ -551,23 +505,22 @@ class _Pivoter:
     unchanged basis does not factorise it again.
     """
 
-    def __init__(self, std: _Standardized, stall_limit: int, replay):
+    def __init__(self, std: _Standardized, stall_limit: int):
         self.a, self.at, self.b = std.a, std.at, std.b
         self.n_real = std.n_real  # the columns past it are artificial
         self.stall_limit = stall_limit
-        self.replay = replay
         self.bland = False
         self.degenerate_run = 0
         self.pivots = 0
         self._lu_basis: tuple[int, ...] | None = None
         self._lu = None
 
-    def factor(self, basis: list[int]):
-        """The LU of the basis matrix ``a[:, basis]``."""
+    def factor(self, basis: list[int], lu=None):
+        """The LU of the basis matrix ``a[:, basis]``: ``lu``, where one is given."""
 
         key = tuple(basis)
         if key != self._lu_basis:
-            self._lu = self.replay.recall(("lu", key), lambda: _factor(self.a, basis))
+            self._lu = _factor(self.a, basis) if lu is None else lu
             self._lu_basis = key
         return self._lu
 
@@ -580,7 +533,7 @@ class _Pivoter:
         v[a.indices[first:end]] = a.data[first:end]
         return v
 
-    def run(self, c: np.ndarray, basis: list[int], phase: int) -> str:
+    def run(self, c: np.ndarray, basis: list[int]) -> str:
         """Pivot until optimal or unbounded; returns 'optimal' or 'unbounded'."""
 
         b = self.b
@@ -594,17 +547,13 @@ class _Pivoter:
                 etas.clear()
                 x_b = _lu_solve(lu, b)
                 c_b = c[basis]  # kept up to date below: gathering it anew costs more
-                root = (phase, tuple(basis))
-                pairs: tuple[tuple[int, int], ...] = ()
-            enter, direction, pos, pos_direction = self.replay.recall(
-                ("step", root, pairs, self.bland),
-                lambda: self._price(c, lu, etas, c_b),
-            )
+            enter, direction = self._price(c, lu, etas, c_b)
             if enter < 0:
                 return "optimal"
+            pos = np.flatnonzero(direction > _PIVOT_TOL)  # the rows the ratio test reads
             if pos.size == 0:
                 return "unbounded"
-            ratios = x_b[pos] / pos_direction
+            ratios = x_b[pos] / direction[pos]
             ties = pos[ratios <= np.minimum.reduce(ratios) + FEAS_TOL]
             leave = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
             x_leave = x_b[leave]
@@ -618,7 +567,6 @@ class _Pivoter:
             x_b -= theta * direction
             x_b[leave] = theta
             etas.append((leave, direction))
-            pairs += ((leave, enter),)
             basis[leave] = enter
             c_b[leave] = c[enter]
             self.pivots += 1
@@ -626,26 +574,22 @@ class _Pivoter:
     def _price(self, c, lu, etas, c_b) -> tuple:
         """One pricing step for costs ``c``, ``c_b`` on the basic columns.
 
-        Returns ``(enter, direction, pos, direction[pos])``.
-
-        ``direction`` is the entering column's FTRAN'd image and ``pos`` the
-        rows where it exceeds ``_PIVOT_TOL``, the rows the ratio test reads;
-        at the optimum ``enter`` is -1 and the rest ``None``.
+        Returns ``(enter, direction)``, ``direction`` being the entering
+        column's FTRAN'd image; at the optimum ``enter`` is -1 and
+        ``direction`` ``None``.
         """
 
         y = _btran(lu, etas, c_b)
         reduced = c - self.at @ y
         candidates = np.flatnonzero(reduced[: self.n_real] < -OPT_TOL)
         if candidates.size == 0:
-            return -1, None, None, None
+            return -1, None
         if self.bland:
             enter = int(candidates[0])
         else:
             best = reduced[candidates].min()
             enter = int(candidates[reduced[candidates] <= best + OPT_TOL][0])
-        direction = _ftran(lu, etas, self.column(enter))
-        pos = np.flatnonzero(direction > _PIVOT_TOL)
-        return enter, direction, pos, direction[pos]
+        return enter, _ftran(lu, etas, self.column(enter))
 
 
 def _ftran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
@@ -671,29 +615,23 @@ def _btran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
 def _drive_out_artificials(std: _Standardized, basis: list[int], pivoter: _Pivoter) -> None:
     """Pivot artificial variables out of the basis, in one ascending pass over the rows.
 
-    A basic artificial sits at value ~0 after a feasible phase 1.  If its row
-    has no eligible real column to pivot on, the row is a combination of the
-    others, and its artificial stays basic at zero: the row's entry in every
-    FTRAN'd real column is zero, so the ratio test never picks it, and phase
-    2 never prices artificial columns.  Each choice depends on the row, the
-    basis and the matrix alone, so it is a recorded state.
+    A basic artificial sits at value ~0 after a feasible phase 1.  Its row's
+    artificial is replaced by the first real column that can replace it.  If
+    there is none, the row is a combination of the others, and its
+    artificial stays basic at zero: the row's entry in every FTRAN'd real
+    column is zero, so the ratio test never picks it, and phase 2 never
+    prices artificial columns.
     """
 
-    def eligible_column(i: int) -> int:
-        """The first real column that can replace row ``i``'s artificial, or -1."""
-
+    for i in range(len(basis)):
+        if basis[i] < std.n_real:
+            continue
         e = np.zeros(len(basis))
         e[i] = 1.0
         w = _lu_solve(pivoter.factor(basis), e, trans=1)
         in_basis = set(basis)
         candidates = np.flatnonzero(np.abs((std.at @ w)[: std.n_real]) > _DROP_TOL).tolist()
-        return next((j for j in candidates if j not in in_basis), -1)
-
-    for i in range(len(basis)):
-        if basis[i] >= std.n_real:
-            enter = pivoter.replay.recall(("out", i, tuple(basis)), lambda: eligible_column(i))
-            if enter >= 0:
-                basis[i] = enter
+        basis[i] = next((j for j in candidates if j not in in_basis), basis[i])
 
 
 def _kept_form(lp: LinearProgram) -> _Standardized:
@@ -706,25 +644,25 @@ def _kept_form(lp: LinearProgram) -> _Standardized:
             std.b[:] = lp._rhs
             std.b[flip] = -std.b[flip]
             return std
-        lp._record = None  # a row's sign normalisation changed, and with it the matrix
     lp._std = _standardize(lp)
     return lp._std
 
 
-def _start_basis(lp: LinearProgram, std: _Standardized) -> list[int] | None:
-    """The final basis of the program ``lp`` starts from, in ``std``'s columns, if it fits.
+def _start_basis(lp: LinearProgram, other: LinearProgram | None, std: _Standardized):
+    """``other``'s last optimal basis in ``std``'s columns, with its LU or ``None``, if it fits.
 
-    It fits when ``lp`` has that program's variables and constraints, plus
+    It fits when ``lp`` has ``other``'s variables and constraints, plus
     appended ``<=`` rows whose right-hand sides are not negative, and each
-    shared row is normalised as it was in that program's solve.  Then the
-    shared rows keep their slack columns, each appended row's slack joins
-    the basis, and the artificial columns move past the new slacks.
+    shared row is normalised as it was in ``other``'s solve.  Then the
+    shared rows keep their basic columns, each appended row's slack joins
+    the basis, and the artificial columns move past the new slacks.  With no
+    appended row (``other`` may be ``lp`` itself) it is the same basis, and
+    its LU, where ``other`` kept one, comes with it.
     """
 
-    other = lp._start
     if other is None or other._final is None:
         return None
-    basis, n_real, row_flip = other._final
+    basis, n_real, row_flip, lu = other._final
     m = row_flip.size
     appended = lp._constraints[m:]
     k = len(appended)
@@ -736,65 +674,69 @@ def _start_basis(lp: LinearProgram, std: _Standardized) -> list[int] | None:
         or any(con.relation != "<=" for con in appended)
     ):
         return None
-    return [col if col < n_real else col + k for col in basis] + list(range(n_real, n_real + k))
+    shifted = [col if col < n_real else col + k for col in basis]
+    return shifted + list(range(n_real, n_real + k)), None if k else lu
 
 
 def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
-    keep = lp._solved  # a first solve keeps nothing: most programs are solved once
+    keep = lp._solved  # a first solve keeps no form and no LU: most programs are solved once
     lp._solved = True
-    lp._final = None
     std = _kept_form(lp) if keep else _standardize(lp)
     (m, width), n_real = std.a.shape, std.n_real
-
-    replay = _Replay()
-    if keep and not force_bland:
-        replay = _Replay(lp._record, {})
-        lp._record = replay.new
-    pivoter = _Pivoter(std, stall_limit=max(50, 2 * m), replay=replay)
+    pivoter = _Pivoter(std, stall_limit=max(50, 2 * m))
     pivoter.bland = force_bland
-    b_scale = max(1.0, float(np.max(std.b, initial=0.0)))
+    tol = FEAS_TOL * max(1.0, float(np.max(std.b, initial=0.0)))
 
-    start = None if force_bland else _start_basis(lp, std)
-    if start is not None:
-        x_b = _lu_solve(pivoter.factor(start), std.b)
-        if x_b.min(initial=0.0) < -FEAS_TOL * b_scale:
-            start = None  # infeasible under this program's right-hand sides
-    basis = list(std.basis) if start is None else start
+    # the program's own last optimal basis first, then that of the program it
+    # starts from; one is taken where its basic values are feasible and its
+    # artificials, those of redundant rows, still zero: a new right-hand side
+    # can make a redundant row inconsistent
+    basis = None
+    for other in () if force_bland else (lp, lp._start):
+        fit = _start_basis(lp, other, std)
+        if fit is None:
+            continue
+        start, lu = fit
+        x_b = _lu_solve(pivoter.factor(start, lu), std.b)
+        artificial = x_b[[i for i, col in enumerate(start) if col >= n_real]]
+        if x_b.min(initial=0.0) >= -tol and artificial.max(initial=0.0) <= tol:
+            basis = start
+            break
+    lp._final = None
 
-    # phase 1, from the artificial columns of the rows no slack can start;
-    # a start basis is feasible already
-    if start is None and width > n_real:
-        c1 = np.zeros(width)
-        c1[n_real:] = 1.0
-        outcome = pivoter.run(c1, basis, phase=1)
-        if outcome != "optimal":
-            raise SolverError("phase 1 reported unbounded")
-        x_b = _lu_solve(pivoter.factor(basis), std.b)
-        infeas = sum(x_b[[i for i, col in enumerate(basis) if col >= n_real]].tolist())
-        if infeas > FEAS_TOL * b_scale:
-            return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
-        _drive_out_artificials(std, basis, pivoter)
+    # phase 1, from the artificial columns of the rows no slack can start
+    if basis is None:
+        basis = list(std.basis)
+        if width > n_real:
+            c1 = np.zeros(width)
+            c1[n_real:] = 1.0
+            if pivoter.run(c1, basis) != "optimal":
+                raise SolverError("phase 1 reported unbounded")
+            x_b = _lu_solve(pivoter.factor(basis), std.b)
+            infeas = sum(x_b[[i for i, col in enumerate(basis) if col >= n_real]].tolist())
+            if infeas > tol:
+                return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
+            _drive_out_artificials(std, basis, pivoter)
 
     # phase 2
-    outcome = pivoter.run(std.c, basis, phase=2)
-    if outcome == "unbounded":
+    if pivoter.run(std.c, basis) == "unbounded":
         return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
 
     # an LU of the final basis, not the loop's eta file: the values below
-    # depend on the pivot path alone
+    # depend on the final basis alone
     lu = pivoter.factor(basis)
     x_b = _lu_solve(lu, std.b)
     x = np.zeros(n_real)
     real = [i for i, col in enumerate(basis) if col < n_real]
     x[[basis[i] for i in real]] = x_b[real]
-    y = pivoter.replay.recall(("y", tuple(basis)), lambda: _lu_solve(lu, std.c[basis], trans=1))
+    y = _lu_solve(lu, std.c[basis], trans=1)
 
     values = _recover_primal(std, x)
     objective = float(sum((std.cost * values).tolist()))
-    duals = np.where(std.row_flip, -y, y)  # not in place: the record may hold y
+    duals = np.where(std.row_flip, -y, y)
     dual_objective = float(std.rhs @ duals)
     _verify(std, values, duals, objective, dual_objective)
-    lp._final = (basis, n_real, std.row_flip)
+    lp._final = (basis, n_real, std.row_flip, lu if keep else None)
     primal = dict(zip(std.names, values.tolist()))
     return LpSolution(
         Status.OPTIMAL, objective, primal, tuple(duals.tolist()), dual_objective, pivoter.pivots
@@ -866,8 +808,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     certificates.  A solve that cannot be certified even after restarting
     under Bland's rule returns NUMERICAL_FAILURE rather than a wrong answer.
     A program solved again after only :meth:`LinearProgram.set_rhs` calls
-    replays the pivot decisions of its last solve; the result is the same as
-    a fresh solve's (see the module docstring).
+    starts from its last optimal basis: its status and objective are a fresh
+    solve's, and so are its values, to rounding, where the optimum is unique
+    (see the module docstring).
     """
 
     try:

@@ -70,7 +70,7 @@ def test_nd_recovery_work_is_pinned(monkeypatch, data_dir, nd_net, nd_priced):
     assert summary["inverse.calls"] == 1212
     assert summary["simplex.solves"] == 3636
     assert summary["simplex.stage2_solves"] == 1212
-    assert summary["simplex.pivots"] == 12812
+    assert summary["simplex.pivots"] == 154
     assert summary["simplex.non_optimal"] == 0
 
 
@@ -128,7 +128,7 @@ def test_nd_batch_work_is_pinned(monkeypatch, tmp_path):
     assert summary["inverse.calls"] == 1302
     assert summary["simplex.solves"] == 3906
     assert summary["simplex.stage2_solves"] == 1302
-    assert summary["simplex.pivots"] == 12277
+    assert summary["simplex.pivots"] == 190
     assert summary["simplex.non_optimal"] == 0
     digests = {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -148,11 +148,11 @@ def test_nd_batch_work_is_pinned(monkeypatch, tmp_path):
         "costs_independent/summary.txt":
             "d7ecfb6829b4b704aa86199dbfe3afdafc7f5e4409234065996b2a41887492ab",
         "nd_duals/agent_posteriors.csv":
-            "31f2b3224967d12b520bd6eab581850088719e5bb6fc5ee04566b3894a519d64",
+            "50cee4414143b844abfcc90cea2f4a2782608018ca544c69950e66e0cd2ace23",
         "nd_duals/prior_trace.csv":
-            "8a6ec0fc811ce3316a67754865fa0ebd787b8367943213b8c19cd48a35b87ca0",
+            "3d425aa0656be0974cf8c778d3d6c29e5303cc7cd3d05a85a97c44b02f20a3db",
         "nd_duals/summary.txt":
-            "779d8bc633274cb33189a13194830d03f83cdaf264da20e9b793e8bd9aee4131",
+            "b87e75719808bf404b09e2db2e29befe422e0517c8ac4fc9a46106d808f2e64b",
     }
 
 

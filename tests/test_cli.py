@@ -513,6 +513,37 @@ class TestMonitor:
         assert code == 2, err
         assert "not finite" in err
 
+    @pytest.mark.parametrize(
+        "prices, message",
+        [
+            ('"1": 2.0, "7": 0.0, "1": 3.0', "repeated key '1'"),
+            ('"1": 2.0, "7": 0.0, "01": 3.0', "price key '01' is not written as link id 1"),
+        ],
+        ids=["repeated", "unwritten"],
+    )
+    def test_ambiguous_price_key_in_state_file_is_data_error(
+        self, tmp_path, data_dir, capsys, prices, message
+    ):
+        """Two entries for one link are refused, not resolved by keeping the last."""
+
+        state_file = tmp_path / "state.json"
+        state_file.write_text(f'{{"prices": {{{prices}}}, "update_count": 3}}\n')
+        obs_file = tmp_path / "one.csv"
+        obs_file.write_text(
+            "agent_id,timestamp,origin,destination,link_seq\na,1,1,2,2;18;11\n"
+        )
+        code, _, err = run(
+            capsys,
+            "monitor",
+            str(data_dir / "nd_links.csv"),
+            str(obs_file),
+            "--priced", "1,7",
+            "--state", str(state_file),
+            "-o", str(tmp_path / "log.csv"),
+        )
+        assert code == 2, err
+        assert err == f"data error: cannot read online state from {state_file}: {message}\n"
+
     @pytest.mark.parametrize("stamp", ["nan", "inf"])
     def test_non_finite_timestamp_is_data_error(self, tmp_path, data_dir, capsys, stamp):
         """A stream with a non-finite timestamp is refused before any state is written."""

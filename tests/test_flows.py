@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from netinverse import flows
 from netinverse.errors import DataError, SolverError, UnreachableError
 from netinverse.flows import (
     FlowSolution,
@@ -188,6 +189,37 @@ class TestMulticommodity:
         write_flow_solution(sol, flows_file, duals_file)
         assert hashlib.sha256(flows_file.read_bytes()).hexdigest() == flows_sha
         assert hashlib.sha256(duals_file.read_bytes()).hexdigest() == duals_sha
+
+    @pytest.mark.parametrize("network", ["nd_net", "queens_net"])
+    def test_balance_rows_follow_the_links(self, network, request, monkeypatch):
+        """Each commodity's balance row has +1 on each link out of its node, -1 on each into it."""
+
+        class Built(Exception):
+            pass
+
+        def stop(lp):
+            raise Built(lp)
+
+        net = request.getfixturevalue(network)
+        nodes = sorted(net.nodes)
+        demand = DemandTable(
+            (DemandEntry(nodes[0], nodes[-1], 10.0), DemandEntry(nodes[-1], nodes[1], 5.0))
+        )
+        monkeypatch.setattr(flows, "solve", stop)
+        with pytest.raises(Built) as built:
+            solve_multicommodity(net, demand, CapacitySpec({}))
+        lp = built.value.args[0]
+        index = {lp.variable_name(j): j for j in range(lp.num_variables)}
+        rows = {con.name: (dict(con.coeffs), rhs) for con, rhs in zip(lp._constraints, lp._rhs)}
+        assert len(rows) == lp.num_constraints == 2 * len(nodes)
+        for m, entry in enumerate(demand.entries):
+            for node in nodes:
+                expected = {
+                    index[f"x[{m}][{link.id}]"]: 1.0 if link.tail == node else -1.0
+                    for link in net.links if node in (link.tail, link.head)
+                }
+                supply = {entry.origin: entry.flow, entry.destination: -entry.flow}
+                assert rows[f"balance[{m}][{node}]"] == (expected, supply.get(node, 0.0))
 
     def test_export_values_read_back_exactly(self, tmp_path):
         values = [1234567.25, 0.1 + 0.2, 2.5]

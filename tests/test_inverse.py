@@ -490,6 +490,15 @@ class TestTieBreak:
         assert pivots[0] > 0 and pivots[1:] == [0, 0]
 
 
+def assert_close(reused, fresh, tol=1e-9):
+    """A result from a reused handle is a fresh one's: objective and posterior to ``tol``."""
+
+    assert reused.objective == pytest.approx(fresh.objective, rel=tol, abs=tol)
+    assert reused.posterior.keys() == fresh.posterior.keys()
+    for lid, value in fresh.posterior.items():
+        assert abs(reused.posterior[lid] - value) < tol, lid
+
+
 class TestInverseLPs:
     """A handle reused across calls gives what fresh LPs give, and is rebuilt when it must."""
 
@@ -502,8 +511,9 @@ class TestInverseLPs:
         for _ in range(6):
             prior = {1: float(rng.uniform(0, 6)), 7: float(rng.uniform(0, 6))}
             reused = infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0], lps)
-            assert reused == infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0])
-        assert all(lp._record for lp in lps.stages)
+            assert_close(reused, infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0]))
+        # every stage kept its form and its final basis's LU
+        assert all(lp._std is not None and lp._final[3] is not None for lp in lps.stages)
         costs = infer_link_costs(nd_net, base, self.ROUTES[1], lps)
         assert costs == infer_link_costs(nd_net, base, self.ROUTES[1])
 
@@ -532,7 +542,7 @@ class TestInverseLPs:
             }[change]
             assert price(lps, **problem) == price(**problem)
         assert lps.key != key and lps.stages[0] is not stage1
-        assert lps.stages[0]._record is None
+        assert lps.stages[0]._std is None  # solved once since the rebuild
 
 
     def test_reused_handle_still_checks_the_prior(self, nd_net, nd_priced):
@@ -626,7 +636,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, d
 
 
 class TestInverseProperties:
-    """Both uses of the one inverse LP on random small connected networks."""
+    """Both uses of the one inverse LP on random networks."""
 
     @PROPERTY_SETTINGS
     @given(small_instances())
@@ -658,3 +668,40 @@ class TestInverseProperties:
         assert abs(path_cost(net, surcharged, observed) - best) < 1e-7
         assert oracle is not None and abs(result.objective - oracle) < 1e-7
         assert infer_dual_prices(net, base, priced, prior, observed) == result
+
+    @PROPERTY_SETTINGS
+    @given(st.sampled_from(["nd", "grid"]), st.sampled_from(["price", "cost"]), st.integers(0))
+    def test_handle_reused_over_priors_matches_fresh_lps(self, nd_net, network, variant, seed):
+        """One handle re-solved over a sequence of priors gives fresh LPs' answers."""
+
+        rng = np.random.default_rng(seed)
+        net = nd_net if network == "nd" else grid(3, rng)
+        nodes = sorted(net.nodes)
+        routes: list = []
+        while not routes:
+            origin, destination = rng.choice(nodes, 2, replace=False).tolist()
+            routes = enumerate_paths(net, (origin, destination), 50)
+        observed = routes[int(rng.integers(len(routes)))]
+        ids = [l.id for l in net.links]
+        if variant == "price":
+            adjustable = sorted(rng.choice(ids, int(rng.integers(1, len(ids) + 1)), replace=False))
+            priced, base = CapacitySpec.priced_only(adjustable), net.base_costs()
+
+            def infer(prior, lps=None):
+                return infer_dual_prices(net, base, priced, prior, observed, lps)
+        else:
+            adjustable = ids
+
+            def infer(prior, lps=None):
+                return infer_link_costs(net, prior, observed, lps)
+
+        lps = InverseLPs()
+        for _ in range(5):
+            prior = {lid: float(rng.uniform(0.0, 5.0)) for lid in adjustable}
+            try:
+                fresh = infer(prior)
+            except InconsistentObservation:
+                with pytest.raises(InconsistentObservation):
+                    infer(prior, lps)
+                continue
+            assert_close(infer(prior, lps), fresh)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from netinverse import learner, simplex
+from netinverse import inverse, learner
 from netinverse.errors import DataError, NoUsableObservations
 from netinverse.flows import path_cost, shortest_path, solve_multicommodity
 from netinverse.learner import (
@@ -438,6 +438,10 @@ class TestExports:
             ('{"prices": {"1": 1.0}, "last_timestamp": Infinity}', "last_timestamp is not finite"),
             ('{"prices": {"1": 1.0}, "update_count": null}', "update_count is not"),
             ('{"prices": {"1": 1.0}, "update_count": 2.5}', "update_count is not"),
+            ('{"prices": {"1": 2.0, "1": 3.0}}', "repeated key '1'"),
+            ('{"prices": {"1": 2.0, "01": 3.0}}', "price key '01' is not written as link id 1"),
+            ('{"prices": {"1": 1.0}, "update_count": 1, "update_count": 2}',
+             "repeated key 'update_count'"),
         ],
     )
     def test_malformed_state_file_is_data_error(self, tmp_path, payload, message):
@@ -557,35 +561,50 @@ class TestGroup:
 
 
 class TestPivotMemos:
-    """The per-group LP handles of the batch fixed points change no result."""
+    """The per-group LP handles of the batch fixed points change no result beyond rounding."""
 
     @staticmethod
     def run_with_and_without_memos(monkeypatch, run):
-        """Run with the handles, then with fresh LPs for every call, and compare."""
+        """Run with the handles, then with fresh LPs for every call, and compare.
+
+        The runs take the same iterations and agree to within 1e-9; the
+        handles' re-solves start from their last optimal bases and take
+        fewer pivots.
+        """
 
         handles: list[InverseLPs] = []
-        pricing: list[int] = []
-        real_price = simplex._Pivoter._price
+        pivots: list[int] = []
+        real_solve = inverse.solve
 
         def recorded():
             handles.append(InverseLPs())
             return handles[-1]
 
-        def counting(self, *args):
-            pricing.append(1)
-            return real_price(self, *args)
+        def counting(lp):
+            solution = real_solve(lp)
+            pivots.append(solution.pivots)
+            return solution
 
-        monkeypatch.setattr(simplex._Pivoter, "_price", counting)
+        monkeypatch.setattr(inverse, "solve", counting)
         monkeypatch.setattr(learner, "InverseLPs", recorded)
         with_memos = run()
-        computed = len(pricing)
-        # every handle kept its LPs and their record across the iterations
-        assert handles and all(lps.stages[0]._record is not None for lps in handles)
+        kept = sum(pivots)
+        # every handle kept its LPs and their final bases across the iterations
+        assert handles and all(lps.stages[0]._final is not None for lps in handles)
         monkeypatch.setattr(learner, "InverseLPs", lambda: None)
-        assert run() == with_memos
-        total = len(pricing) - computed
-        # the steps replayed outnumber those computed
-        assert total - computed > computed
+        fresh = run()
+        assert sum(pivots) - kept > kept
+        close = dict(rel=1e-9, abs=1e-9)
+        assert (fresh.iterations, fresh.converged, fresh.skipped_agents) == (
+            with_memos.iterations, with_memos.converged, with_memos.skipped_agents
+        )
+        assert len(fresh.priors) == len(with_memos.priors)
+        for prior, kept_prior in zip(fresh.priors, with_memos.priors):
+            assert kept_prior == pytest.approx(prior, **close)
+        assert fresh.per_agent_posteriors.keys() == with_memos.per_agent_posteriors.keys()
+        for agent, posterior in fresh.per_agent_posteriors.items():
+            assert with_memos.per_agent_posteriors[agent] == pytest.approx(posterior, **close)
+        assert with_memos.final_gap == pytest.approx(fresh.final_gap, **close)
         return with_memos
 
     @staticmethod

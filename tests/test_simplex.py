@@ -93,6 +93,20 @@ def highs_minimum(lp: LinearProgram) -> float:
     return float(res.fun)
 
 
+def assert_same_answer(resolved, fresh, unique=True, tol=1e-9):
+    """A re-solve answers as a fresh solve: the same status, and objective to ``tol``.
+
+    The values agree to ``tol`` too where the optimum is ``unique``; among
+    tied optima a re-solve may end at another vertex than a fresh solve.
+    """
+
+    assert resolved.status is fresh.status
+    if fresh.status is Status.OPTIMAL:
+        assert resolved.objective == pytest.approx(fresh.objective, rel=tol, abs=tol)
+        if unique:
+            assert resolved.primal == pytest.approx(fresh.primal, rel=tol, abs=tol)
+
+
 def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     """Random feasible LP, bounded below by construction (c >= 0, x >= 0)."""
 
@@ -334,12 +348,12 @@ def grid_price_inverse(k: int, rng: np.random.Generator, prior=None):
 class TestProductFormUpdates:
     @staticmethod
     def assert_same_as_refactorising(lp, monkeypatch):
-        """Solve with the default update interval and with one LU per pivot."""
+        """Solve with the default update interval and, fresh, with one LU per pivot."""
 
         updated = solve(lp)
         with monkeypatch.context() as m:
             m.setattr(simplex, "_REFACTOR_EVERY", 1)
-            refactorised = solve(lp)
+            refactorised = solve(lp.copy())
         assert updated.status is Status.OPTIMAL
         assert updated.status is refactorised.status
         assert updated.pivots == refactorised.pivots
@@ -649,9 +663,9 @@ class TestFactoriseOnce:
         every_time: list[np.ndarray] = []
         monkeypatch.setattr(simplex, "_factor", counting(every_time))
         monkeypatch.setattr(
-            simplex._Pivoter, "factor", lambda self, basis: simplex._factor(self.a, basis)
+            simplex._Pivoter, "factor", lambda self, basis, lu=None: simplex._factor(self.a, basis)
         )
-        refactorised = solve(lp)
+        refactorised = solve(lp.copy())
         assert solution.status is Status.OPTIMAL
         assert solution == refactorised
         assert len(once) < len(every_time)
@@ -663,7 +677,7 @@ class TestSparseBases:
 
     @staticmethod
     def both_stages(k, monkeypatch, threshold):
-        """The grid price inverse's two stages, each solved fresh, recorded and replayed.
+        """The grid price inverse's two stages, each solved fresh, then twice from its own basis.
 
         Also returns, per LU factorised, whether it was LAPACK's (dense).
         """
@@ -685,7 +699,8 @@ class TestSparseBases:
             stage2.add_constraint({j: 1.0 for j in e + f}, "<=", first[0].objective)
             stage2.set_objective({j: 1.0 for j in e})
             second = [solve(stage2) for _ in range(3)]
-        assert first == [first[0]] * 3 and second == [second[0]] * 3
+        for solutions in (first, second):
+            assert solutions[1:] == [dataclasses.replace(solutions[0], pivots=0)] * 2
         return (lp, first[0]), (stage2, second[0]), lu_kinds
 
     @pytest.mark.parametrize("k", [6, 8])
@@ -760,7 +775,7 @@ class TestSparseBases:
 
 
 def count_pricing(monkeypatch) -> list[int]:
-    """Count the pricing steps solves compute rather than take from a record."""
+    """Count the pricing steps solves compute."""
 
     calls: list[int] = []
     real = simplex._Pivoter._price
@@ -774,7 +789,10 @@ def count_pricing(monkeypatch) -> list[int]:
 
 
 class TestPivotMemo:
-    """Re-solves after ``set_rhs`` give what fresh programs give, bit for bit."""
+    """A re-solve after ``set_rhs`` starts from the program's last optimal basis.
+
+    It answers as a fresh program does, with fewer pivots.
+    """
 
     K = 4
     LINKS = 4 * K * (K - 1)
@@ -807,36 +825,40 @@ class TestPivotMemo:
         rng = np.random.default_rng(seed)
         return [list(rng.uniform(0.0, 2.0, cls.LINKS)) for _ in range(count)]
 
-    def test_sequence_of_priors(self, monkeypatch):
-        pricing = count_pricing(monkeypatch)
+    @classmethod
+    def assert_as_fresh(cls, prior, lps):
+        """Both stages re-solved in ``lps`` answer as fresh programs do; returns both pivot sums.
+
+        Both stages have tied optima: only their objectives are compared.
+        """
+
+        kept, alone = cls.lexicographic(prior, lps), cls.lexicographic(prior)
+        for resolved, fresh in zip(kept, alone):
+            assert resolved.status is Status.OPTIMAL
+            assert_same_answer(resolved, fresh, unique=False)
+        return sum(s.pivots for s in kept), sum(s.pivots for s in alone)
+
+    def test_sequence_of_priors(self):
         lps: list = []
-        resolved = fresh = 0
-        for prior in self.priors(2, 8):
-            start = len(pricing)
-            with_record = self.lexicographic(prior, lps)
-            resolved += len(pricing) - start
-            start = len(pricing)
-            assert with_record == self.lexicographic(prior)
-            fresh += len(pricing) - start
-            assert all(s.status is Status.OPTIMAL for s in with_record)
+        pivots = [self.assert_as_fresh(prior, lps) for prior in self.priors(2, 8)]
+        resolved, fresh = map(sum, zip(*pivots))
         assert 0 < resolved < fresh
 
-    def test_leaving_choice_changed_mid_path(self, monkeypatch):
-        pricing = count_pricing(monkeypatch)
+    def test_old_basis_infeasible_under_the_new_prior(self):
+        """Phase 1 runs again, and the answer certifies as a fresh program's does."""
+
         prior = self.priors(5, 1)[0]
         lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
         solve(lp)
-        solve(lp)  # the second solve records its path
+        solve(lp)  # the second solve keeps the form and the final basis's LU
         moved = [p + 1.0 if n <= 8 else p for n, p in enumerate(prior)]
         fresh, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), moved)
         lp.set_rhs(0, fresh._rhs)
-        start = len(pricing)
-        replayed = solve(lp)
-        computed = len(pricing) - start
-        start = len(pricing)
-        assert replayed == solve(fresh)
-        # part of the path was replayed, then the new prior chose another row to leave
-        assert 0 < computed < len(pricing) - start
+        _, _, _, lu = lp._final
+        assert simplex._lu_solve(lu, simplex._kept_form(lp).b).min() < -FEAS_TOL
+        resolved = solve(lp)
+        assert resolved.status is Status.OPTIMAL and resolved.pivots > 0
+        assert_same_answer(resolved, solve(fresh), unique=False)
 
     @staticmethod
     def changed(lp: LinearProgram, row: int | None = None, cost=None, **changes) -> LinearProgram:
@@ -849,8 +871,7 @@ class TestPivotMemo:
             copy._constraints[row] = dataclasses.replace(lp._constraints[row], **changes)
         return copy
 
-    def test_changed_lp_is_solved_fresh(self, monkeypatch):
-        pricing = count_pricing(monkeypatch)
+    def test_changed_lp_is_solved_fresh(self):
         prior = self.priors(3, 1)[0]
         tight = grid_price_inverse(self.K, np.random.default_rng(1), prior)[0]._rhs[-1]
 
@@ -877,27 +898,25 @@ class TestPivotMemo:
             lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
             solve(lp)
             solve(lp)
-            assert lp._record
             variant = change(lp)
-            start = len(pricing)
-            resolved = solve(lp)
-            computed = len(pricing) - start
-            start = len(pricing)
-            assert resolved == solve(variant)
-            # the re-solve replayed nothing
-            assert computed == len(pricing) - start
+            # no kept basis fits: the re-solve runs phase 1, pivot for pivot as a fresh one
+            assert solve(lp) == solve(variant)
 
     def test_memo_holds_the_latest_solve_only(self):
+        """A re-solve under the same prior takes no pivot; a solve that is not optimal keeps nothing."""
+
         lps: list = []
-        priors = self.priors(4, 30)
-        self.lexicographic(priors[0], lps)
-        for prior in priors:
-            self.lexicographic(prior, lps)
-            alone: list = []
-            self.lexicographic(prior, alone)
-            self.lexicographic(prior, alone)
-            assert [len(lp._record) for lp in lps] == [len(lp._record) for lp in alone]
-            assert sum(len(lp._record) for lp in lps) < 4 * self.LINKS
+        for prior in self.priors(4, 5):
+            first = self.lexicographic(prior, lps)
+            again = self.lexicographic(prior, lps)
+            assert again == tuple(dataclasses.replace(s, pivots=0) for s in first)
+        pinned = lps[1].num_constraints - 1
+        lps[1].set_rhs(pinned, first[0].objective - 1.0)
+        assert solve(lps[1]).status is Status.INFEASIBLE and lps[1]._final is None
+        lps[1].set_rhs(pinned, first[0].objective)
+        restored = solve(lps[1])
+        assert restored.pivots > 0
+        assert_same_answer(restored, first[1], unique=False)
 
     def test_refactorising_every_pivot(self, monkeypatch):
         """Phase 2 may start from the basis phase 1 last factorised."""
@@ -905,23 +924,21 @@ class TestPivotMemo:
         monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
         lps: list = []
         for prior in self.priors(7, 3):
-            assert self.lexicographic(prior, lps) == self.lexicographic(prior)
+            self.assert_as_fresh(prior, lps)
         # phase 1 ends with x basic and no artificial left; phase 2 pivots y in
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
         y = lp.add_variable("y")
         lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
-        solutions = [solve(lp) for _ in range(3)]  # a first solve, a recording one, a replay
-        assert solutions == [solutions[0]] * 3
+        solutions = [solve(lp) for _ in range(3)]  # a first solve, one keeping the form, one its LU
+        assert solutions[1:] == [dataclasses.replace(solutions[0], pivots=0)] * 2
         assert solutions[0].primal == {"x": 0.0, "y": 2.0}
 
     def test_bland_switch(self, monkeypatch):
-        """A re-solve that switches to Bland's rule sooner does not replay Dantzig steps."""
+        """Re-solves on Bland's rule from the first degenerate pivot answer as fresh solves."""
 
         prior = [0.0] * self.LINKS  # every nonnegativity row degenerate
-        lps: list = []
-        self.lexicographic(prior, lps)
-        dantzig = self.lexicographic(prior, lps)
+        dantzig = self.lexicographic(prior)
         real_init = simplex._Pivoter.__init__
 
         def eager_bland(pivoter, *args, **kwargs):
@@ -929,21 +946,48 @@ class TestPivotMemo:
             pivoter.stall_limit = 0  # Bland's rule from the first degenerate pivot
 
         monkeypatch.setattr(simplex._Pivoter, "__init__", eager_bland)
-        bland = self.lexicographic(prior, lps)
-        assert bland == self.lexicographic(prior)
+        bland = self.lexicographic(prior)
         assert [s.pivots for s in bland] != [s.pivots for s in dantzig]
+        lps: list = []
+        for prior in [prior] + self.priors(8, 3):
+            self.assert_as_fresh(prior, lps)
 
-    def test_unchanged_lp_computes_no_pricing_step(self, monkeypatch):
+    def test_unchanged_lp_takes_no_pivot(self, monkeypatch):
+        """One pricing step per stage confirms the kept basis; from the third solve no LU is made."""
+
         pricing = count_pricing(monkeypatch)
+        factorised: list[int] = []
+        real = simplex._factor
+        monkeypatch.setattr(simplex, "_factor", lambda *args: factorised.append(1) or real(*args))
         lps: list = []
         prior = self.priors(6, 1)[0]
         first = self.lexicographic(prior, lps)
-        computed = len(pricing)
-        assert computed > 0
-        assert self.lexicographic(prior, lps) == first  # computes again, and records
-        assert len(pricing) == 2 * computed
-        assert self.lexicographic(prior, lps) == first
-        assert len(pricing) == 2 * computed
+        assert len(pricing) > 2
+        for factorisations in (2, 0):
+            pricing.clear()
+            factorised.clear()
+            assert self.lexicographic(prior, lps) == tuple(
+                dataclasses.replace(s, pivots=0) for s in first
+            )
+            assert (len(pricing), len(factorised)) == (2, factorisations)
+
+    def test_redundant_row_made_inconsistent_is_infeasible(self, caplog):
+        """A kept basis whose redundant row's artificial turns positive is not taken."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y", cost=2.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0)  # redundant: its artificial stays basic
+        lp.add_constraint({x: 1.0}, "<=", 1.5)
+        solve(lp)
+        assert solve(lp).status is Status.OPTIMAL
+        basis, n_real, _, _ = lp._final
+        assert any(col >= n_real for col in basis)
+        lp.set_rhs(1, 5.0)  # 2x + 2y = 5 contradicts x + y = 2
+        with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
+            assert solve(lp).status is Status.INFEASIBLE
+        assert not caplog.records
 
 
 class TestSetRhs:
@@ -1025,6 +1069,8 @@ class TestSetRhs:
             assert outcomes[0] is None and any(outcomes)
 
     def test_structural_change_drops_the_record(self):
+        """A structural change drops what the program kept: its form and its final basis."""
+
         for change in (
             lambda lp: lp.add_variable("spare"),
             lambda lp: lp.add_constraint({0: 1.0}, ">=", 0.0),
@@ -1034,16 +1080,18 @@ class TestSetRhs:
             solve(lp)
             solve(lp)
             change(lp)
-            assert lp._std is None and lp._record is None
-            solve(lp)
-            assert lp._std is None and lp._record is None
+            assert lp._std is None and lp._final is None
+            solve(lp)  # a first solve of the new structure: its final basis, with no LU
+            assert lp._std is None and lp._final[3] is None
 
     def test_lp_solved_once_holds_no_record(self):
+        """A program solved once keeps its final basis, but not its form or that basis's LU."""
+
         lp, _, _ = grid_price_inverse(4, np.random.default_rng(1))
         solve(lp)
-        assert lp._std is None and lp._record is None
+        assert lp._std is None and lp._final[3] is None
         solve(lp)
-        assert lp._std is not None and lp._record
+        assert lp._std is not None and lp._final[3] is not None
 
     def test_rhs_that_changes_sign(self):
         """A row whose right-hand side changes sign flips in the standard form."""
@@ -1057,7 +1105,7 @@ class TestSetRhs:
         for rhs in (2.0, 3.0, -4.0, -1.0, 0.0, 5.0):
             lp.set_rhs(0, rhs)
             lp.set_rhs(1, -rhs)
-            assert solve(lp) == solve(TestPivotMemo.changed(lp))
+            assert_same_answer(solve(lp), solve(TestPivotMemo.changed(lp)))
             flips.append(bool(lp._std.row_flip[1]) if lp._std is not None else None)
         assert flips == [None, True, False, False, False, True]
 
@@ -1087,7 +1135,7 @@ class TestSetRhs:
                     lp.set_rhs(3, 3.0 * rhs)
                 fresh = TestPivotMemo.changed(lp)
                 solution = solve(lp)
-                assert solution == solve(fresh)
+                assert_same_answer(solution, solve(fresh))
                 assert [solution.duals[i] for i in redundant] == [0.0] * len(redundant)
                 assert lp._std is kept and kept.a.shape == a.shape
                 for matrix in (kept.a, kept.at.T):
@@ -1146,8 +1194,9 @@ class TestStartBasis:
         second.start_from(first)
         assert solve(second).status is Status.INFEASIBLE
 
-    def test_start_is_replayed_like_any_other(self):
-        first, e, f = grid_price_inverse(3, np.random.default_rng(1))
+    def test_started_program_resolves_from_its_own_basis(self):
+        prior = list(np.random.default_rng(1).uniform(0.0, 2.0, 24))
+        first, e, f = grid_price_inverse(3, np.random.default_rng(1), prior)
         second = first.copy()
         second.add_constraint({j: 1.0 for j in e + f}, "<=", 0.0)
         second.set_objective({j: 1.0 for j in e})
@@ -1157,7 +1206,9 @@ class TestStartBasis:
             optimum = solve(first)
             second.set_rhs(second.num_constraints - 1, optimum.objective)
             results.append(solve(second))
-        assert results == [results[0]] * 3 and second._record
+        # the first solve starts from first's final basis, the later ones from second's own
+        assert results[0].pivots > 0
+        assert results[1:] == [dataclasses.replace(results[0], pivots=0)] * 2
         cold = second.copy()
         assert abs(solve(cold).objective - results[0].objective) < 1e-9
 
@@ -1169,7 +1220,7 @@ class TestStartBasis:
         lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0)  # redundant: its artificial stays basic
         lp.add_constraint({x: 1.0}, "<=", 1.5)
         first = solve(lp)
-        basis, n_real, _ = lp._final
+        basis, n_real, _, _ = lp._final
         assert any(col >= n_real for col in basis)
         second = lp.copy()
         second.add_constraint({x: 1.0, y: 2.0}, "<=", first.objective)
