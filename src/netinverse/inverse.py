@@ -27,10 +27,19 @@ among stage 2's optima, where ``k`` is a link's 0-based position among the
 Each later stage is the stage before plus one row pinning that stage's
 objective at its minimum, and starts from that stage's final basis (see
 :mod:`netinverse.simplex`), so it skips phase 1.
+
+When the observed route is already a shortest route under the base costs
+plus the prior, ``e = f = 0`` at every optimum of every stage, and the
+answer is the prior at deviation 0.  :func:`answer_at_prior` decides this
+with one Dijkstra search, after the same checks the LP path makes, and the
+learner (:mod:`netinverse.learner`) asks it before it asks for an LP.
+:func:`infer_link_costs` and :func:`infer_dual_prices` always solve the LP.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
@@ -41,6 +50,7 @@ from .network import (
     CapacitySpec,
     LinkId,
     Network,
+    NodeId,
     Path,
     PriceVector,
     _check_values,
@@ -109,6 +119,61 @@ def _posterior(lid: LinkId, value: float) -> float:
     if value < -FEAS_TOL:
         raise SolverError(f"posterior for link {lid} is negative: {value:g}")
     return value if value >= _SNAP_TOL else 0.0
+
+
+def answer_at_prior(
+    net: Network,
+    costs: PriceVector,
+    adjustable: Iterable[LinkId],
+    prior: PriceVector,
+    observed: Path,
+) -> InverseResult | None:
+    """The inverse's answer without an LP, or ``None`` when it takes one.
+
+    Links in ``adjustable`` cost ``costs + prior``, the others ``costs``, as
+    in :func:`_inverse`.  When the observed route, summed in route order,
+    costs no more than the shortest distance between its endpoints, the
+    distances are feasible potentials at ``e = f = 0``, and every optimum of
+    every stage is the prior: the result is the prior, through the same
+    clamp as an LP posterior, at objective 0.  Otherwise, including a route
+    longer only by rounding, this returns ``None``.  The route, the base
+    costs and the prior are checked first, in that order and with the
+    messages of the LP path; a price caller checks its
+    :class:`~netinverse.network.CapacitySpec` itself.
+    """
+
+    validate_path(net, observed)
+    _check_values("base cost", costs, [l.id for l in net.links])
+    adjustable = list(adjustable)
+    _check_values("prior", prior, adjustable)
+    adjusted = {l.id: costs[l.id] for l in net.links}
+    for lid in adjustable:
+        adjusted[lid] += prior[lid]
+    route = 0.0
+    for lid in observed.links:
+        route += adjusted[lid]
+    if route > _distance(net, adjusted, observed.origin, observed.destination):
+        return None
+    return InverseResult({lid: _posterior(lid, prior[lid]) for lid in adjustable}, 0.0)
+
+
+def _distance(net: Network, costs: PriceVector, origin: NodeId, destination: NodeId) -> float:
+    """The least ``costs`` of a route from ``origin`` to ``destination`` (Dijkstra)."""
+
+    best = {origin: 0.0}
+    heap = [(0.0, origin)]
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if node == destination:
+            return dist
+        if dist > best[node]:
+            continue  # a stale entry: the node was reached more cheaply
+        for link in net.outgoing(node):
+            reach = dist + costs[link.id]
+            if reach < best.get(link.head, math.inf):
+                best[link.head] = reach
+                heapq.heappush(heap, (reach, link.head))
+    return math.inf
 
 
 def infer_link_costs(

@@ -34,7 +34,13 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError, InconsistentObservation, NoUsableObservations
-from .inverse import InverseLPs, InverseResult, infer_dual_prices, infer_link_costs
+from .inverse import (
+    InverseLPs,
+    InverseResult,
+    answer_at_prior,
+    infer_dual_prices,
+    infer_link_costs,
+)
 from .network import (
     CapacitySpec,
     LinkId,
@@ -153,10 +159,11 @@ def _fixed_point(
     ``inverse(prior, route, lps)`` solves one group's inverse problem.  Each
     group gets its own :class:`~netinverse.inverse.InverseLPs` for the run:
     only the prior changes between iterations, and it enters the group's LPs
-    only through their right-hand sides, so the LPs are built once and each
-    re-solve starts from the last one's optimal basis, with the results
-    fresh LPs give, to rounding.  The handles are dropped on return.  An
-    observation whose agent id repeats raises
+    only through their right-hand sides, so the LPs are built at the first
+    call that needs one and each re-solve starts from the last one's optimal
+    basis, with the results fresh LPs give, to rounding.  A call answered by
+    :func:`~netinverse.inverse.answer_at_prior` builds none.  The handles
+    are dropped on return.  An observation whose agent id repeats raises
     :class:`~netinverse.errors.DataError` before any solve.  Groups the
     inverse finds inconsistent under ``prior0`` are dropped, reported and
     logged; a batch with nothing left raises
@@ -238,10 +245,14 @@ def estimate_costs(
     posterior and the posteriors average back to the common prior.
     """
 
+    zero = {l.id: 0.0 for l in net.links}
     return _fixed_point(
         observations,
-        [l.id for l in net.links],
-        lambda prior, route, lps: infer_link_costs(net, prior, route, lps),
+        list(zero),
+        lambda prior, route, lps: (
+            answer_at_prior(net, zero, zero, prior, route)
+            or infer_link_costs(net, prior, route, lps)
+        ),
         dict(initial_prior),
         tol,
         max_iter,
@@ -268,11 +279,15 @@ def recover_prices(
     :class:`~netinverse.errors.NoUsableObservations`.
     """
 
+    priced.validate_against(net)
     priced_ids = priced.priced_links()
     return _fixed_point(
         observations,
         priced_ids,
-        lambda prior, route, lps: infer_dual_prices(net, costs, priced, prior, route, lps),
+        lambda prior, route, lps: (
+            answer_at_prior(net, costs, priced_ids, prior, route)
+            or infer_dual_prices(net, costs, priced, prior, route, lps)
+        ),
         {lid: 0.0 for lid in priced_ids} if initial_prior is None else dict(initial_prior),
         tol,
         max_iter,
@@ -292,13 +307,17 @@ def online_update(
     The newly arrived agent's inverse problem is solved from the current
     prices and its posterior becomes the new common prior.  An observation
     that cannot be rationalized leaves the prices unchanged and is logged as
-    skipped.  A
-    route that is already optimal under the current prices also leaves them
-    unchanged (its minimum deviation is zero).
+    skipped.  A route that is already a shortest route under the current
+    prices takes no LP and leaves them unchanged, at deviation zero (see
+    :func:`~netinverse.inverse.answer_at_prior`; a price below 1e-9 reads as
+    0, as in every posterior).
     """
 
+    priced.validate_against(net)
     try:
-        result = infer_dual_prices(net, costs, priced, state.prices, ob.path)
+        result = answer_at_prior(
+            net, costs, priced.priced_links(), state.prices, ob.path
+        ) or infer_dual_prices(net, costs, priced, state.prices, ob.path)
         # a resumed state may price links beyond ``priced``: they keep their prices
         prices = {**state.prices, **result.posterior}
         objective, skipped = result.objective, False

@@ -7,6 +7,7 @@ solver with the code under test.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy.optimize import linprog
 from netinverse import inverse
 from netinverse.errors import DataError, InconsistentObservation, SolverError
 from netinverse.flows import shortest_path
-from netinverse.inverse import InverseLPs, infer_dual_prices, infer_link_costs
+from netinverse.inverse import InverseLPs, answer_at_prior, infer_dual_prices, infer_link_costs
 from netinverse.network import (
     CapacitySpec,
     Link,
@@ -705,3 +706,52 @@ class TestInverseProperties:
                     infer(prior, lps)
                 continue
             assert_close(infer(prior, lps), fresh)
+
+
+class TestAnswerAtPrior:
+    """The learner's answer without an LP is the LP's answer wherever it gives one."""
+
+    @staticmethod
+    def problem(instance, variant):
+        """The shortcut's answer, the LP's solve, and the links' adjusted costs."""
+
+        net, observed, priced_ids, full_prior = instance
+        if variant == "cost":
+            zero = {l.id: 0.0 for l in net.links}
+            return (
+                answer_at_prior(net, zero, zero, full_prior, observed),
+                lambda: infer_link_costs(net, full_prior, observed),
+                full_prior,
+            )
+        base, priced = net.base_costs(), CapacitySpec.priced_only(priced_ids)
+        prior = {lid: full_prior[lid] for lid in priced_ids}
+        adjusted = {lid: c + prior.get(lid, 0.0) for lid, c in base.items()}
+        return (
+            answer_at_prior(net, base, priced_ids, prior, observed),
+            lambda: infer_dual_prices(net, base, priced, prior, observed),
+            adjusted,
+        )
+
+    @PROPERTY_SETTINGS
+    @given(small_instances(), st.sampled_from(["price", "cost"]))
+    def test_shortcut_equals_the_lp(self, instance, variant):
+        net, observed = instance[0], instance[1]
+        answer, infer, adjusted = self.problem(instance, variant)
+        if answer is not None:
+            result = infer()
+            assert answer.objective == result.objective == 0.0
+            assert answer.posterior.keys() == result.posterior.keys()
+            for lid, value in answer.posterior.items():
+                assert math.isclose(result.posterior[lid], value, rel_tol=1e-12), lid
+            return
+        try:
+            objective = infer().objective
+        except InconsistentObservation:
+            return
+        if objective > 0.0:
+            return
+        # the LP snaps an objective below 1e-9 to 0: the route is longer by rounding only
+        route = path_cost(net, adjusted, observed)
+        _, best = shortest_path(net, adjusted, (observed.origin, observed.destination))
+        assert route <= best + 1e-9 * max(1.0, best)
+

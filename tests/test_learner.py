@@ -36,7 +36,7 @@ from netinverse.network import (
     enumerate_paths,
 )
 from netinverse.scenarios import decompose_path_flows, load_scenario, sample_flow_observations
-from netinverse.inverse import InverseLPs
+from netinverse.inverse import InverseLPs, answer_at_prior, infer_dual_prices, infer_link_costs
 
 
 def toy_observations(weights=(100.0, 200.0, 100.0)):
@@ -134,21 +134,30 @@ class TestRecoverPrices:
     def test_each_group_solved_once_per_iteration(self, toy_net, monkeypatch):
         """The consistency pass doubles as iteration 1: no group is solved twice."""
 
-        calls = []
-        real = learner.infer_dual_prices
+        answered, solved = [], []
+        real_answer, real_infer = learner.answer_at_prior, learner.infer_dual_prices
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def answer(*args):
+            result = real_answer(*args)
+            answered.append(result is not None)
+            return result
 
-        monkeypatch.setattr(learner, "infer_dual_prices", counting)
+        def infer(*args):
+            solved.append(args)
+            return real_infer(*args)
+
+        monkeypatch.setattr(learner, "answer_at_prior", answer)
+        monkeypatch.setattr(learner, "infer_dual_prices", infer)
         obs = toy_observations() + [Observation("bad", Path("O", "D", (3,)), weight=1.0)]
         priced = CapacitySpec.priced_only([1])
         trace = recover_prices(obs, toy_net, toy_net.base_costs(), priced)
         assert trace.skipped_agents == ("bad", "g3")
         assert trace.iterations > 1
+        # a group takes an LP exactly when the route is not already shortest
+        assert solved and True in answered
+        assert len(solved) == answered.count(False)
         # two usable routes solved per iteration, plus the one inconsistent route once
-        assert len(calls) == 2 * trace.iterations + 1
+        assert answered.count(True) + len(solved) == 2 * trace.iterations + 1
 
     def test_trace_shape_invariant(self, toy_net, toy_priced):
         trace = recover_prices(
@@ -307,6 +316,115 @@ class TestOnlineUpdate:
                               net.base_costs(), priced)
         assert state.log[-1].skipped
         assert state.prices == folded
+
+
+class TestChecksBeforeTheShortcut:
+    """A route answered without an LP meets every check a route that takes one meets.
+
+    Each fault raises, from every learner entry point it applies to, the
+    text the LP path gives, on route ``(1,)``, a shortest route under the
+    prior, and on route ``(2,)``, which is not.  The base costs and the
+    priced links apply to the price learners only; the online state refuses
+    a negative price itself.
+    """
+
+    NET = Network([Link(1, "O", "D", 1.0), Link(2, "O", "D", 2.0), Link(3, "O", "D", 4.0)])
+    COST_PRIOR = {1: 1.0, 2: 2.0, 3: 4.0}
+
+    @classmethod
+    def price_inputs(cls, fault, links):
+        costs, priced, prior = cls.NET.base_costs(), [1, 2], {1: 0.0, 2: 0.0}
+        path = Path("O", "X" if fault == "invalid path" else "D", links)
+        if fault == "missing prior":
+            del prior[2]
+        elif fault == "negative prior":
+            prior[1] = -1.0
+        elif fault == "missing base cost":
+            del costs[3]
+        elif fault == "unknown priced link":
+            priced.append(9)
+        return costs, CapacitySpec.priced_only(priced), prior, path
+
+    @classmethod
+    def cost_inputs(cls, fault, links):
+        prior = dict(cls.COST_PRIOR)
+        if fault == "missing prior":
+            del prior[3]
+        elif fault == "negative prior":
+            prior[1] = -1.0
+        return prior, Path("O", "X" if fault == "invalid path" else "D", links)
+
+    def test_the_two_routes_split_the_shortcut(self):
+        base, zero = self.NET.base_costs(), dict.fromkeys(self.COST_PRIOR, 0.0)
+        for links, answered in (((1,), True), ((2,), False)):
+            path = Path("O", "D", links)
+            price = answer_at_prior(self.NET, base, [1, 2], {1: 0.0, 2: 0.0}, path)
+            cost = answer_at_prior(self.NET, zero, zero, self.COST_PRIOR, path)
+            assert (price is not None, cost is not None) == (answered, answered)
+
+    @pytest.mark.parametrize("links", [(1,), (2,)])
+    @pytest.mark.parametrize(
+        "fault",
+        ["missing prior", "negative prior", "invalid path", "missing base cost",
+         "unknown priced link"],
+    )
+    def test_price_learners(self, fault, links):
+        costs, priced, prior, path = self.price_inputs(fault, links)
+        with pytest.raises(DataError) as lp_path:
+            infer_dual_prices(self.NET, costs, priced, prior, path)
+        ob = Observation("a", path)
+        with pytest.raises(DataError) as batch:
+            recover_prices([ob], self.NET, costs, priced, initial_prior=prior)
+        assert str(batch.value) == str(lp_path.value)
+        if fault != "negative prior":
+            with pytest.raises(DataError) as online:
+                online_update(OnlineState(prior), ob, self.NET, costs, priced)
+            assert str(online.value) == str(lp_path.value)
+
+    @pytest.mark.parametrize("links", [(1,), (2,)])
+    @pytest.mark.parametrize("fault", ["missing prior", "negative prior", "invalid path"])
+    def test_estimate_costs(self, fault, links):
+        prior, path = self.cost_inputs(fault, links)
+        with pytest.raises(DataError) as lp_path:
+            infer_link_costs(self.NET, prior, path)
+        with pytest.raises(DataError) as batch:
+            estimate_costs([Observation("a", path)], self.NET, prior)
+        assert str(batch.value) == str(lp_path.value)
+
+
+class TestExactPrior:
+    """A route group already shortest under an iteration's prior gets that prior exactly."""
+
+    def test_nd_flow_sampling(self, monkeypatch, data_dir, nd_net, nd_priced):
+        spec = load_scenario(data_dir / "scenarios" / "flow_sampling_800.scn")
+        obs = sample_flow_observations(spec)
+        base = nd_net.base_costs()
+        iterations = []
+        real_gap = learner._agents_off_prior
+
+        def recording(prior, mean, results):
+            iterations.append((prior, results))
+            return real_gap(prior, mean, results)
+
+        monkeypatch.setattr(learner, "_agents_off_prior", recording)
+        trace = recover_prices(obs, nd_net, base, nd_priced)
+        assert trace.converged
+        groups = learner._group(obs)
+        # the results come in the order of the usable routes, sorted by links
+        usable = [
+            route for route in sorted(groups, key=lambda route: route.links)
+            if groups[route][0].agent_id not in trace.skipped_agents
+        ]
+        cells = 0
+        for prior, results in iterations:
+            surcharged = {lid: c + prior.get(lid, 0.0) for lid, c in base.items()}
+            for route, result in zip(usable, results, strict=True):
+                _, best = shortest_path(nd_net, surcharged, (route.origin, route.destination))
+                if path_cost(nd_net, surcharged, route) <= best:
+                    assert result.posterior == prior
+                    assert result.objective == 0.0
+                    cells += 1
+        assert len(iterations) == trace.iterations and cells > trace.iterations
 
 
 class TestExports:
@@ -589,8 +707,10 @@ class TestPivotMemos:
         monkeypatch.setattr(learner, "InverseLPs", recorded)
         with_memos = run()
         kept = sum(pivots)
-        # every handle kept its LPs and their final bases across the iterations
-        assert handles and all(lps.stages[0]._final is not None for lps in handles)
+        # every handle that took an LP kept it and its final basis across the
+        # iterations; a group whose route was already shortest built none
+        built = [lps for lps in handles if lps.stages]
+        assert built and all(lps.stages[0]._final is not None for lps in built)
         monkeypatch.setattr(learner, "InverseLPs", lambda: None)
         fresh = run()
         assert sum(pivots) - kept > kept
