@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p_rec.add_argument("obs_file")
     p_rec.add_argument("--priced", required=True, help="comma-separated link ids, or 'all'")
     p_rec.add_argument("--prior", default=None, help="link_id,value file (default zeros)")
-    # tight default so six-decimal trace output lands on the fixed point
+    # tight default so the summary line's six decimals land on the fixed point
     p_rec.add_argument("--tol", type=float, default=1e-7)
     p_rec.add_argument("--max-iter", type=int, default=1000)
     p_rec.add_argument("-o", "--output", required=True, help="trace directory")

@@ -11,9 +11,10 @@ priced links (capacity surcharges).
 
 The LP is over node potentials ``y`` (free), per-link decrease variables
 ``e`` and increase variables ``f`` (nonnegative): potentials are feasible
-when ``y[head] - y[tail]`` never exceeds the adjusted cost of a link, and
-the observed route is forced to optimality by requiring its adjusted cost
-to equal the potential difference between its endpoints.
+when ``y[head] - y[tail]`` never exceeds the adjusted cost of a link.  The
+observed route is optimal when each of its links holds that with equality:
+summed along the route, the rows telescope to "its adjusted cost is
+``y[destination] - y[origin]``", a lower bound on every route's cost.
 
 Alternative optima are pervasive (any route made optimal is typically made
 *tied*), so the model, not the solver, picks the answer, in three
@@ -54,7 +55,6 @@ from .network import (
     Path,
     PriceVector,
     _check_values,
-    path_cost,
     validate_path,
 )
 from .simplex import FEAS_TOL, LinearProgram, Status, solve
@@ -82,8 +82,6 @@ class _Layout:
     priced_ids: list[LinkId]
     base: np.ndarray                        # each feas row's base cost, in link order
     priced_rows: np.ndarray                 # each priced link's feas row
-    route_cost: float                       # the observed route's base cost
-    route_priced: list[LinkId]              # the priced links on the route, in order
     deviation: list[int]                    # the e and f variables
     secondary: list[int]                    # the deviation set stage 2 minimises
     names: list[tuple[LinkId, str, str]]    # each priced link's e and f variable names
@@ -241,13 +239,9 @@ def _inverse(
     _check_values("prior", prior, layout.priced_ids)
     values = np.array([prior[lid] for lid in layout.priced_ids], dtype=float)
 
-    # right-hand sides: every feas[*] row, every nonneg[*] row, then tight
-    rhs = np.concatenate((layout.base, values, (0.0,)))
+    # right-hand sides: every feas[*] row, then every nonneg[*] row
+    rhs = np.concatenate((layout.base, values))
     rhs[layout.priced_rows] += values
-    tight = layout.route_cost
-    for lid in layout.route_priced:
-        tight += prior[lid]
-    rhs[-1] = tight
     for lp in lps.stages:
         lp.set_rhs(0, rhs)
 
@@ -276,7 +270,6 @@ def _rebuild(lps: InverseLPs, key: tuple) -> None:
     _check_values("base cost", costs, [l.id for l in net.links])
 
     row = {l.id: i for i, l in enumerate(net.links)}
-    priced_set = set(priced_ids)
     # e[l] and f[l] of the n-th adjustable link are variables 2n and 2n + 1
     e_vars = list(range(0, 2 * len(priced_ids), 2))
     f_vars = [j + 1 for j in e_vars]
@@ -284,8 +277,6 @@ def _rebuild(lps: InverseLPs, key: tuple) -> None:
         priced_ids=priced_ids,
         base=np.array([costs[l.id] for l in net.links], dtype=float),
         priced_rows=np.array([row[lid] for lid in priced_ids], dtype=np.intp),
-        route_cost=path_cost(net, costs, observed),
-        route_priced=[lid for lid in observed.links if lid in priced_set],
         deviation=e_vars + f_vars,
         secondary=e_vars if tie_break == "e" else f_vars,
         names=[(lid, f"e[{lid}]", f"f[{lid}]") for lid in priced_ids],
@@ -316,7 +307,10 @@ def _next_stage(lp: LinearProgram, pinned: list[int], objective: dict[int, float
 
 
 def _build(net: Network, priced_ids: list[LinkId], observed: Path):
-    """The stage-1 LP with every right-hand side 0, for ``_inverse`` to set."""
+    """The stage-1 LP with every right-hand side 0, for ``_inverse`` to set.
+
+    Each link's ``feas`` row is ``=`` on the observed route and ``<=`` off it.
+    """
 
     lp = LinearProgram()
     e_var: dict[LinkId, int] = {}
@@ -331,17 +325,11 @@ def _build(net: Network, priced_ids: list[LinkId], observed: Path):
         if link.id in e_var:
             coeffs[e_var[link.id]] = 1.0
             coeffs[e_var[link.id] + 1] = -1.0
-        lp.add_constraint(coeffs, "<=", 0.0, name=f"feas[{link.id}]")
+        sense = "=" if link.id in observed.links else "<="  # = makes the route optimal
+        lp.add_constraint(coeffs, sense, 0.0, name=f"feas[{link.id}]")
     for lid in priced_ids:
         # posterior stays nonnegative: e - f <= prior
         lp.add_constraint({e_var[lid]: 1.0, e_var[lid] + 1: -1.0}, "<=", 0.0, name=f"nonneg[{lid}]")
-    # observed route attains the potential difference (optimality)
-    coeffs = {y_var[observed.destination]: 1.0, y_var[observed.origin]: -1.0}
-    for lid in observed.links:
-        if lid in e_var:
-            coeffs[e_var[lid]] = coeffs.get(e_var[lid], 0.0) + 1.0
-            coeffs[e_var[lid] + 1] = coeffs.get(e_var[lid] + 1, 0.0) - 1.0
-    lp.add_constraint(coeffs, "=", 0.0, name="tight")
     return lp
 
 

@@ -164,9 +164,10 @@ def _fixed_point(
     basis, with the results fresh LPs give, to rounding.  A call answered by
     :func:`~netinverse.inverse.answer_at_prior` builds none.  The handles
     are dropped on return.  An observation whose agent id repeats raises
-    :class:`~netinverse.errors.DataError` before any solve.  Groups the
-    inverse finds inconsistent under ``prior0`` are dropped, reported and
-    logged; a batch with nothing left raises
+    :class:`~netinverse.errors.DataError` before any solve, and a ``prior0``
+    entry for a link not in ``link_ids`` raises it after the first pass's
+    checks.  Groups the inverse finds inconsistent under ``prior0`` are
+    dropped, reported and logged; a batch with nothing left raises
     :class:`~netinverse.errors.NoUsableObservations`.
     """
 
@@ -195,6 +196,9 @@ def _fixed_point(
             usable.append((route, lps))
         except InconsistentObservation:
             skipped.extend(ob.agent_id for ob in groups[route])
+    extra = sorted(set(prior0).difference(link_ids))
+    if extra:
+        raise DataError(f"initial prior has entries for links {extra}, which are not estimated")
     if not usable:
         raise NoUsableObservations("every observation was inconsistent with the priced links")
     if skipped:
@@ -281,6 +285,8 @@ def recover_prices(
 
     priced.validate_against(net)
     priced_ids = priced.priced_links()
+    if not priced_ids:
+        raise DataError("no links are priced")
     return _fixed_point(
         observations,
         priced_ids,

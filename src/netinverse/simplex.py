@@ -17,7 +17,7 @@ eta file, so they depend only on the final basis, not on the path to it.
 
 A basis of at least ``_SPARSE_ROWS`` rows is factorised by SuperLU
 (``scipy.sparse.linalg.splu``, COLAMD ordering), imported on first use: the
-inverse LPs of a large network are very sparse (the 449-row LP of an 8x8 grid
+inverse LPs of a large network are very sparse (the 448-row LP of an 8x8 grid
 has at most 8 nonzeros per column), and there a sparse LU costs a fraction of
 a dense one.  A smaller basis is gathered dense and factorised with LAPACK
 ``getrf``, which beats SuperLU's per-call cost on the tiny LPs most programs

@@ -648,6 +648,10 @@ class TestInverseProperties:
         _, best = shortest_path(net, result.posterior, (observed.origin, observed.destination))
         assert abs(path_cost(net, result.posterior, observed) - best) < 1e-7
         assert abs(result.objective - oracle_cost_objective(net, prior, observed)) < 1e-7
+        ids = [l.id for l in net.links]
+        zero = dict.fromkeys(ids, 0.0)
+        oracle = oracle_lexicographic_posterior(net, zero, ids, prior, observed, "f")
+        assert all(abs(v - oracle[lid]) < 1e-7 * (1 + abs(v)) for lid, v in result.posterior.items())
         assert infer_link_costs(net, prior, observed) == result
 
     @PROPERTY_SETTINGS
@@ -668,6 +672,8 @@ class TestInverseProperties:
         _, best = shortest_path(net, surcharged, (observed.origin, observed.destination))
         assert abs(path_cost(net, surcharged, observed) - best) < 1e-7
         assert oracle is not None and abs(result.objective - oracle) < 1e-7
+        oracle = oracle_lexicographic_posterior(net, base, priced_ids, prior, observed, "e")
+        assert all(abs(v - oracle[lid]) < 1e-7 * (1 + abs(v)) for lid, v in result.posterior.items())
         assert infer_dual_prices(net, base, priced, prior, observed) == result
 
     @PROPERTY_SETTINGS

@@ -392,6 +392,29 @@ class TestChecksBeforeTheShortcut:
         assert str(batch.value) == str(lp_path.value)
 
 
+class TestBatchInputsTheInverseDoesNotSee:
+    """Batch faults no inverse call meets, on a shortest route ``(1,)`` and on ``(2,)``."""
+
+    NET = TestChecksBeforeTheShortcut.NET
+
+    @pytest.mark.parametrize("links", [(1,), (2,)])
+    def test_no_priced_links(self, links):
+        ob = Observation("a", Path("O", "D", links))
+        with pytest.raises(DataError, match="no links are priced"):
+            recover_prices([ob], self.NET, self.NET.base_costs(), CapacitySpec({}))
+
+    @pytest.mark.parametrize("links", [(1,), (2,)])
+    def test_prior_entry_for_a_link_not_estimated(self, links):
+        ob = Observation("a", Path("O", "D", links))
+        priced = CapacitySpec.priced_only([1, 2])
+        with pytest.raises(DataError, match=r"links \[3\], which are not estimated"):
+            recover_prices([ob], self.NET, self.NET.base_costs(), priced,
+                           initial_prior={1: 0.0, 2: 0.0, 3: 5.0})
+        prior = {**TestChecksBeforeTheShortcut.COST_PRIOR, 9: 0.0}
+        with pytest.raises(DataError, match=r"links \[9\], which are not estimated"):
+            estimate_costs([ob], self.NET, prior)
+
+
 class TestExactPrior:
     """A route group already shortest under an iteration's prior gets that prior exactly."""
 
