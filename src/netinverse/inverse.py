@@ -9,12 +9,13 @@ base costs and every link adjustable (heterogeneous link costs);
 :func:`infer_dual_prices` holds the base costs fixed and adjusts only the
 priced links (capacity surcharges).
 
-The LP is over node potentials ``y`` (free), per-link decrease variables
-``e`` and increase variables ``f`` (nonnegative): potentials are feasible
-when ``y[head] - y[tail]`` never exceeds the adjusted cost of a link.  The
-observed route is optimal when each of its links holds that with equality:
-summed along the route, the rows telescope to "its adjusted cost is
-``y[destination] - y[origin]``", a lower bound on every route's cost.
+The LP is over per-link decrease variables ``e``, increase variables ``f``
+and node potentials ``y``, each potential the difference ``y[n] - y'[n]`` of
+two variables, since every LP variable is nonnegative.  Potentials are
+feasible when ``y[head] - y[tail]`` never exceeds the adjusted cost of a
+link.  The observed route is optimal when each of its links holds that with
+equality: summed along the route, the rows telescope to "its adjusted cost
+is ``y[destination] - y[origin]``", a lower bound on every route's cost.
 
 Alternative optima are pervasive (any route made optimal is typically made
 *tied*), so the model, not the solver, picks the answer, in three
@@ -317,11 +318,17 @@ def _build(net: Network, priced_ids: list[LinkId], observed: Path):
     for lid in priced_ids:
         e_var[lid] = lp.add_variable(f"e[{lid}]", cost=1.0)
         lp.add_variable(f"f[{lid}]", cost=1.0)  # index e_var[lid] + 1
-    y_var = {n: lp.add_variable(f"y[{n}]", free=True) for n in sorted(net.nodes)}
+    y_var: dict[NodeId, int] = {}
+    # the potential of n is y[n] - y'[n]: one column y[n] >= 0 per node has the
+    # same optima, but longer pivot paths (152 against 194 on the 8x8 grid curve)
+    for n in sorted(net.nodes):
+        y_var[n] = lp.add_variable(f"y[{n}]")
+        lp.add_variable(f"y'[{n}]")  # index y_var[n] + 1
 
     for link in net.links:
         # y[head] - y[tail] <= cost + prior - e + f  (potential feasibility)
-        coeffs = {y_var[link.head]: 1.0, y_var[link.tail]: -1.0}
+        head, tail = y_var[link.head], y_var[link.tail]
+        coeffs = {head: 1.0, head + 1: -1.0, tail: -1.0, tail + 1: 1.0}
         if link.id in e_var:
             coeffs[e_var[link.id]] = 1.0
             coeffs[e_var[link.id] + 1] = -1.0

@@ -61,10 +61,11 @@ so are its values, to rounding, where the optimum is unique.
 Conventions
 -----------
 * Objective sense is MIN.
-* A variable is nonnegative, ``x >= 0``, or free; there are no other bounds.
-  A free variable is split into two nonnegative columns, ``x = x' - x''``.
-* Duals are shadow prices, ``d(objective)/d(rhs)``: nonnegative for binding
-  ``>=`` rows, nonpositive for binding ``<=`` rows, free for equalities.
+* Every variable is nonnegative and has no other bound; rows are ``<=`` or
+  ``=``.  A caller writes a free quantity as the difference of two
+  variables, and a lower bound as a ``<=`` row with negated coefficients.
+* Duals are shadow prices, ``d(objective)/d(rhs)``: nonpositive for ``<=``
+  rows, free for equalities.
 * Entering variable: most negative reduced cost, lowest column index among
   candidates within tolerance.  A stall counter switches to Bland's rule to
   guarantee termination on degenerate problems.
@@ -106,7 +107,7 @@ _REFACTOR_EVERY = 32  # pivots between fresh LU factorisations of the basis
 # inverses it ties with LAPACK at about 100 to 160 rows and wins above
 _SPARSE_ROWS = 100
 
-_SENSE = {"<=": 1.0, "=": 0.0, ">=": -1.0}  # a slack column's entry; 0 for no slack
+_SENSE = {"<=": 1.0, "=": 0.0}  # a slack column's entry; 0 for no slack
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
@@ -115,12 +116,6 @@ class Status(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     NUMERICAL_FAILURE = "numerical_failure"
-
-
-@dataclass(frozen=True)
-class _Variable:
-    name: str
-    free: bool
 
 
 @dataclass(frozen=True)
@@ -134,15 +129,15 @@ class LinearProgram:
     """Mutable builder for a minimization LP.
 
     Variables are referenced by the integer index returned from
-    :meth:`add_variable`.  A variable is nonnegative, or free when declared
-    so; any other bound on it is a constraint.  Constraints may use relation
-    ``"<="``, ``"="``, or ``">="``; their right-hand sides live in one array,
-    in declaration order.  A program re-solved after :meth:`set_rhs` calls
-    only starts from its last optimal basis (see the module docstring).
+    :meth:`add_variable`.  Every variable is nonnegative, and constraints use
+    relation ``"<="`` or ``"="`` (see the module's conventions); their
+    right-hand sides live in one array, in declaration order.  A program
+    re-solved after :meth:`set_rhs` calls only starts from its last optimal
+    basis (see the module docstring).
     """
 
     def __init__(self) -> None:
-        self._variables: list[_Variable] = []
+        self._variables: list[str] = []  # the names, in index order
         self._objective: list[float] = []
         self._constraints: list[_Constraint] = []
         self._rhs = self._rhs_store = np.zeros(0)  # _rhs: the leading rows of the store
@@ -161,8 +156,8 @@ class LinearProgram:
 
     # -- construction -----------------------------------------------------
 
-    def add_variable(self, name: str, cost: float = 0.0, free: bool = False) -> int:
-        """Declare a variable ``x >= 0``, or a free one when ``free``; returns its index."""
+    def add_variable(self, name: str, cost: float = 0.0) -> int:
+        """Declare a variable ``x >= 0``; returns its index."""
 
         if name in self._names:
             raise SolverError(f"duplicate variable name {name!r}")
@@ -170,7 +165,7 @@ class LinearProgram:
             raise SolverError(f"variable {name!r} has non-finite cost {cost!r}")
         self._changed()
         self._names.add(name)
-        self._variables.append(_Variable(name, free))
+        self._variables.append(name)
         self._objective.append(cost)
         return len(self._variables) - 1
 
@@ -181,7 +176,7 @@ class LinearProgram:
         rhs: float,
         name: str = "",
     ) -> int:
-        if relation not in ("<=", "=", ">="):
+        if relation not in _SENSE:
             raise SolverError(f"unknown relation {relation!r}")
         if not math.isfinite(rhs):
             raise SolverError(f"constraint rhs must be finite, got {rhs!r}")
@@ -230,14 +225,17 @@ class LinearProgram:
         self._start = other
 
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        """Replace the objective with the given (sparse) coefficient map."""
+        """Replace the objective with the given (sparse) coefficient map, unless it is refused."""
 
-        self._changed()
-        self._objective = [0.0] * len(self._variables)
+        objective = [0.0] * len(self._variables)
         for j, c in coeffs.items():
             if not 0 <= j < len(self._variables):
                 raise SolverError(f"objective references undeclared variable index {j}")
-            self._objective[j] = float(c)
+            cost = objective[j] = float(c)
+            if not math.isfinite(cost):
+                raise SolverError(f"variable {self._variables[j]!r} has non-finite cost {cost!r}")
+        self._changed()
+        self._objective = objective
 
     # -- introspection ----------------------------------------------------
 
@@ -250,7 +248,7 @@ class LinearProgram:
         return len(self._constraints)
 
     def variable_name(self, index: int) -> str:
-        return self._variables[index].name
+        return self._variables[index]
 
     def copy(self) -> LinearProgram:
         """A program with the same variables, objective and constraints, and no start basis."""
@@ -267,15 +265,14 @@ class LinearProgram:
         """Human-readable text form of the LP, for bug reports."""
 
         def term(j: int, a: float) -> str:
-            return f"{a:+g}*{self._variables[j].name}"
+            return f"{a:+g}*{self._variables[j]}"
 
         lines = ["min " + " ".join(term(j, c) for j, c in enumerate(self._objective) if c)]
         for i, (con, rhs) in enumerate(zip(self._constraints, self._rhs.tolist())):
             label = con.name or f"r{i}"
             body = " ".join(term(j, a) for j, a in con.coeffs)
             lines.append(f"  {label}: {body} {con.relation} {rhs:g}")
-        for v in self._variables:
-            lines.append(f"  {v.name} free" if v.free else f"  {v.name} >= 0")
+        lines.extend(f"  {name} >= 0" for name in self._variables)
         return "\n".join(lines)
 
 
@@ -306,7 +303,7 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class _Standardized:
-    """The equality form ``a x = b, x >= 0`` of a program, with the maps back.
+    """The equality form ``a x = b, x >= 0`` of a program.
 
     A solve reads the form and never writes it, so a kept form changes only
     where :func:`_kept_form` writes new right-hand sides into ``b``.
@@ -314,83 +311,57 @@ class _Standardized:
     objective, relations and row flips alone.
     """
 
-    a: sparse.csc_array        # m x n, structural, slack and artificial columns
+    a: sparse.csc_array        # m x n, the program's, slack and artificial columns
     at: sparse.csr_array       # a's transpose, a view of the same arrays, for pricing
     b: np.ndarray              # m, nonnegative
-    c: np.ndarray              # n, zero past the structural columns
+    c: np.ndarray              # n, zero past the program's columns
     n_real: int                # the columns before the artificial ones
     basis: list[int]           # phase 1's start: each row's slack, or its artificial
     row_flip: np.ndarray       # row was negated during normalization
-    col_var: np.ndarray        # original variable index per structural column
-    col_sign: np.ndarray       # +1, or -1 for the x'' column of a free variable
-    n_structural: int
-    # the original program, for the certificate: row_le and row_ge mark the
-    # constraints that bound their left-hand side above and below ("=" both),
-    # nz_* list each nonzero coefficient, and rhs is the program's own
-    # right-hand-side array, which set_rhs writes into
+    # the original program, for the certificate: row_eq marks the "=" rows
+    # (the others are "<="), nz_* list each nonzero coefficient, and rhs is
+    # the program's own right-hand-side array, which set_rhs writes into
     names: list[str]
     cost: np.ndarray
-    free: np.ndarray
     rhs: np.ndarray
-    row_le: np.ndarray
-    row_ge: np.ndarray
+    row_eq: np.ndarray
     nz_con: np.ndarray
     nz_var: np.ndarray
     nz_coef: np.ndarray
-    # what _verify compares against, built with the structure: each reduced
-    # cost's slack GAP_TOL (1 + |c_j|), the inequality rows by direction and
-    # the rows that are not equalities
+    # each reduced cost's slack in _verify, GAP_TOL (1 + |c_j|), built with the structure
     cost_slack: np.ndarray
-    row_le_only: np.ndarray
-    row_ge_only: np.ndarray
-    row_not_eq: np.ndarray
 
 
 def _standardize(lp: LinearProgram) -> _Standardized:
-    variables, cons = lp._variables, lp._constraints
-    m = len(cons)
-    # one column per variable, two for a free one: x = x' - x''
-    free = np.array([v.free for v in variables], dtype=bool)
-    per_var = 1 + free.astype(np.intp)
-    first_col = np.cumsum(per_var) - per_var
-    n_struct = int(per_var.sum())
-    col_var = np.repeat(np.arange(len(variables)), per_var)
-    col_sign = np.ones(n_struct)
-    col_sign[first_col[free] + 1] = -1.0
-
-    # the constraints' nonzeros row by row, one per column of each variable;
-    # ``0.0 +`` stores the sign a zero product takes when accumulated into a
-    # zero matrix
+    cons = lp._constraints
+    m, n = len(cons), len(lp._variables)
+    # the constraints' nonzeros row by row, one column per variable; ``0.0 +``
+    # stores the sign a zero takes when accumulated into a zero matrix
     pairs = [pair for con in cons for pair in con.coeffs]
     nz_var = np.array([j for j, _ in pairs], dtype=np.intp)
     nz_coef = np.array([a for _, a in pairs], dtype=float)
     nz_con = np.repeat(np.arange(m), [len(con.coeffs) for con in cons])
-    per_entry = per_var[nz_var]
-    entry = np.repeat(np.arange(nz_var.size), per_entry)
-    offset = np.arange(entry.size) - np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
-    nz_row = nz_con[entry]
-    nz_col = first_col[nz_var][entry] + offset
-    nz_val = 0.0 + nz_coef[entry] * col_sign[nz_col]
+    nz_val = 0.0 + nz_coef
 
-    # normalize rhs >= 0: a flipped row has its entries negated and its
-    # relation swapped.  Then one slack (<=: +1) or surplus (>=: -1) column
-    # per inequality, then one artificial column per row no slack can start.
+    # normalize rhs >= 0: a flipped row has its entries negated.  Then one
+    # slack (+1), or on a flipped row a surplus (-1), column per inequality,
+    # then one artificial column per row no slack can start.
     b = lp._rhs.copy()
     row_flip = b < 0
     b[row_flip] = -b[row_flip]
     sense = np.array([_SENSE[con.relation] for con in cons], dtype=float)
     sense[row_flip] = -sense[row_flip]
     slack_rows, art_rows = np.flatnonzero(sense != 0.0), np.flatnonzero(sense != 1.0)
-    n_real = n_struct + slack_rows.size
+    n_real = n + slack_rows.size
     width = n_real + art_rows.size
-    slack_cols, art_cols = np.arange(n_struct, n_real), np.arange(n_real, width)
+    slack_cols, art_cols = np.arange(n, n_real), np.arange(n_real, width)
     start = np.empty(m, dtype=np.intp)
     start[slack_rows] = slack_cols
-    start[art_rows] = art_cols  # a >= row starts from its artificial, not its surplus
-    rows = np.concatenate((nz_row, slack_rows, art_rows))
-    cols = np.concatenate((nz_col, slack_cols, art_cols))
+    start[art_rows] = art_cols  # a flipped row starts from its artificial, not its surplus
+    rows = np.concatenate((nz_con, slack_rows, art_rows))
+    cols = np.concatenate((nz_var, slack_cols, art_cols))
     vals = np.concatenate(
-        (np.where(row_flip[nz_row], -nz_val, nz_val), sense[slack_rows], np.ones(art_rows.size))
+        (np.where(row_flip[nz_con], -nz_val, nz_val), sense[slack_rows], np.ones(art_rows.size))
     )
     order = np.lexsort((rows, cols))
     indptr = np.zeros(width + 1, dtype=np.int32)
@@ -401,9 +372,7 @@ def _standardize(lp: LinearProgram) -> _Standardized:
 
     cost = np.array(lp._objective, dtype=float)
     c = np.zeros(width)
-    c[:n_struct] = cost[col_var] * col_sign
-    row_le = np.array([con.relation != ">=" for con in cons], dtype=bool)
-    row_ge = np.array([con.relation != "<=" for con in cons], dtype=bool)
+    c[:n] = cost
 
     return _Standardized(
         a=a,
@@ -413,22 +382,14 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         n_real=n_real,
         basis=start.tolist(),
         row_flip=row_flip,
-        col_var=col_var,
-        col_sign=col_sign,
-        n_structural=n_struct,
-        names=[v.name for v in variables],
+        names=list(lp._variables),
         cost=cost,
-        free=free,
         rhs=lp._rhs,
-        row_le=row_le,
-        row_ge=row_ge,
+        row_eq=sense == 0.0,
         nz_con=nz_con,
         nz_var=nz_var,
         nz_coef=nz_coef,
         cost_slack=GAP_TOL * (1.0 + np.abs(cost)),
-        row_le_only=row_le & ~row_ge,
-        row_ge_only=row_ge & ~row_le,
-        row_not_eq=~(row_le & row_ge),
     )
 
 
@@ -731,7 +692,7 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     x[[basis[i] for i in real]] = x_b[real]
     y = _lu_solve(lu, std.c[basis], trans=1)
 
-    values = _recover_primal(std, x)
+    values = 0.0 + x[: len(std.names)]  # a basic value of -0.0 reads 0.0
     objective = float(sum((std.cost * values).tolist()))
     duals = np.where(std.row_flip, -y, y)
     dual_objective = float(std.rhs @ duals)
@@ -741,14 +702,6 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     return LpSolution(
         Status.OPTIMAL, objective, primal, tuple(duals.tolist()), dual_objective, pivoter.pivots
     )
-
-
-def _recover_primal(std: _Standardized, x: np.ndarray) -> np.ndarray:
-    """The original variables' values from the standard form's values ``x``."""
-
-    values = np.zeros(len(std.names))
-    np.add.at(values, std.col_var, std.col_sign * x[: std.n_structural])
-    return values
 
 
 def _reduced_costs(std: _Standardized, duals: np.ndarray) -> np.ndarray:
@@ -779,17 +732,17 @@ def _verify(
     resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=len(y)) - std.rhs
     reduced = _reduced_costs(std, y)
     slack, names = std.cost_slack, std.names
+    eq = std.row_eq
     checks = [
-        ((std.row_le & (resid > tol)) | (std.row_ge & (resid < -tol)),
+        ((resid > tol) | (eq & (resid < -tol)),
          lambda i: f"row {i} violated by {resid[i]:g}"),
-        ((std.row_le_only & (y > GAP_TOL)) | (std.row_ge_only & (y < -GAP_TOL)),
+        (~eq & (y > GAP_TOL),
          lambda i: f"row {i} has wrong dual sign {y[i]:g}"),
-        (std.row_not_eq & (np.abs(y) > GAP_TOL) & (np.abs(resid) > tol * 10),
+        (~eq & (np.abs(y) > GAP_TOL) & (np.abs(resid) > tol * 10),
          lambda i: f"row {i} breaks complementary slackness"),
-        (~std.free & (x < -tol),
+        (x < -tol,
          lambda j: f"variable {names[j]} out of bounds: {x[j]:g}"),
-        # a reduced cost is never negative, and positive only where x >= 0
-        ((reduced < -slack) | (std.free & (reduced > slack)),
+        (reduced < -slack,
          lambda j: f"variable {names[j]} has reduced cost {reduced[j]:g} of the wrong sign"),
     ]
     if np.concatenate([mask for mask, _ in checks]).any():

@@ -13,17 +13,18 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from netinverse import simplex
+from netinverse import inverse, simplex
 from netinverse.errors import SolverError
+from netinverse.network import Link, Network, Path
 from netinverse.simplex import FEAS_TOL, GAP_TOL, LinearProgram, Status, solve
 
 
 def brute_force_minimum(lp: LinearProgram) -> float | None:
     """Exhaustive vertex enumeration over basic feasible solutions.
 
-    Converts to the same equality standard form (slack per inequality, free
-    variables split) and evaluates every basis.  Only suitable for tiny
-    bounded-feasible instances; returns None when no feasible basis exists.
+    Converts to the same equality standard form (slack per inequality) and
+    evaluates every basis.  Only suitable for tiny bounded-feasible
+    instances; returns None when no feasible basis exists.
     """
 
     n = lp.num_variables
@@ -36,19 +37,12 @@ def brute_force_minimum(lp: LinearProgram) -> float | None:
             for k, a in con.coeffs:
                 if k == j:
                     col[i] = a
-        signs = (1.0, -1.0) if lp._variables[j].free else (1.0,)
-        for s in signs:
-            cols.append(s * col)
-            costs.append(s * lp._objective[j])
+        cols.append(col)
+        costs.append(lp._objective[j])
     for i, con in enumerate(lp._constraints):
         if con.relation == "<=":
             e = np.zeros(m)
             e[i] = 1.0
-            cols.append(e)
-            costs.append(0.0)
-        elif con.relation == ">=":
-            e = np.zeros(m)
-            e[i] = -1.0
             cols.append(e)
             costs.append(0.0)
     a = np.column_stack(cols)
@@ -72,21 +66,19 @@ def highs_minimum(lp: LinearProgram) -> float:
 
     from scipy.optimize import linprog
 
-    rows = {"<=": ([], []), ">=": ([], []), "=": ([], [])}
+    rows = {"<=": ([], []), "=": ([], [])}
     for con, rhs in zip(lp._constraints, lp._rhs.tolist()):
         row = np.zeros(lp.num_variables)
         for j, a in con.coeffs:
             row[j] = a
         rows[con.relation][0].append(row)
         rows[con.relation][1].append(rhs)
-    a_ub = [*rows["<="][0], *(-row for row in rows[">="][0])]
-    b_ub = [*rows["<="][1], *(-rhs for rhs in rows[">="][1])]
-    a_eq, b_eq = rows["="]
+    (a_ub, b_ub), (a_eq, b_eq) = rows["<="], rows["="]
     res = linprog(
         lp._objective,
         A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
         A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
-        bounds=[(None, None) if v.free else (0.0, None) for v in lp._variables], method="highs",
+        bounds=(0.0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.status == 0, res.message
@@ -108,7 +100,10 @@ def assert_same_answer(resolved, fresh, unique=True, tol=1e-9):
 
 
 def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
-    """Random feasible LP, bounded below by construction (c >= 0, x >= 0)."""
+    """Random feasible LP, bounded below by construction (c >= 0, x >= 0).
+
+    A lower-bound row is written as a ``<=`` row with negated coefficients.
+    """
 
     n = int(rng.integers(2, 6))
     m = int(rng.integers(2, 6))
@@ -125,7 +120,8 @@ def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
         if relation == "<=":
             rhs = lhs + float(rng.uniform(0, 2))
         elif relation == ">=":
-            rhs = lhs - float(rng.uniform(0, 2))
+            coeffs = {j: -a for j, a in coeffs.items()}
+            relation, rhs = "<=", float(rng.uniform(0, 2)) - lhs
         else:
             equalities += 1
             rhs = lhs
@@ -137,12 +133,12 @@ class TestBasics:
     def test_lower_bound_constraint_and_dual(self):
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
-        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        lp.add_constraint({x: -1.0}, "<=", -3.0)  # x >= 3: a flipped row
         sol = solve(lp)
         assert sol.status is Status.OPTIMAL
         assert abs(sol.objective - 3.0) < 1e-9
         assert abs(sol["x"] - 3.0) < 1e-9
-        assert abs(sol.duals[0] - 1.0) < 1e-9
+        assert abs(sol.duals[0] + 1.0) < 1e-9
 
     def test_benchmark_shortest_route_lp(self, nd_net):
         """Node-arc form of the cheapest route for one OD pair: objective 29."""
@@ -181,15 +177,18 @@ class TestBasics:
         assert sol.status is Status.UNBOUNDED
 
     def test_free_variable_equality(self):
+        """A free quantity is the difference of two variables, ``y = y+ - y-``."""
+
         lp = LinearProgram()
-        y = lp.add_variable("y", free=True)
+        y = lp.add_variable("y+")
+        lp.add_variable("y-")  # index y + 1
         e = lp.add_variable("e", cost=1.0)
         f = lp.add_variable("f", cost=1.0)
-        lp.add_constraint({y: 1.0, e: 1.0, f: -1.0}, "=", -2.0)
+        lp.add_constraint({y: 1.0, y + 1: -1.0, e: 1.0, f: -1.0}, "=", -2.0)
         sol = solve(lp)
         assert sol.status is Status.OPTIMAL
         assert abs(sol.objective) < 1e-12
-        assert abs(sol["y"] + 2.0) < 1e-12
+        assert abs(sol["y+"] - sol["y-"] + 2.0) < 1e-12
 
     def test_degenerate_cycling_instance(self):
         """A classically cycling-prone instance must terminate at -0.05."""
@@ -225,13 +224,35 @@ class TestBasics:
             lp.add_constraint({5: 1.0}, "<=", 1.0)
         with pytest.raises(Exception, match="relation"):
             lp.add_constraint({0: 1.0}, "<", 1.0)
+        # every variable is nonnegative and every row bounds its left-hand side above or both ways
+        with pytest.raises(SolverError, match="unknown relation '>='"):
+            lp.add_constraint({0: 1.0}, ">=", 1.0)
+        with pytest.raises(TypeError, match="free"):
+            lp.add_variable("y", free=True)
+        assert lp.num_variables == 1 and lp.num_constraints == 0
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    def test_non_finite_objective_is_refused(self, cost):
+        """``set_objective`` refuses a cost ``add_variable`` refuses, and changes nothing."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        lp.add_variable("y", cost=1.0)
+        lp.add_constraint({x: -1.0}, "<=", -3.0)
+        first = solve(lp)
+        solve(lp)  # the second solve keeps the form and the final basis
+        std, final = lp._std, lp._final
+        with pytest.raises(SolverError, match=f"variable 'y' has non-finite cost {cost!r}"):
+            lp.set_objective({x: 2.0, 1: cost})
+        assert lp._objective == [1.0, 1.0] and lp._std is std and lp._final is final
+        assert solve(lp) == dataclasses.replace(first, pivots=0)
 
     def test_dump_is_readable(self):
         lp = LinearProgram()
         x = lp.add_variable("x", cost=2.0)
-        lp.add_constraint({x: 1.0}, ">=", 3.0, name="floor")
+        lp.add_constraint({x: -1.0}, "<=", -3.0, name="floor")
         text = lp.dump()
-        assert "min" in text and "floor" in text and ">= 3" in text
+        assert "min" in text and "floor" in text and "<= -3" in text and "x >= 0" in text
 
 
 class TestOracleAgreement:
@@ -269,8 +290,6 @@ class TestCertificates:
                 lhs = sum(a * x[k] for k, a in con.coeffs)
                 if con.relation == "<=":
                     assert lhs - rhs <= FEAS_TOL * max(1, abs(rhs))
-                elif con.relation == ">=":
-                    assert rhs - lhs <= FEAS_TOL * max(1, abs(rhs))
                 else:
                     assert abs(lhs - rhs) <= FEAS_TOL * max(1, abs(rhs))
 
@@ -303,13 +322,15 @@ class TestCertificates:
 
 
 def grid_price_inverse(k: int, rng: np.random.Generator, prior=None):
-    """First-stage price-inverse LP on a bidirectional k-by-k grid.
+    """First-stage price-inverse LP on a bidirectional k-by-k grid, as the inverse builds it.
 
     Every link is priced, from a zero prior unless ``prior`` gives one value
     per link (in the order the links are built), and the observed route runs
     along two edges of the grid between opposite corners, so it has to be
-    priced into optimality against many shorter alternatives.  The prior
-    enters only the right-hand sides.  Returns the LP with its decrease and
+    priced into optimality against many shorter alternatives.  The LP is
+    :func:`netinverse.inverse._build`'s, with the right-hand sides
+    ``_inverse`` writes: each link's ``feas`` row its cost plus its prior,
+    each ``nonneg`` row its prior.  Returns the LP with its decrease and
     increase variables.
     """
 
@@ -319,30 +340,18 @@ def grid_price_inverse(k: int, rng: np.random.Generator, prior=None):
             for ni, nj in ((i + 1, j), (i, j + 1)):
                 if ni < k and nj < k:
                     cost = float(rng.integers(5, 16))
-                    links.append(((i, j), (ni, nj), cost))
-                    links.append(((ni, nj), (i, j), cost))
+                    links.append((f"{i}.{j}", f"{ni}.{nj}", cost))
+                    links.append((f"{ni}.{nj}", f"{i}.{j}", cost))
     if prior is None:
         prior = [0.0] * len(links)
-    lp = LinearProgram()
-    e = [lp.add_variable(f"e{n}", cost=1.0) for n in range(len(links))]
-    f = [lp.add_variable(f"f{n}", cost=1.0) for n in range(len(links))]
-    y = {(i, j): lp.add_variable(f"y{i}_{j}", free=True) for i in range(k) for j in range(k)}
-    for n, (tail, head, cost) in enumerate(links):
-        lp.add_constraint(
-            {y[head]: 1.0, y[tail]: -1.0, e[n]: 1.0, f[n]: -1.0}, "<=", cost + prior[n]
-        )
-        lp.add_constraint({e[n]: 1.0, f[n]: -1.0}, "<=", prior[n])
-    route = [(0, j) for j in range(k)] + [(i, k - 1) for i in range(1, k)]
-    index = {(tail, head): n for n, (tail, head, _) in enumerate(links)}
-    tight = {y[route[-1]]: 1.0, y[route[0]]: -1.0}
-    rhs = 0.0
-    for tail, head in zip(route, route[1:]):
-        n = index[(tail, head)]
-        tight[e[n]] = 1.0
-        tight[f[n]] = -1.0
-        rhs += links[n][2] + prior[n]
-    lp.add_constraint(tight, "=", rhs)
-    return lp, e, f
+    net = Network(Link(n + 1, tail, head, cost) for n, (tail, head, cost) in enumerate(links))
+    index = {(tail, head): n + 1 for n, (tail, head, _) in enumerate(links)}
+    route = [f"0.{j}" for j in range(k)] + [f"{i}.{k - 1}" for i in range(1, k)]
+    observed = Path(route[0], route[-1], tuple(index[hop] for hop in zip(route, route[1:])))
+    lp = inverse._build(net, [l.id for l in net.links], observed)
+    lp.set_rhs(0, [cost + p for (_, _, cost), p in zip(links, prior)] + list(prior))
+    e = list(range(0, 2 * len(links), 2))  # e[l] and f[l] of the n-th link: 2n and 2n + 1
+    return lp, e, [j + 1 for j in e]
 
 
 class TestProductFormUpdates:
@@ -377,7 +386,7 @@ class TestBlandRestart:
     def test_first_failure_reason_is_logged(self, monkeypatch, caplog):
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
-        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        lp.add_constraint({x: -1.0}, "<=", -3.0)
         real = simplex._solve_once
         attempts = []
 
@@ -400,7 +409,7 @@ class TestBlandRestart:
     def test_no_warning_without_restart(self, caplog):
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
-        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        lp.add_constraint({x: -1.0}, "<=", -3.0)
         with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
             assert solve(lp).status is Status.OPTIMAL
         assert not [r for r in caplog.records if r.name == "netinverse.simplex"]
@@ -478,36 +487,33 @@ class TestLapackKernel:
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
         lp.add_constraint({x: 1.0}, "<=", 3.0)
-        lp.add_constraint({x: 1.0}, ">=", 1.0)
+        lp.add_constraint({x: -1.0}, "<=", -1.0)  # x >= 1
         return lp
 
 
 def reference_standardize(lp: LinearProgram):
     """Row-by-row standard form: one zero row per constraint, then a stack."""
 
-    std = simplex._standardize(lp)  # column bookkeeping only
-    var_cols: dict[int, list[int]] = {}
-    for k, j in enumerate(std.col_var):
-        var_cols.setdefault(j, []).append(k)
+    std = simplex._standardize(lp)
+    n = lp.num_variables  # one column per variable: a free quantity is two variables
     rows, rhs, relations = [], [], []
     for con, con_rhs in zip(lp._constraints, lp._rhs.tolist()):
-        row = np.zeros(std.n_structural)
+        row = np.zeros(n)
         for j, a in con.coeffs:
-            for k in var_cols[j]:
-                row[k] += a * std.col_sign[k]
+            row[j] += a
         rows.append(row)
         rhs.append(con_rhs)
         relations.append(con.relation)
     for i in range(len(rows)):
-        if rhs[i] < 0:
+        if rhs[i] < 0:  # a flipped <= row bounds its left-hand side below: a surplus
             rows[i] = -rows[i]
             rhs[i] = -rhs[i]
-            relations[i] = {"<=": ">=", ">=": "<=", "=": "="}[relations[i]]
+            relations[i] = {"<=": ">=", "=": "="}[relations[i]]
     slacks = [r for r in relations if r != "="]
-    a = np.zeros((len(rows), std.n_structural + len(slacks)))
+    a = np.zeros((len(rows), n + len(slacks)))
     if rows:
-        a[:, : std.n_structural] = np.vstack(rows)
-    k = std.n_structural
+        a[:, :n] = np.vstack(rows)
+    k = n
     for i, rel in enumerate(relations):
         if rel != "=":
             a[i, k] = 1.0 if rel == "<=" else -1.0
@@ -516,17 +522,16 @@ def reference_standardize(lp: LinearProgram):
 
 
 def random_bounds_lp(rng: np.random.Generator) -> LinearProgram:
-    """A random LP over nonnegative and free variables, with signed zero coefficients."""
+    """A random LP over nonnegative variables, with signed zero coefficients."""
 
     lp = LinearProgram()
     n = int(rng.integers(1, 6))
     for j in range(n):
-        free = bool(rng.integers(0, 2))
-        lp.add_variable(f"x{j}", cost=float(rng.uniform(-2, 2)), free=free)
+        lp.add_variable(f"x{j}", cost=float(rng.uniform(-2, 2)))
     for _ in range(int(rng.integers(0, 6))):
         picked = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         coeffs = {int(j): float(rng.choice([0.0, -0.0, rng.uniform(-3, 3)])) for j in picked}
-        lp.add_constraint(coeffs, str(rng.choice(["<=", ">=", "="])), float(rng.uniform(-4, 4)))
+        lp.add_constraint(coeffs, str(rng.choice(["<=", "="])), float(rng.uniform(-4, 4)))
     return lp
 
 
@@ -548,20 +553,12 @@ class TestStandardForm:
             assert all(a[i, col] == 1.0 for i, col in enumerate(std.basis) if col < std.n_real)
 
     def test_array_certificate_pieces_equal_loops_over_variables_and_rows(self):
-        """Primal recovery bit for bit, and the reduced costs to rounding, against loops."""
+        """The reduced costs to rounding, against loops."""
 
         rng = np.random.default_rng(8)
         for _ in range(40):
             lp = random_bounds_lp(rng)
             std = simplex._standardize(lp)
-            x = rng.choice([0.0, -0.0, 1.5, rng.uniform(0, 3)], size=std.a.shape[1])
-            values = [0.0] * lp.num_variables
-            for k in range(std.n_structural):
-                values[std.col_var[k]] += std.col_sign[k] * x[k]
-            recovered = simplex._recover_primal(std, x)
-            assert np.array_equal(recovered, values)
-            assert np.array_equal(np.signbit(recovered), np.signbit(values))
-
             duals = rng.uniform(-2, 2, lp.num_constraints)
             reduced = list(lp._objective)
             for i, con in enumerate(lp._constraints):
@@ -583,7 +580,7 @@ class TestVerify:
     def test_nan_certificate_is_rejected(self):
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
-        lp.add_constraint({x: 1.0}, ">=", 3.0)
+        lp.add_constraint({x: -1.0}, "<=", -3.0)
         std = simplex._standardize(lp)
         nan = math.nan
         sol = simplex.LpSolution(Status.OPTIMAL, nan, {"x": nan}, (nan,), nan)
@@ -593,7 +590,7 @@ class TestVerify:
         sol = simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (math.inf,), 3.0)
         with pytest.raises(SolverError, match="non-finite"):
             verify(std, sol)
-        verify(std, simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (1.0,), 3.0))
+        verify(std, simplex.LpSolution(Status.OPTIMAL, 3.0, {"x": 3.0}, (-1.0,), 3.0))
 
     def test_reduced_cost_of_the_wrong_sign_is_rejected(self):
         """A feasible vertex that is not optimal has zero gap with its basic dual."""
@@ -610,29 +607,29 @@ class TestVerify:
         verify(std, optimal)
 
     @pytest.mark.parametrize(
-        "relation, rhs, free, x, dual, objective, dual_objective, message",
+        "coef, relation, rhs, x, dual, objective, dual_objective, message",
         [
-            (">=", 3.0, False, 2.0, 1.0, 2.0, 3.0, "row 0 violated"),
-            ("<=", 3.0, False, 4.0, 0.0, 4.0, 4.0, "row 0 violated"),
-            (">=", 3.0, False, 3.0, -1.0, 3.0, -3.0, "row 0 has wrong dual sign"),
-            ("<=", 3.0, False, 3.0, 1.0, 3.0, 3.0, "row 0 has wrong dual sign"),
-            (">=", 3.0, False, 4.0, 1.0, 4.0, 3.0, "row 0 breaks complementary slackness"),
-            (">=", -5.0, False, -1.0, 0.0, -1.0, 0.0, "variable x out of bounds"),
-            ("=", 3.0, True, 3.0, 0.0, 3.0, 0.0, "variable x has reduced cost"),
-            (">=", 3.0, False, 3.0, 1.0, 3.0, 4.0, "duality gap"),
-            (">=", 3.0, False, 3.0, 1.0, 3.0, 3.0, None),
+            # -x <= -3 is x >= 3, a row that flips in the standard form
+            (-1.0, "<=", -3.0, 2.0, -1.0, 2.0, 3.0, "row 0 violated"),
+            (1.0, "<=", 3.0, 4.0, 0.0, 4.0, 4.0, "row 0 violated"),
+            (1.0, "=", 3.0, 2.0, 1.0, 2.0, 3.0, "row 0 violated"),
+            (-1.0, "<=", -3.0, 3.0, 1.0, 3.0, -3.0, "row 0 has wrong dual sign"),
+            (1.0, "<=", 3.0, 3.0, 1.0, 3.0, 3.0, "row 0 has wrong dual sign"),
+            (-1.0, "<=", -3.0, 4.0, -1.0, 4.0, 3.0, "row 0 breaks complementary slackness"),
+            (-1.0, "<=", 5.0, -1.0, 0.0, -1.0, 0.0, "variable x out of bounds"),
+            (1.0, "=", 3.0, 3.0, 2.0, 3.0, 6.0, "variable x has reduced cost"),
+            (-1.0, "<=", -3.0, 3.0, -1.0, 3.0, 4.0, "duality gap"),
+            (-1.0, "<=", -3.0, 3.0, -1.0, 3.0, 3.0, None),
         ],
-        # a case's id names x by its lower bound: 0.0, or -inf when free
-        ids=lambda v: ("-inf" if v else "0.0") if isinstance(v, bool) else None,
     )
     def test_every_failure_message(
-        self, relation, rhs, free, x, dual, objective, dual_objective, message
+        self, coef, relation, rhs, x, dual, objective, dual_objective, message
     ):
         """One certificate of ``min x`` per check, each failing that check first."""
 
         lp = LinearProgram()
-        lp.add_variable("x", cost=1.0, free=free)
-        lp.add_constraint({0: 1.0}, relation, rhs)
+        lp.add_variable("x", cost=1.0)
+        lp.add_constraint({0: coef}, relation, rhs)
         std = simplex._standardize(lp)
         sol = simplex.LpSolution(Status.OPTIMAL, objective, {"x": x}, (dual,), dual_objective)
         if message is None:
@@ -761,7 +758,7 @@ class TestSparseBases:
             "lp = LinearProgram()\n"
             "xs = [lp.add_variable(f'x{i}', cost=1.0 + i) for i in range(20)]\n"
             "for i, x in enumerate(xs):\n"
-            "    lp.add_constraint({x: 1.0, xs[i - 1]: 1.0}, '>=', float(i))\n"
+            "    lp.add_constraint({x: -1.0, xs[i - 1]: -1.0}, '<=', -float(i))\n"
             "assert lp.num_constraints == 20 and solve(lp).status is Status.OPTIMAL\n"
             "print('scipy.sparse.linalg' in sys.modules, 'scipy.optimize' in sys.modules)\n"
         )
@@ -873,11 +870,12 @@ class TestPivotMemo:
 
     def test_changed_lp_is_solved_fresh(self):
         prior = self.priors(3, 1)[0]
-        tight = grid_price_inverse(self.K, np.random.default_rng(1), prior)[0]._rhs[-1]
 
-        def flip_tight(lp):
-            # the tight row's right-hand side negated, so its standard-form row flips
-            lp.set_rhs(lp.num_constraints - 1, -tight)
+        def flip_route_row(lp):
+            # a route link's feas row, an "=" row, with its right-hand side
+            # negated, so its standard-form row flips
+            row = next(i for i, con in enumerate(lp._constraints) if con.relation == "=")
+            lp.set_rhs(row, -lp._rhs[row])
             return self.changed(lp)
 
         def double_cost(lp):
@@ -894,7 +892,7 @@ class TestPivotMemo:
             lp.add_variable("spare", cost=1.0)
             return self.changed(lp)
 
-        for change in (flip_tight, double_cost, add_row, add_variable):
+        for change in (flip_route_row, double_cost, add_row, add_variable):
             lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
             solve(lp)
             solve(lp)
@@ -999,33 +997,34 @@ class TestSetRhs:
         for value in (math.nan, math.inf, -math.inf, [2.0, math.nan]):
             with pytest.raises(SolverError, match="finite"):
                 lp.set_rhs(0, value)
-        assert lp._rhs.tolist() == [3.0, 1.0]
+        assert lp._rhs.tolist() == [3.0, -1.0]
         lp.set_rhs(0, [4.0, 2.0])
         assert lp._rhs.tolist() == [4.0, 2.0]
 
     def test_rows_added_one_by_one_keep_their_rhs(self):
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
-        values = [float(i) for i in range(40)]
+        values = [-float(i) for i in range(40)]
         for value in values[:20]:
-            lp.add_constraint({x: 1.0}, ">=", value)
+            lp.add_constraint({x: -1.0}, "<=", value)  # x >= -value
         copy = lp.copy()
         for value in values[20:]:
-            lp.add_constraint({x: 1.0}, ">=", value)
-        copy.add_constraint({x: 1.0}, ">=", -1.0)
+            lp.add_constraint({x: -1.0}, "<=", value)
+        copy.add_constraint({x: -1.0}, "<=", 1.0)
         assert lp._rhs.tolist() == values
-        assert copy._rhs.tolist() == values[:20] + [-1.0]
-        lp.set_rhs(39, 50.0)
+        assert copy._rhs.tolist() == values[:20] + [1.0]
+        lp.set_rhs(39, -50.0)
         assert solve(lp).objective == 50.0 and solve(copy).objective == 19.0
 
     def test_certificate_arrays_follow_the_structure(self):
         """After a row flip, a new row or a new objective, a kept program certifies as fresh."""
 
-        def flip_tight(lp):
+        def flip_last(lp):
+            # the last nonneg row, a "<=" row, gets a negative right-hand side
             lp.set_rhs(lp.num_constraints - 1, -lp._rhs[-1] - 1.0)
 
         def add_row(lp):
-            lp.add_constraint({0: 1.0, 1: -1.0}, ">=", -0.5)
+            lp.add_constraint({0: -1.0, 1: 1.0}, "<=", 0.5)
 
         def new_objective(lp):
             lp.set_objective({j: 1.0 + j % 3 for j in range(lp.num_variables) if j < 24})
@@ -1042,7 +1041,7 @@ class TestSetRhs:
                 return str(exc)
             return None
 
-        for change in (flip_tight, add_row, new_objective):
+        for change in (flip_last, add_row, new_objective):
             lp, _, _ = grid_price_inverse(3, np.random.default_rng(1), [0.5] * 24)
             solve(lp)
             solve(lp)
@@ -1055,8 +1054,7 @@ class TestSetRhs:
             solve(lp)  # a program whose structure changed keeps its form from its second solve
             assert lp._std is not None and lp._std is not kept
             reference = simplex._standardize(fresh)
-            for name in ("cost_slack", "row_le_only", "row_ge_only", "row_not_eq",
-                         "free", "row_le", "row_ge", "cost"):
+            for name in ("cost_slack", "row_eq", "cost"):
                 assert np.array_equal(getattr(lp._std, name), getattr(reference, name)), name
             outcomes = [
                 certify(lp._std, expected, d, p)
@@ -1073,7 +1071,7 @@ class TestSetRhs:
 
         for change in (
             lambda lp: lp.add_variable("spare"),
-            lambda lp: lp.add_constraint({0: 1.0}, ">=", 0.0),
+            lambda lp: lp.add_constraint({0: -1.0}, "<=", 0.0),
             lambda lp: lp.set_objective({0: 2.0}),
         ):
             lp, _, _ = grid_price_inverse(3, np.random.default_rng(1))
@@ -1098,12 +1096,13 @@ class TestSetRhs:
 
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
-        y = lp.add_variable("y", free=True)
-        lp.add_constraint({x: 1.0, y: -1.0}, ">=", 2.0)
-        lp.add_constraint({y: 1.0}, "=", 1.0)
+        y = lp.add_variable("y+")
+        lp.add_variable("y-")  # y = y+ - y-, index y + 1
+        lp.add_constraint({x: -1.0, y: 1.0, y + 1: -1.0}, "<=", -2.0)  # x - y >= 2
+        lp.add_constraint({y: 1.0, y + 1: -1.0}, "=", 1.0)
         flips = []
         for rhs in (2.0, 3.0, -4.0, -1.0, 0.0, 5.0):
-            lp.set_rhs(0, rhs)
+            lp.set_rhs(0, -rhs)
             lp.set_rhs(1, -rhs)
             assert_same_answer(solve(lp), solve(TestPivotMemo.changed(lp)))
             flips.append(bool(lp._std.row_flip[1]) if lp._std is not None else None)
