@@ -119,13 +119,17 @@ def solve_multicommodity(
                 f"x[{m}][{link.id}]", cost=link.base_cost
             )
     for m, ((o, d), flow) in enumerate(commodities):
-        # each node's balance row: +1 for the links out of it, -1 for those into it
+        # each node's balance row: +1 for the links out of it, -1 for those
+        # into it, equal to the flow it supplies; the destination's row is
+        # negated, inflow minus outflow equal to the flow, since every
+        # right-hand side the kernel takes is >= 0
         rows: dict[NodeId, dict[int, float]] = {node: {} for node in nodes}
         for link in links:
             rows[link.tail][var[(m, link.id)]] = 1.0
             rows[link.head][var[(m, link.id)]] = -1.0
+        rows[d] = {j: -a for j, a in rows[d].items()}
         for node in nodes:
-            rhs = flow if node == o else (-flow if node == d else 0.0)
+            rhs = flow if node in (o, d) else 0.0
             lp.add_constraint(rows[node], "=", rhs, name=f"balance[{m}][{node}]")
     cap_rows: dict[LinkId, int] = {}
     for link_id in sorted(capacities):

@@ -344,10 +344,10 @@ def _lexicographic_solve(lps: InverseLPs, deviation: list[int], secondary: list[
     """Solve the stages in turn, each among the optima of the one before.
 
     Each pinning row gets its stage's objective as its right-hand side, from
-    the same sum and clamped at 0, so a rounding ``-1e-17`` never flips the
-    row and takes away the slack its start basis needs.  The stages keep
-    their matrix and costs across the calls that reuse ``lps``.  A later
-    stage that is not OPTIMAL ends the sequence at the stage before.
+    the same sum and clamped at 0: the kernel refuses a negative right-hand
+    side, even a rounding ``-1e-17``.  The stages keep their matrix and
+    costs across the calls that reuse ``lps``.  A later stage that is not
+    OPTIMAL ends the sequence at the stage before.
     """
 
     first, *later = lps.stages

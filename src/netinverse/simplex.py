@@ -35,23 +35,20 @@ that fails too, reports NUMERICAL_FAILURE.
 Re-solves and start bases
 -------------------------
 A :class:`LinearProgram` holds its right-hand sides in one array, which
-:meth:`~LinearProgram.set_rhs` writes into.  A program keeps the final basis
-of its last optimal solve.  From its second solve on it also keeps its
-standard form, built once per structure with everything the certificate
-check compares against apart from ``b``, and the LU of that final basis.
-``add_variable``, ``add_constraint`` and ``set_objective`` drop all three;
-a ``set_rhs`` that flips a row's sign normalisation rebuilds the form.
+:meth:`~LinearProgram.set_rhs` writes into and which is its standard form's
+``b``.  A program keeps the final basis of its last optimal solve.  From its
+second solve on it also keeps its standard form, built once per structure,
+and the LU of that final basis.  ``add_variable``, ``add_constraint`` and
+``set_objective`` drop all three.
 
 A solve starts from the first of two bases that fits and is feasible: the
 program's own last optimal basis, then that of the program given to
 :meth:`~LinearProgram.start_from`.  The second fits where the program is
-the other one plus appended ``<=`` rows with nonnegative right-hand sides
-(a flipped row has a surplus and an artificial, not a slack), and the shared
-rows normalise to the same signs.  The shared rows keep their basic columns,
-the artificial columns move past the appended rows' slacks, and those join
-the basis, which stays nonsingular because they only border it.  With no
-appended rows a fit is the same basis, with its LU where one was kept.  A
-fitting basis is taken where its basic values are feasible and its
+the other one plus appended ``<=`` rows.  The shared rows keep their basic
+columns, the artificial columns move past the appended rows' slacks, and
+those join the basis, which stays nonsingular because they only border it.
+With no appended rows a fit is the same basis, with its LU where one was
+kept.  A fitting basis is taken where its basic values are feasible and its
 artificials, those of redundant rows, are zero, both to within
 ``FEAS_TOL`` times the largest ``b`` (or 1); phase 2 then starts from it,
 and an optimal one takes no pivot.  Otherwise, and always in a restart under Bland's rule, the solve
@@ -62,8 +59,11 @@ Conventions
 -----------
 * Objective sense is MIN.
 * Every variable is nonnegative and has no other bound; rows are ``<=`` or
-  ``=``.  A caller writes a free quantity as the difference of two
-  variables, and a lower bound as a ``<=`` row with negated coefficients.
+  ``=``, and every right-hand side is finite and ``>= 0``.  A caller writes
+  a free quantity as the difference of two variables, and a lower bound as
+  an ``=`` row with a surplus variable.  So each ``<=`` row has a ``+1``
+  slack column, each ``=`` row an artificial one, and phase 1 starts from
+  those.
 * Duals are shadow prices, ``d(objective)/d(rhs)``: nonpositive for ``<=``
   rows, free for equalities.
 * Entering variable: most negative reduced cost, lowest column index among
@@ -107,7 +107,6 @@ _REFACTOR_EVERY = 32  # pivots between fresh LU factorisations of the basis
 # inverses it ties with LAPACK at about 100 to 160 rows and wins above
 _SPARSE_ROWS = 100
 
-_SENSE = {"<=": 1.0, "=": 0.0}  # a slack column's entry; 0 for no slack
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
@@ -130,8 +129,9 @@ class LinearProgram:
 
     Variables are referenced by the integer index returned from
     :meth:`add_variable`.  Every variable is nonnegative, and constraints use
-    relation ``"<="`` or ``"="`` (see the module's conventions); their
-    right-hand sides live in one array, in declaration order.  A program
+    relation ``"<="`` or ``"="`` with a right-hand side ``>= 0`` (see the
+    module's conventions); their right-hand sides live in one array, in
+    declaration order.  A program
     re-solved after :meth:`set_rhs` calls only starts from its last optimal
     basis (see the module docstring).
     """
@@ -149,9 +149,9 @@ class LinearProgram:
         """The structure changed: drop the standard form and the final basis."""
 
         self._std: _Standardized | None = None
-        # the last optimal solve's basis, column count before the artificials,
-        # row flips and, where the form is kept, the basis's LU
-        self._final: tuple[list[int], int, np.ndarray, object] | None = None
+        # the last optimal solve's basis, column count before the artificials
+        # and, where the form is kept, the basis's LU
+        self._final: tuple[list[int], int, object] | None = None
         self._solved = False
 
     # -- construction -----------------------------------------------------
@@ -176,10 +176,16 @@ class LinearProgram:
         rhs: float,
         name: str = "",
     ) -> int:
-        if relation not in _SENSE:
+        """Append the row ``sum(coeffs[j] * x[j]) <relation> rhs``; returns its index.
+
+        ``relation`` is ``"<="`` or ``"="``, and ``rhs`` must be finite and
+        ``>= 0``.  A refused row leaves the program unchanged.
+        """
+
+        if relation not in ("<=", "="):
             raise SolverError(f"unknown relation {relation!r}")
-        if not math.isfinite(rhs):
-            raise SolverError(f"constraint rhs must be finite, got {rhs!r}")
+        if not 0.0 <= rhs < math.inf:
+            raise SolverError(f"constraint rhs must be finite and >= 0, got {rhs!r}")
         for j, a in coeffs.items():
             if not 0 <= j < len(self._variables):
                 raise SolverError(f"constraint references undeclared variable index {j}")
@@ -200,17 +206,17 @@ class LinearProgram:
         """Replace the right-hand side of constraint ``row``.
 
         A sequence of values replaces the right-hand sides of ``row`` and the
-        constraints after it, in one write.
+        constraints after it, in one write.  Each value must be finite and
+        ``>= 0``; where one is not, nothing is written.
         """
 
         values = np.asarray(value, dtype=float)
         last = row + values.size - 1
         if row < 0 or last >= len(self._constraints):
             raise SolverError(f"no constraint with index {row if row < 0 else last}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = float(values[~finite].flat[0])
-            raise SolverError(f"constraint rhs must be finite, got {bad!r}")
+        bad = values[~((values >= 0.0) & (values < math.inf))]
+        if bad.size:
+            raise SolverError(f"constraint rhs must be finite and >= 0, got {float(bad.flat[0])!r}")
         self._rhs[row : last + 1] = values
 
     def start_from(self, other: LinearProgram) -> None:
@@ -305,25 +311,22 @@ class LpSolution:
 class _Standardized:
     """The equality form ``a x = b, x >= 0`` of a program.
 
-    A solve reads the form and never writes it, so a kept form changes only
-    where :func:`_kept_form` writes new right-hand sides into ``b``.
-    Everything but ``b`` and ``rhs`` depends on the program's variables,
-    objective, relations and row flips alone.
+    A solve reads the form and never writes it.  ``b`` is the program's own
+    right-hand-side array, so a kept form changes only where ``set_rhs``
+    writes into it; everything else depends on the program's variables,
+    objective and relations alone.
     """
 
     a: sparse.csc_array        # m x n, the program's, slack and artificial columns
     at: sparse.csr_array       # a's transpose, a view of the same arrays, for pricing
-    b: np.ndarray              # m, nonnegative
+    b: np.ndarray              # m, nonnegative: the program's right-hand sides
     c: np.ndarray              # n, zero past the program's columns
     n_real: int                # the columns before the artificial ones
     basis: list[int]           # phase 1's start: each row's slack, or its artificial
-    row_flip: np.ndarray       # row was negated during normalization
     # the original program, for the certificate: row_eq marks the "=" rows
-    # (the others are "<="), nz_* list each nonzero coefficient, and rhs is
-    # the program's own right-hand-side array, which set_rhs writes into
+    # (the others are "<="), and nz_* list each nonzero coefficient
     names: list[str]
     cost: np.ndarray
-    rhs: np.ndarray
     row_eq: np.ndarray
     nz_con: np.ndarray
     nz_var: np.ndarray
@@ -341,28 +344,19 @@ def _standardize(lp: LinearProgram) -> _Standardized:
     nz_var = np.array([j for j, _ in pairs], dtype=np.intp)
     nz_coef = np.array([a for _, a in pairs], dtype=float)
     nz_con = np.repeat(np.arange(m), [len(con.coeffs) for con in cons])
-    nz_val = 0.0 + nz_coef
 
-    # normalize rhs >= 0: a flipped row has its entries negated.  Then one
-    # slack (+1), or on a flipped row a surplus (-1), column per inequality,
-    # then one artificial column per row no slack can start.
-    b = lp._rhs.copy()
-    row_flip = b < 0
-    b[row_flip] = -b[row_flip]
-    sense = np.array([_SENSE[con.relation] for con in cons], dtype=float)
-    sense[row_flip] = -sense[row_flip]
-    slack_rows, art_rows = np.flatnonzero(sense != 0.0), np.flatnonzero(sense != 1.0)
+    # then one slack column per "<=" row and one artificial column per "=" row
+    row_eq = np.array([con.relation == "=" for con in cons], dtype=bool)
+    slack_rows, art_rows = np.flatnonzero(~row_eq), np.flatnonzero(row_eq)
     n_real = n + slack_rows.size
     width = n_real + art_rows.size
     slack_cols, art_cols = np.arange(n, n_real), np.arange(n_real, width)
     start = np.empty(m, dtype=np.intp)
     start[slack_rows] = slack_cols
-    start[art_rows] = art_cols  # a flipped row starts from its artificial, not its surplus
+    start[art_rows] = art_cols
     rows = np.concatenate((nz_con, slack_rows, art_rows))
     cols = np.concatenate((nz_var, slack_cols, art_cols))
-    vals = np.concatenate(
-        (np.where(row_flip[nz_con], -nz_val, nz_val), sense[slack_rows], np.ones(art_rows.size))
-    )
+    vals = np.concatenate((0.0 + nz_coef, np.ones(m)))
     order = np.lexsort((rows, cols))
     indptr = np.zeros(width + 1, dtype=np.int32)
     indptr[1:] = np.cumsum(np.bincount(cols, minlength=width))
@@ -377,15 +371,13 @@ def _standardize(lp: LinearProgram) -> _Standardized:
     return _Standardized(
         a=a,
         at=a.T,
-        b=b,
+        b=lp._rhs,
         c=c,
         n_real=n_real,
         basis=start.tolist(),
-        row_flip=row_flip,
         names=list(lp._variables),
         cost=cost,
-        rhs=lp._rhs,
-        row_eq=sense == 0.0,
+        row_eq=row_eq,
         nz_con=nz_con,
         nz_var=nz_var,
         nz_coef=nz_coef,
@@ -595,43 +587,25 @@ def _drive_out_artificials(std: _Standardized, basis: list[int], pivoter: _Pivot
         basis[i] = next((j for j in candidates if j not in in_basis), basis[i])
 
 
-def _kept_form(lp: LinearProgram) -> _Standardized:
-    """``lp``'s kept standard form with the right-hand sides ``set_rhs`` wrote."""
-
-    std = lp._std
-    if std is not None:
-        flip = lp._rhs < 0
-        if np.array_equal(flip, std.row_flip):
-            std.b[:] = lp._rhs
-            std.b[flip] = -std.b[flip]
-            return std
-    lp._std = _standardize(lp)
-    return lp._std
-
-
-def _start_basis(lp: LinearProgram, other: LinearProgram | None, std: _Standardized):
-    """``other``'s last optimal basis in ``std``'s columns, with its LU or ``None``, if it fits.
+def _start_basis(lp: LinearProgram, other: LinearProgram | None):
+    """``other``'s last optimal basis in ``lp``'s columns, with its LU or ``None``, if it fits.
 
     It fits when ``lp`` has ``other``'s variables and constraints, plus
-    appended ``<=`` rows whose right-hand sides are not negative, and each
-    shared row is normalised as it was in ``other``'s solve.  Then the
-    shared rows keep their basic columns, each appended row's slack joins
-    the basis, and the artificial columns move past the new slacks.  With no
-    appended row (``other`` may be ``lp`` itself) it is the same basis, and
-    its LU, where ``other`` kept one, comes with it.
+    appended ``<=`` rows.  Then the shared rows keep their basic columns,
+    each appended row's slack joins the basis, and the artificial columns
+    move past the new slacks.  With no appended row (``other`` may be ``lp``
+    itself) it is the same basis, and its LU, where ``other`` kept one,
+    comes with it.
     """
 
     if other is None or other._final is None:
         return None
-    basis, n_real, row_flip, lu = other._final
-    m = row_flip.size
-    appended = lp._constraints[m:]
+    basis, n_real, lu = other._final
+    appended = lp._constraints[len(basis):]
     k = len(appended)
-    # the shared rows' flags as in that solve, then one unflipped (zero) byte per appended row
     if (
-        std.row_flip.tobytes() != row_flip.tobytes() + bytes(k)
-        or lp._variables != other._variables
-        or lp._constraints[:m] != other._constraints
+        lp._variables != other._variables
+        or lp._constraints[: len(basis)] != other._constraints
         or any(con.relation != "<=" for con in appended)
     ):
         return None
@@ -642,11 +616,12 @@ def _start_basis(lp: LinearProgram, other: LinearProgram | None, std: _Standardi
 def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     keep = lp._solved  # a first solve keeps no form and no LU: most programs are solved once
     lp._solved = True
-    std = _kept_form(lp) if keep else _standardize(lp)
+    std = lp._std or _standardize(lp)
+    lp._std = std if keep else None
     (m, width), n_real = std.a.shape, std.n_real
     pivoter = _Pivoter(std, stall_limit=max(50, 2 * m))
     pivoter.bland = force_bland
-    tol = FEAS_TOL * max(1.0, float(np.max(std.b, initial=0.0)))
+    tol = FEAS_TOL * float(std.b.max(initial=1.0))
 
     # the program's own last optimal basis first, then that of the program it
     # starts from; one is taken where its basic values are feasible and its
@@ -654,7 +629,7 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     # can make a redundant row inconsistent
     basis = None
     for other in () if force_bland else (lp, lp._start):
-        fit = _start_basis(lp, other, std)
+        fit = _start_basis(lp, other)
         if fit is None:
             continue
         start, lu = fit
@@ -694,13 +669,12 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
 
     values = 0.0 + x[: len(std.names)]  # a basic value of -0.0 reads 0.0
     objective = float(sum((std.cost * values).tolist()))
-    duals = np.where(std.row_flip, -y, y)
-    dual_objective = float(std.rhs @ duals)
-    _verify(std, values, duals, objective, dual_objective)
-    lp._final = (basis, n_real, std.row_flip, lu if keep else None)
+    dual_objective = float(std.b @ y)
+    _verify(std, values, y, objective, dual_objective)
+    lp._final = (basis, n_real, lu if keep else None)
     primal = dict(zip(std.names, values.tolist()))
     return LpSolution(
-        Status.OPTIMAL, objective, primal, tuple(duals.tolist()), dual_objective, pivoter.pivots
+        Status.OPTIMAL, objective, primal, tuple(y.tolist()), dual_objective, pivoter.pivots
     )
 
 
@@ -728,8 +702,8 @@ def _verify(
     finite = math.isfinite(objective) and math.isfinite(dual_objective)
     if not (finite and np.isfinite(x).all() and np.isfinite(y).all()):
         raise SolverError("certificate has a non-finite value")
-    tol = FEAS_TOL * max(1.0, float(np.abs(std.rhs).max(initial=1.0)))
-    resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=len(y)) - std.rhs
+    tol = FEAS_TOL * float(std.b.max(initial=1.0))
+    resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=len(y)) - std.b
     reduced = _reduced_costs(std, y)
     slack, names = std.cost_slack, std.names
     eq = std.row_eq

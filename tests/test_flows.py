@@ -192,7 +192,11 @@ class TestMulticommodity:
 
     @pytest.mark.parametrize("network", ["nd_net", "queens_net"])
     def test_balance_rows_follow_the_links(self, network, request, monkeypatch):
-        """Each commodity's balance row has +1 on each link out of its node, -1 on each into it."""
+        """Each commodity's balance row has +1 on each link out of its node, -1 on each into it.
+
+        The destination's row is negated, so that its right-hand side is the
+        flow, not minus the flow.
+        """
 
         class Built(Exception):
             pass
@@ -214,12 +218,13 @@ class TestMulticommodity:
         assert len(rows) == lp.num_constraints == 2 * len(nodes)
         for m, entry in enumerate(demand.entries):
             for node in nodes:
+                sign = -1.0 if node == entry.destination else 1.0
                 expected = {
-                    index[f"x[{m}][{link.id}]"]: 1.0 if link.tail == node else -1.0
+                    index[f"x[{m}][{link.id}]"]: sign if link.tail == node else -sign
                     for link in net.links if node in (link.tail, link.head)
                 }
-                supply = {entry.origin: entry.flow, entry.destination: -entry.flow}
-                assert rows[f"balance[{m}][{node}]"] == (expected, supply.get(node, 0.0))
+                rhs = entry.flow if node in (entry.origin, entry.destination) else 0.0
+                assert rows[f"balance[{m}][{node}]"] == (expected, rhs)
 
     def test_export_values_read_back_exactly(self, tmp_path):
         values = [1234567.25, 0.1 + 0.2, 2.5]

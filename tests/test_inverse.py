@@ -514,7 +514,7 @@ class TestInverseLPs:
             reused = infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0], lps)
             assert_close(reused, infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0]))
         # every stage kept its form and its final basis's LU
-        assert all(lp._std is not None and lp._final[3] is not None for lp in lps.stages)
+        assert all(lp._std is not None and lp._final[-1] is not None for lp in lps.stages)
         costs = infer_link_costs(nd_net, base, self.ROUTES[1], lps)
         assert costs == infer_link_costs(nd_net, base, self.ROUTES[1])
 
