@@ -26,9 +26,9 @@ least total decrease ``e`` (existing prices are preserved and competing
 routes are priced up).  Stage 3 minimises ``sum_k (1 + k/n) (e_k + f_k)``
 among stage 2's optima, where ``k`` is a link's 0-based position among the
 ``n`` adjustable links: among tied answers it moves the earlier links.
-Each later stage is the stage before plus one row pinning that stage's
-objective at its minimum, and starts from that stage's final basis (see
-:mod:`netinverse.simplex`), so it skips phase 1.
+The three stages are the three objectives of one LP, which the kernel
+minimises in order from one basis, fixing at zero each column an earlier
+stage prices out (see :mod:`netinverse.simplex`).
 
 When the observed route is already a shortest route under the base costs
 plus the prior, ``e = f = 0`` at every optimum of every stage, and the
@@ -78,29 +78,28 @@ class InverseResult:
 
 @dataclass(frozen=True)
 class _Layout:
-    """What solving one inverse problem under a new prior needs besides the LPs."""
+    """What solving one inverse problem under a new prior needs besides the LP."""
 
     priced_ids: list[LinkId]
     base: np.ndarray                        # each feas row's base cost, in link order
     priced_rows: np.ndarray                 # each priced link's feas row
     deviation: list[int]                    # the e and f variables
-    secondary: list[int]                    # the deviation set stage 2 minimises
     names: list[tuple[LinkId, str, str]]    # each priced link's e and f variable names
 
 
 @dataclass
 class InverseLPs:
-    """One inverse problem's three stage LPs, kept for re-solves under other priors.
+    """One inverse problem's LP, kept for re-solves under other priors.
 
     Pass one handle to every call for one route group.  A call with the
     same network, route, adjustable links, costs and tie-break as the last
-    checks only the new prior, writes it into the LPs' right-hand sides and
-    re-solves them, each from its last optimal basis (see
-    :mod:`netinverse.simplex`); any other call rebuilds them.
+    checks only the new prior, writes it into the LP's right-hand sides and
+    re-solves it from its last optimal basis (see :mod:`netinverse.simplex`);
+    any other call rebuilds it.
     """
 
     key: tuple | None = None
-    stages: tuple[LinearProgram, ...] = ()
+    lp: LinearProgram | None = None
     layout: _Layout | None = None
 
 
@@ -243,10 +242,9 @@ def _inverse(
     # right-hand sides: every feas[*] row, then every nonneg[*] row
     rhs = np.concatenate((layout.base, values))
     rhs[layout.priced_rows] += values
-    for lp in lps.stages:
-        lp.set_rhs(0, rhs)
+    lps.lp.set_rhs(0, rhs)
 
-    solution = _lexicographic_solve(lps, layout.deviation, layout.secondary)
+    solution = _lexicographic_solve(lps)
     if solution.status is Status.INFEASIBLE:
         raise InconsistentObservation(
             f"route {observed.links} cannot be rationalized by pricing links {layout.priced_ids}"
@@ -263,7 +261,7 @@ def _inverse(
 
 
 def _rebuild(lps: InverseLPs, key: tuple) -> None:
-    """Check the problem ``key`` names and build its three stage LPs and layout into ``lps``."""
+    """Check the problem ``key`` names and build its LP and layout into ``lps``."""
 
     net, observed, adjustable, tie_break, costs = key
     validate_path(net, observed)
@@ -279,36 +277,18 @@ def _rebuild(lps: InverseLPs, key: tuple) -> None:
         base=np.array([costs[l.id] for l in net.links], dtype=float),
         priced_rows=np.array([row[lid] for lid in priced_ids], dtype=np.intp),
         deviation=e_vars + f_vars,
-        secondary=e_vars if tie_break == "e" else f_vars,
         names=[(lid, f"e[{lid}]", f"f[{lid}]") for lid in priced_ids],
     )
-    stage1 = _build(net, priced_ids, observed)
-    stage2 = _next_stage(stage1, layout.deviation, {j: 1.0 for j in layout.secondary}, "stage1")
+    lp = _build(net, priced_ids, observed)
+    lp.add_objective({j: 1.0 for j in (e_vars if tie_break == "e" else f_vars)})
     # e[l] and f[l] of the k-th adjustable link weigh 1 + k/n
-    rank_weights = {j: 1.0 + (j // 2) / len(priced_ids) for j in layout.deviation}
-    stage3 = _next_stage(stage2, layout.secondary, rank_weights, "stage2")
+    lp.add_objective({j: 1.0 + (j // 2) / len(priced_ids) for j in layout.deviation})
     # the key keeps the costs as they are now: a caller may change its mapping later
-    lps.key, lps.layout = key[:-1] + (dict(costs),), layout
-    lps.stages = (stage1, stage2, stage3)
-
-
-def _next_stage(lp: LinearProgram, pinned: list[int], objective: dict[int, float], name: str):
-    """``lp`` restricted to its optimal set, minimising ``objective`` there.
-
-    One appended ``<=`` row pins the sum of the ``pinned`` variables, ``lp``'s
-    objective, at its minimum (the right-hand side is set per solve), and the
-    new LP starts from ``lp``'s final basis.
-    """
-
-    stage = lp.copy()
-    stage.add_constraint({j: 1.0 for j in pinned}, "<=", 0.0, name=name)
-    stage.set_objective(objective)
-    stage.start_from(lp)
-    return stage
+    lps.key, lps.layout, lps.lp = key[:-1] + (dict(costs),), layout, lp
 
 
 def _build(net: Network, priced_ids: list[LinkId], observed: Path):
-    """The stage-1 LP with every right-hand side 0, for ``_inverse`` to set.
+    """The LP with stage 1's objective and every right-hand side 0, for ``_inverse`` to set.
 
     Each link's ``feas`` row is ``=`` on the observed route and ``<=`` off it.
     """
@@ -340,29 +320,15 @@ def _build(net: Network, priced_ids: list[LinkId], observed: Path):
     return lp
 
 
-def _lexicographic_solve(lps: InverseLPs, deviation: list[int], secondary: list[int]):
-    """Solve the stages in turn, each among the optima of the one before.
+def _lexicographic_solve(lps: InverseLPs):
+    """Solve the three stages, each among the optima of the one before.
 
-    Each pinning row gets its stage's objective as its right-hand side, from
-    the same sum and clamped at 0: the kernel refuses a negative right-hand
-    side, even a rounding ``-1e-17``.  The stages keep their matrix and
-    costs across the calls that reuse ``lps``.  A later stage that is not
-    OPTIMAL ends the sequence at the stage before.
+    The result is stage 3's, with stage 1's objective: the deviation metric,
+    not the tie-break.
     """
 
-    first, *later = lps.stages
-    solution = solve(first)
-    if solution.status is not Status.OPTIMAL or not secondary:
+    solution = solve(lps.lp)
+    if solution.status is not Status.OPTIMAL:
         return solution
-    pivots, pins = solution.pivots, []
-    for lp in later:
-        # the last rows pin every earlier stage's objective, in stage order
-        pins.append(max(0.0, solution.objective))
-        lp.set_rhs(lp.num_constraints - len(pins), pins)
-        stage = solve(lp)
-        if stage.status is not Status.OPTIMAL:
-            break
-        solution, pivots = stage, pivots + stage.pivots
-    # report the first-stage objective: the deviation metric, not the tie-break
-    objective = sum(solution.primal[first.variable_name(j)] for j in deviation)
-    return replace(solution, objective=objective, pivots=pivots)
+    objective = sum(solution.primal[lps.lp.variable_name(j)] for j in lps.layout.deviation)
+    return replace(solution, objective=objective)

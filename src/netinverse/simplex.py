@@ -32,28 +32,39 @@ singular basis) and SuperLU's report of an exactly singular basis raise
 :class:`SolverError`, so :func:`solve` restarts under Bland's rule and, if
 that fails too, reports NUMERICAL_FAILURE.
 
-Re-solves and start bases
--------------------------
+Objectives in order
+-------------------
+A program holds one or more objectives: the one ``add_variable`` and
+``set_objective`` write, then each one given to
+:meth:`~LinearProgram.add_objective`.  A solve minimises them in that order,
+each among the optima of the ones before (lexicographic simplex, after
+Isermann, *OR Spektrum* 4, 1982), on the one program, from one basis.  Once
+an objective's optimal basis is certified, every column whose reduced cost
+exceeds ``OPT_TOL`` is zero at each of its optima, by complementary
+slackness with the certified duals, and is fixed at zero.  The next
+objective is priced from the same basis, with the same LU and basic
+values, and only columns not fixed may enter.  Each objective's optimum is
+certified on the program with the fixed columns removed.
+
+Re-solves
+---------
 A :class:`LinearProgram` holds its right-hand sides in one array, which
 :meth:`~LinearProgram.set_rhs` writes into and which is its standard form's
 ``b``.  A program keeps the final basis of its last optimal solve.  From its
 second solve on it also keeps its standard form, built once per structure,
-and the LU of that final basis.  ``add_variable``, ``add_constraint`` and
-``set_objective`` drop all three.
+and the LU of that final basis.  ``add_variable``, ``add_constraint``,
+``set_objective`` and ``add_objective`` drop all three.
 
-A solve starts from the first of two bases that fits and is feasible: the
-program's own last optimal basis, then that of the program given to
-:meth:`~LinearProgram.start_from`.  The second fits where the program is
-the other one plus appended ``<=`` rows.  The shared rows keep their basic
-columns, the artificial columns move past the appended rows' slacks, and
-those join the basis, which stays nonsingular because they only border it.
-With no appended rows a fit is the same basis, with its LU where one was
-kept.  A fitting basis is taken where its basic values are feasible and its
-artificials, those of redundant rows, are zero, both to within
+A re-solve starts from the kept basis where its basic values are feasible
+and its artificials, those of redundant rows, are zero, both to within
 ``FEAS_TOL`` times the largest ``b`` (or 1); phase 2 then starts from it,
-and an optimal one takes no pivot.  Otherwise, and always in a restart under Bland's rule, the solve
-runs phase 1.  A re-solve's status and objective are a fresh solve's, and
-so are its values, to rounding, where the optimum is unique.
+and an optimal one takes no pivot.  Otherwise, and always in a restart
+under Bland's rule, the solve runs phase 1.  A solve computes a basis's
+values ``B^-1 b`` once per factorisation, and the certificate takes the
+duals of the last pricing step where that step used no eta entry: both are
+the same arithmetic on the same LU of the final basis.  A re-solve's status
+and objective are a fresh solve's, and so are its values, to rounding,
+where the optimum is unique.
 
 Conventions
 -----------
@@ -139,19 +150,18 @@ class LinearProgram:
     def __init__(self) -> None:
         self._variables: list[str] = []  # the names, in index order
         self._objective: list[float] = []
+        self._later: list[list[float]] = []  # the objectives add_objective appended, in order
         self._constraints: list[_Constraint] = []
         self._rhs = self._rhs_store = np.zeros(0)  # _rhs: the leading rows of the store
         self._names: set[str] = set()
-        self._start: LinearProgram | None = None  # see start_from
         self._changed()
 
     def _changed(self) -> None:
         """The structure changed: drop the standard form and the final basis."""
 
         self._std: _Standardized | None = None
-        # the last optimal solve's basis, column count before the artificials
-        # and, where the form is kept, the basis's LU
-        self._final: tuple[list[int], int, object] | None = None
+        # the last optimal solve's basis and, where the form is kept, its LU
+        self._final: tuple[list[int], object] | None = None
         self._solved = False
 
     # -- construction -----------------------------------------------------
@@ -167,6 +177,8 @@ class LinearProgram:
         self._names.add(name)
         self._variables.append(name)
         self._objective.append(cost)
+        for objective in self._later:
+            objective.append(0.0)
         return len(self._variables) - 1
 
     def add_constraint(
@@ -219,19 +231,26 @@ class LinearProgram:
             raise SolverError(f"constraint rhs must be finite and >= 0, got {float(bad.flat[0])!r}")
         self._rhs[row : last + 1] = values
 
-    def start_from(self, other: LinearProgram) -> None:
-        """Start later solves from the final basis of ``other``'s last optimal solve.
+    def set_objective(self, coeffs: Mapping[int, float]) -> None:
+        """Replace the first objective with the given (sparse) coefficient map, unless refused."""
 
-        Meant for a program built as ``other.copy()`` plus appended ``<=``
-        rows.  A solve uses that basis where its own last optimal basis is
-        not taken, and only where it fits and is feasible (see the module
-        docstring); otherwise it runs phase 1 as usual.
+        objective = self._dense(coeffs)
+        self._changed()
+        self._objective = objective
+
+    def add_objective(self, coeffs: Mapping[int, float]) -> None:
+        """Append an objective, minimised among the optima of the ones before it.
+
+        ``coeffs`` is a (sparse) coefficient map, checked as
+        :meth:`set_objective` checks its own; a refused one changes nothing.
         """
 
-        self._start = other
+        objective = self._dense(coeffs)
+        self._changed()
+        self._later.append(objective)
 
-    def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        """Replace the objective with the given (sparse) coefficient map, unless it is refused."""
+    def _dense(self, coeffs: Mapping[int, float]) -> list[float]:
+        """The costs ``coeffs`` gives, one per variable; a bad index or cost raises."""
 
         objective = [0.0] * len(self._variables)
         for j, c in coeffs.items():
@@ -240,8 +259,7 @@ class LinearProgram:
             cost = objective[j] = float(c)
             if not math.isfinite(cost):
                 raise SolverError(f"variable {self._variables[j]!r} has non-finite cost {cost!r}")
-        self._changed()
-        self._objective = objective
+        return objective
 
     # -- introspection ----------------------------------------------------
 
@@ -257,11 +275,12 @@ class LinearProgram:
         return self._variables[index]
 
     def copy(self) -> LinearProgram:
-        """A program with the same variables, objective and constraints, and no start basis."""
+        """A program with the same variables, objectives and constraints, and no kept basis."""
 
         other = LinearProgram()
         other._variables = list(self._variables)
         other._objective = list(self._objective)
+        other._later = [list(objective) for objective in self._later]
         other._constraints = list(self._constraints)
         other._rhs = other._rhs_store = self._rhs.copy()
         other._names = set(self._names)
@@ -273,7 +292,10 @@ class LinearProgram:
         def term(j: int, a: float) -> str:
             return f"{a:+g}*{self._variables[j]}"
 
-        lines = ["min " + " ".join(term(j, c) for j, c in enumerate(self._objective) if c)]
+        lines = [
+            f"{'then min' if k else 'min'} " + " ".join(term(j, c) for j, c in enumerate(cost) if c)
+            for k, cost in enumerate([self._objective, *self._later])
+        ]
         for i, (con, rhs) in enumerate(zip(self._constraints, self._rhs.tolist())):
             label = con.name or f"r{i}"
             body = " ".join(term(j, a) for j, a in con.coeffs)
@@ -314,19 +336,19 @@ class _Standardized:
     A solve reads the form and never writes it.  ``b`` is the program's own
     right-hand-side array, so a kept form changes only where ``set_rhs``
     writes into it; everything else depends on the program's variables,
-    objective and relations alone.
+    objectives and relations alone.
     """
 
     a: sparse.csc_array        # m x n, the program's, slack and artificial columns
     at: sparse.csr_array       # a's transpose, a view of the same arrays, for pricing
     b: np.ndarray              # m, nonnegative: the program's right-hand sides
-    c: np.ndarray              # n, zero past the program's columns
+    c: np.ndarray              # one row of n costs per objective, zero past the program's columns
     n_real: int                # the columns before the artificial ones
     basis: list[int]           # phase 1's start: each row's slack, or its artificial
     # the original program, for the certificate: row_eq marks the "=" rows
     # (the others are "<="), and nz_* list each nonzero coefficient
     names: list[str]
-    cost: np.ndarray
+    cost: np.ndarray           # one row per objective
     row_eq: np.ndarray
     nz_con: np.ndarray
     nz_var: np.ndarray
@@ -364,9 +386,9 @@ def _standardize(lp: LinearProgram) -> _Standardized:
 
     a = csc_array((vals[order], rows[order].astype(np.int32), indptr), shape=(m, width))
 
-    cost = np.array(lp._objective, dtype=float)
-    c = np.zeros(width)
-    c[:n] = cost
+    cost = np.array([lp._objective, *lp._later], dtype=float)
+    c = np.zeros((len(cost), width))
+    c[:, :n] = cost
 
     return _Standardized(
         a=a,
@@ -448,25 +470,30 @@ def _lu_solve(lu, v: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 class _Pivoter:
-    """Shared pivoting loop for both simplex phases.
+    """Shared pivoting loop for both simplex phases and every objective.
 
     The basis is held in product form: an LU factorisation of the basis as it
     stood at the last refactorisation, followed by an eta file with one entry
     per pivot since then.  Entry ``(r, d)`` records that column ``r`` of the
     basis was replaced by a column whose FTRAN'd image is ``d``.  The LU
-    factorised last is kept with its basis, so asking again for the LU of an
-    unchanged basis does not factorise it again.
+    factorised last is kept with its basis, and so are the basic values
+    ``B^-1 b`` it gave, so asking again for either on an unchanged basis
+    computes neither again.  Only ``free`` columns may enter.
     """
 
     def __init__(self, std: _Standardized, stall_limit: int):
         self.a, self.at, self.b = std.a, std.at, std.b
         self.n_real = std.n_real  # the columns past it are artificial
+        self.free = np.ones(std.n_real, dtype=bool)
         self.stall_limit = stall_limit
         self.bland = False
         self.degenerate_run = 0
         self.pivots = 0
         self._lu_basis: tuple[int, ...] | None = None
         self._lu = None
+        self._x_lu = self._x_b = None  # the basic values, and the LU they came from
+        # the optimal pricing step's duals and reduced costs, where it used no eta entry
+        self.priced: tuple[np.ndarray, np.ndarray] | None = None
 
     def factor(self, basis: list[int], lu=None):
         """The LU of the basis matrix ``a[:, basis]``: ``lu``, where one is given."""
@@ -476,6 +503,14 @@ class _Pivoter:
             self._lu = _factor(self.a, basis) if lu is None else lu
             self._lu_basis = key
         return self._lu
+
+    def values(self, basis: list[int]) -> np.ndarray:
+        """The basic values ``B^-1 b``, once per factorisation; the caller must not write them."""
+
+        lu = self.factor(basis)
+        if lu is not self._x_lu:
+            self._x_lu, self._x_b = lu, _lu_solve(lu, self.b)
+        return self._x_b
 
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` of ``a``, dense."""
@@ -489,7 +524,6 @@ class _Pivoter:
     def run(self, c: np.ndarray, basis: list[int]) -> str:
         """Pivot until optimal or unbounded; returns 'optimal' or 'unbounded'."""
 
-        b = self.b
         etas: list[tuple[int, np.ndarray]] = []
         lu = None
         while True:
@@ -498,11 +532,14 @@ class _Pivoter:
             if lu is None or len(etas) >= _REFACTOR_EVERY:
                 lu = self.factor(basis)
                 etas.clear()
-                x_b = _lu_solve(lu, b)
+                x_b = self.values(basis).copy()
                 c_b = c[basis]  # kept up to date below: gathering it anew costs more
-            enter, direction = self._price(c, lu, etas, c_b)
+            enter, y, reduced = self._price(c, lu, etas, c_b)
             if enter < 0:
+                # priced from the final basis's own LU, as a certificate prices it
+                self.priced = None if etas else (y, reduced)
                 return "optimal"
+            direction = _ftran(lu, etas, self.column(enter))
             pos = np.flatnonzero(direction > _PIVOT_TOL)  # the rows the ratio test reads
             if pos.size == 0:
                 return "unbounded"
@@ -527,22 +564,21 @@ class _Pivoter:
     def _price(self, c, lu, etas, c_b) -> tuple:
         """One pricing step for costs ``c``, ``c_b`` on the basic columns.
 
-        Returns ``(enter, direction)``, ``direction`` being the entering
-        column's FTRAN'd image; at the optimum ``enter`` is -1 and
-        ``direction`` ``None``.
+        Returns ``(enter, y, reduced)``: the entering column, -1 at the
+        optimum, then the duals and every column's reduced cost.
         """
 
         y = _btran(lu, etas, c_b)
         reduced = c - self.at @ y
-        candidates = np.flatnonzero(reduced[: self.n_real] < -OPT_TOL)
+        candidates = np.flatnonzero((reduced[: self.n_real] < -OPT_TOL) & self.free)
         if candidates.size == 0:
-            return -1, None
+            return -1, y, reduced
         if self.bland:
             enter = int(candidates[0])
         else:
             best = reduced[candidates].min()
             enter = int(candidates[reduced[candidates] <= best + OPT_TOL][0])
-        return enter, _ftran(lu, etas, self.column(enter))
+        return enter, y, reduced
 
 
 def _ftran(lu, etas: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
@@ -587,32 +623,6 @@ def _drive_out_artificials(std: _Standardized, basis: list[int], pivoter: _Pivot
         basis[i] = next((j for j in candidates if j not in in_basis), basis[i])
 
 
-def _start_basis(lp: LinearProgram, other: LinearProgram | None):
-    """``other``'s last optimal basis in ``lp``'s columns, with its LU or ``None``, if it fits.
-
-    It fits when ``lp`` has ``other``'s variables and constraints, plus
-    appended ``<=`` rows.  Then the shared rows keep their basic columns,
-    each appended row's slack joins the basis, and the artificial columns
-    move past the new slacks.  With no appended row (``other`` may be ``lp``
-    itself) it is the same basis, and its LU, where ``other`` kept one,
-    comes with it.
-    """
-
-    if other is None or other._final is None:
-        return None
-    basis, n_real, lu = other._final
-    appended = lp._constraints[len(basis):]
-    k = len(appended)
-    if (
-        lp._variables != other._variables
-        or lp._constraints[: len(basis)] != other._constraints
-        or any(con.relation != "<=" for con in appended)
-    ):
-        return None
-    shifted = [col if col < n_real else col + k for col in basis]
-    return shifted + list(range(n_real, n_real + k)), None if k else lu
-
-
 def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     keep = lp._solved  # a first solve keeps no form and no LU: most programs are solved once
     lp._solved = True
@@ -623,21 +633,17 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     pivoter.bland = force_bland
     tol = FEAS_TOL * float(std.b.max(initial=1.0))
 
-    # the program's own last optimal basis first, then that of the program it
-    # starts from; one is taken where its basic values are feasible and its
-    # artificials, those of redundant rows, still zero: a new right-hand side
-    # can make a redundant row inconsistent
+    # the program's own last optimal basis, taken where its basic values are
+    # feasible and its artificials, those of redundant rows, still zero: a
+    # new right-hand side can make a redundant row inconsistent
     basis = None
-    for other in () if force_bland else (lp, lp._start):
-        fit = _start_basis(lp, other)
-        if fit is None:
-            continue
-        start, lu = fit
-        x_b = _lu_solve(pivoter.factor(start, lu), std.b)
+    if lp._final is not None and not force_bland:
+        start, lu = lp._final
+        pivoter.factor(start, lu)
+        x_b = pivoter.values(start)
         artificial = x_b[[i for i, col in enumerate(start) if col >= n_real]]
         if x_b.min(initial=0.0) >= -tol and artificial.max(initial=0.0) <= tol:
             basis = start
-            break
     lp._final = None
 
     # phase 1, from the artificial columns of the rows no slack can start
@@ -648,54 +654,64 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
             c1[n_real:] = 1.0
             if pivoter.run(c1, basis) != "optimal":
                 raise SolverError("phase 1 reported unbounded")
-            x_b = _lu_solve(pivoter.factor(basis), std.b)
+            x_b = pivoter.values(basis)
             infeas = sum(x_b[[i for i, col in enumerate(basis) if col >= n_real]].tolist())
             if infeas > tol:
                 return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
             _drive_out_artificials(std, basis, pivoter)
 
-    # phase 2
-    if pivoter.run(std.c, basis) == "unbounded":
-        return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
+    # phase 2, once per objective, each among the optima of the ones before
+    n = len(std.names)
+    for k, c in enumerate(std.c):
+        if k:
+            # a column the objective before prices out is zero at every optimum
+            # of it (complementary slackness): fix it at zero
+            pivoter.free &= reduced[:n_real] <= OPT_TOL
+        if pivoter.run(c, basis) == "unbounded":
+            return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
 
-    # an LU of the final basis, not the loop's eta file: the values below
-    # depend on the final basis alone
-    lu = pivoter.factor(basis)
-    x_b = _lu_solve(lu, std.b)
-    x = np.zeros(n_real)
-    real = [i for i, col in enumerate(basis) if col < n_real]
-    x[[basis[i] for i in real]] = x_b[real]
-    y = _lu_solve(lu, std.c[basis], trans=1)
+        # an LU of the final basis, not the loop's eta file: the values below
+        # depend on the final basis alone
+        lu = pivoter.factor(basis)
+        x_b = pivoter.values(basis)
+        if pivoter.priced is not None:
+            y, reduced = pivoter.priced
+        else:
+            y = _lu_solve(lu, c[basis], trans=1)
+            reduced = c - std.at @ y
+        x = np.zeros(n_real)
+        real = [i for i, col in enumerate(basis) if col < n_real]
+        x[[basis[i] for i in real]] = x_b[real]
+        values = 0.0 + x[:n]  # a basic value of -0.0 reads 0.0
+        objective = float(sum((std.cost[k] * values).tolist()))
+        dual_objective = float(std.b @ y)
+        _verify(std, k, pivoter.free, values, y, reduced[:n], objective, dual_objective)
 
-    values = 0.0 + x[: len(std.names)]  # a basic value of -0.0 reads 0.0
-    objective = float(sum((std.cost * values).tolist()))
-    dual_objective = float(std.b @ y)
-    _verify(std, values, y, objective, dual_objective)
-    lp._final = (basis, n_real, lu if keep else None)
+    lp._final = (basis, lu if keep else None)
     primal = dict(zip(std.names, values.tolist()))
     return LpSolution(
         Status.OPTIMAL, objective, primal, tuple(y.tolist()), dual_objective, pivoter.pivots
     )
 
 
-def _reduced_costs(std: _Standardized, duals: np.ndarray) -> np.ndarray:
-    """``c - A'y`` over the original variables and constraints."""
-
-    at_y = np.bincount(std.nz_var, std.nz_coef * duals[std.nz_con], minlength=len(std.cost))
-    return std.cost - at_y
-
-
 def _verify(
     std: _Standardized,
+    k: int,
+    free: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
+    reduced: np.ndarray,
     objective: float,
     dual_objective: float,
 ) -> None:
-    """Raise :class:`SolverError` unless the values certify an optimum of ``std``'s program.
+    """Raise :class:`SolverError` unless the values certify an optimum of objective ``k``.
 
-    ``x`` holds the original variables' values and ``y`` one dual per
-    constraint.
+    The program certified is ``std``'s with the columns that are not
+    ``free`` (one flag per variable, then per ``<=`` row's slack) fixed at
+    zero: a fixed variable's reduced cost may have either sign, and a row
+    whose slack is fixed is an ``=`` row.  ``x`` holds the original
+    variables' values, ``y`` one dual per constraint and ``reduced`` the
+    variables' reduced costs ``c_k - A'y``.
     """
 
     # every comparison below is false for NaN, so non-finite values must fail first
@@ -704,9 +720,9 @@ def _verify(
         raise SolverError("certificate has a non-finite value")
     tol = FEAS_TOL * float(std.b.max(initial=1.0))
     resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=len(y)) - std.b
-    reduced = _reduced_costs(std, y)
-    slack, names = std.cost_slack, std.names
-    eq = std.row_eq
+    slack, names, n = std.cost_slack[k], std.names, len(x)
+    eq = std.row_eq.copy()
+    eq[~std.row_eq] = ~free[n:]
     checks = [
         ((resid > tol) | (eq & (resid < -tol)),
          lambda i: f"row {i} violated by {resid[i]:g}"),
@@ -716,7 +732,7 @@ def _verify(
          lambda i: f"row {i} breaks complementary slackness"),
         (x < -tol,
          lambda j: f"variable {names[j]} out of bounds: {x[j]:g}"),
-        (reduced < -slack,
+        (free[:n] & (reduced < -slack),
          lambda j: f"variable {names[j]} has reduced cost {reduced[j]:g} of the wrong sign"),
     ]
     if np.concatenate([mask for mask, _ in checks]).any():
@@ -730,10 +746,14 @@ def _verify(
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve a minimization LP, returning a certified solution.
 
-    OPTIMAL results carry primal values, one dual per constraint, and a
-    verified duality gap.  INFEASIBLE and UNBOUNDED results carry no
-    certificates.  A solve that cannot be certified even after restarting
-    under Bland's rule returns NUMERICAL_FAILURE rather than a wrong answer.
+    A program with objectives added by :meth:`LinearProgram.add_objective`
+    is minimised lexicographically: each objective among the optima of the
+    ones before.  The result is the last objective's certificate, with the
+    pivots of all of them.  OPTIMAL results carry primal values, one dual per
+    constraint, and a verified duality gap.  INFEASIBLE and UNBOUNDED results
+    carry no certificates.  A solve that cannot be certified, at any
+    objective, even after restarting under Bland's rule returns
+    NUMERICAL_FAILURE rather than a wrong answer.
     A program solved again after only :meth:`LinearProgram.set_rhs` calls
     starts from its last optimal basis: its status and objective are a fresh
     solve's, and so are its values, to rounding, where the optimum is unique

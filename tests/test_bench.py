@@ -42,10 +42,9 @@ def test_tracer_counts_inverse_calls_and_solves(monkeypatch, toy_net, toy_priced
     summary = tracer.summary()
     assert summary["learner.iterations"] == trace.iterations > 1
     # route (1,) is a shortest route under every prior of the run and takes no
-    # LP; route (2,) takes one per iteration
+    # LP; route (2,) takes one per iteration, one solve for all three stages
     assert summary["inverse.calls"] == trace.iterations
-    assert summary["simplex.solves"] == 3 * summary["inverse.calls"]
-    assert summary["simplex.stage2_solves"] == summary["inverse.calls"]
+    assert summary["simplex.solves"] == summary["inverse.calls"]
     assert summary["simplex.pivots"] > 0
 
 
@@ -70,16 +69,16 @@ def test_nd_recovery_work_is_pinned(monkeypatch, data_dir, nd_net, nd_priced):
     summary = tracer.summary()
     assert trace.converged and trace.iterations == 202
     assert summary["inverse.calls"] == 368
-    assert summary["simplex.solves"] == 1104
-    assert summary["simplex.stage2_solves"] == 368
-    assert summary["simplex.pivots"] == 94
+    assert summary["simplex.solves"] == 368
+    assert summary["simplex.stage2_solves"] == 0
+    assert summary["simplex.pivots"] == 82
     assert summary["simplex.non_optimal"] == 0
 
 
 def test_grid_online_work_is_pinned(monkeypatch, tmp_path):
     """The benchmark's grid-online stream (seed 1) does exactly this work and writes this state.
 
-    Its 448- to 450-row LPs pivot on SuperLU factorisations of their
+    Its 448-row LPs pivot on SuperLU factorisations of their
     bases, and the certificate of each comes from a SuperLU of its final
     basis: a change to the pivot path or to the certified values moves the
     counts or the digest and fails here.
@@ -98,8 +97,8 @@ def test_grid_online_work_is_pinned(monkeypatch, tmp_path):
     result = workloads.run_online(workloads.setup_grid_online(1, inputs), out)
     summary = tracer.summary()
     assert (result.attempted, result.failed, result.errors) == (16, 0, [])
-    assert summary["simplex.solves"] == 15
-    assert summary["simplex.pivots"] == 604
+    assert summary["simplex.solves"] == 5
+    assert summary["simplex.pivots"] == 583
     assert summary["simplex.non_optimal"] == 0
     digest = hashlib.sha256((out / "state.json").read_bytes()).hexdigest()
     assert digest == "f1eb9afc91657fbaaf8af8578a1637a981bfee8d8fb7a306968dfbfe58c64287"
@@ -128,9 +127,9 @@ def test_nd_batch_work_is_pinned(monkeypatch, tmp_path):
     assert (result.attempted, result.failed, result.errors) == (3, 0, [])
     assert result.iterations == 272
     assert summary["inverse.calls"] == 436
-    assert summary["simplex.solves"] == 1308
-    assert summary["simplex.stage2_solves"] == 436
-    assert summary["simplex.pivots"] == 102
+    assert summary["simplex.solves"] == 436
+    assert summary["simplex.stage2_solves"] == 0
+    assert summary["simplex.pivots"] == 90
     assert summary["simplex.non_optimal"] == 0
     digests = {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -27,7 +27,7 @@ from netinverse.network import (
     enumerate_paths,
     path_cost,
 )
-from netinverse.simplex import FEAS_TOL, solve
+from netinverse.simplex import FEAS_TOL, Status, solve
 
 
 def oracle_rows(net, costs, priced_ids, prior, observed):
@@ -449,46 +449,36 @@ class TestTieBreak:
 
     @pytest.mark.parametrize("variant", ["price", "cost"])
     def test_cold_stages_give_the_same_posterior_with_more_pivots(self, variant, monkeypatch):
+        """Each stage as its own program, solved cold, answers as the one program does."""
+
         infer, _ = self.problem(variant)
-        pivots = []
+        solved = []
 
-        def counting(lp):
-            solution = solve(lp)
-            pivots.append(solution.pivots)
-            return solution
+        def recording(lp):
+            solved.append((lp.copy(), solve(lp)))
+            return solved[-1][1]
 
-        monkeypatch.setattr(inverse, "solve", counting)
-        warm = infer()
-        warm_pivots = sum(pivots)
-        pivots.clear()
-        # a copy has no start basis: every stage runs phase 1
-        monkeypatch.setattr(inverse, "solve", lambda lp: counting(lp.copy()))
-        cold = infer()
-        assert len(pivots) == 3 and sum(pivots) > warm_pivots
-        for lid, value in warm.posterior.items():
-            assert abs(value - cold.posterior[lid]) < 1e-9, lid
-
-    def test_pinning_rows_clamp_a_rounding_negative_objective(
-        self, monkeypatch, nd_net, nd_priced
-    ):
-        """A stage objective rounded below zero pins at 0, so the row keeps its slack."""
-
-        pivots = []
-
-        def rounding_below_zero(lp):
-            solution = solve(lp)
-            pivots.append(solution.pivots)
-            return dataclasses.replace(solution, objective=-1e-17)
-
-        monkeypatch.setattr(inverse, "solve", rounding_below_zero)
-        lps = InverseLPs()
-        # a shortest route under the prior: every stage's minimum is 0
-        base = nd_net.base_costs()
-        route, _ = shortest_path(nd_net, base, ("1", "2"))
-        result = infer_dual_prices(nd_net, base, nd_priced, {1: 0.0, 7: 0.0}, route, lps)
-        assert result.objective == 0.0
-        assert [lp._rhs[-1] for lp in lps.stages[1:]] == [0.0, 0.0]
-        assert pivots[0] > 0 and pivots[1:] == [0, 0]
+        monkeypatch.setattr(inverse, "solve", recording)
+        infer()
+        ((lp, one),) = solved
+        objectives, pivots = [lp._objective, *lp._later], 0
+        stage = lp.copy()
+        stage._later = []
+        for k, cost in enumerate(objectives):
+            if k:
+                # the stage before, plus a row pinning its objective at its minimum
+                stage = stage.copy()
+                pinned = {j: c for j, c in enumerate(objectives[k - 1]) if c}
+                stage.add_constraint(pinned, "<=", max(0.0, solution.objective))
+                stage.set_objective(dict(enumerate(cost)))
+            solution = solve(stage)
+            assert solution.status is Status.OPTIMAL
+            pivots += solution.pivots
+        assert pivots > one.pivots
+        for j in range(lp.num_variables):
+            if lp._objective[j]:  # the e and f variables
+                name = lp.variable_name(j)
+                assert abs(solution[name] - one[name]) < 1e-9, name
 
 
 def assert_close(reused, fresh, tol=1e-9):
@@ -513,8 +503,8 @@ class TestInverseLPs:
             prior = {1: float(rng.uniform(0, 6)), 7: float(rng.uniform(0, 6))}
             reused = infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0], lps)
             assert_close(reused, infer_dual_prices(nd_net, base, nd_priced, prior, self.ROUTES[0]))
-        # every stage kept its form and its final basis's LU
-        assert all(lp._std is not None and lp._final[-1] is not None for lp in lps.stages)
+        # the one program kept its form and its final basis's LU
+        assert lps.lp._std is not None and lps.lp._final[-1] is not None
         costs = infer_link_costs(nd_net, base, self.ROUTES[1], lps)
         assert costs == infer_link_costs(nd_net, base, self.ROUTES[1])
 
@@ -532,7 +522,7 @@ class TestInverseLPs:
         lps = InverseLPs()
         for _ in range(3):
             price(lps)
-        stage1, key = lps.stages[0], lps.key
+        lp, key = lps.lp, lps.key
         if change == "tie-break":
             result = infer_link_costs(nd_net, prior, self.ROUTES[0], lps)
             assert result == infer_link_costs(nd_net, prior, self.ROUTES[0])
@@ -542,8 +532,8 @@ class TestInverseLPs:
                 "costs": {"costs": {**zero, 18: 0.5}},
             }[change]
             assert price(lps, **problem) == price(**problem)
-        assert lps.key != key and lps.stages[0] is not stage1
-        assert lps.stages[0]._std is None  # solved once since the rebuild
+        assert lps.key != key and lps.lp is not lp
+        assert lps.lp._std is None  # solved once since the rebuild
 
 
     def test_reused_handle_still_checks_the_prior(self, nd_net, nd_priced):
@@ -565,10 +555,10 @@ class TestInverseLPs:
         prior = {1: 1.0, 7: 2.0}
         lps = InverseLPs()
         infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], lps)
-        stage1 = lps.stages[0]
+        lp = lps.lp
         costs[18] += 0.5  # the same mapping, changed after the handle was built
         result = infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0], lps)
-        assert lps.stages[0] is not stage1
+        assert lps.lp is not lp
         assert result == infer_dual_prices(nd_net, costs, nd_priced, prior, self.ROUTES[0])
 
 
@@ -581,8 +571,8 @@ class TestRoundingBelowZero:
 
         real = inverse._lexicographic_solve
 
-        def overshooting(lps, deviation, secondary):
-            solution = real(lps, deviation, secondary)
+        def overshooting(lps):
+            solution = real(lps)
             primal = dict(solution.primal)
             primal[f"e[{link_id}]"] += amount
             return dataclasses.replace(solution, primal=primal)

@@ -732,8 +732,8 @@ class TestPivotMemos:
         kept = sum(pivots)
         # every handle that took an LP kept it and its final basis across the
         # iterations; a group whose route was already shortest built none
-        built = [lps for lps in handles if lps.stages]
-        assert built and all(lps.stages[0]._final is not None for lps in built)
+        built = [lps for lps in handles if lps.lp is not None]
+        assert built and all(lps.lp._final is not None for lps in built)
         monkeypatch.setattr(learner, "InverseLPs", lambda: None)
         fresh = run()
         assert sum(pivots) - kept > kept

@@ -400,7 +400,7 @@ class TestProductFormUpdates:
     def test_updates_match_refactorising_every_pivot(self, monkeypatch):
         lp, e, f = grid_price_inverse(6, np.random.default_rng(1))
         first = self.assert_same_as_refactorising(lp, monkeypatch)
-        # the lexicographic second stage, as the inverse problems run it
+        # a second stage pinning the first's objective, as its own program
         lp.add_constraint({j: 1.0 for j in e + f}, "<=", first.objective)
         lp.set_objective({j: 1.0 for j in e})
         second = self.assert_same_as_refactorising(lp, monkeypatch)
@@ -591,16 +591,22 @@ class TestStandardForm:
             for i, con in enumerate(lp._constraints):
                 for j, a in con.coeffs:
                     reduced[j] -= duals[i] * a
-            reduced_costs = simplex._reduced_costs(std, duals)
+            reduced_costs = (std.c[0] - std.at @ duals)[: lp.num_variables]
             assert reduced_costs.tolist() == pytest.approx(reduced, rel=1e-12, abs=1e-12)
 
 
-def verify(std, sol: simplex.LpSolution) -> None:
-    """``_verify`` on a solution's values, as a solve hands them over."""
+def verify(std, sol: simplex.LpSolution, k: int = 0, fixed=()) -> None:
+    """``_verify`` on a solution's values for objective ``k``, as a solve hands them over.
+
+    ``fixed`` lists the columns (variables, then ``<=`` rows' slacks) fixed at zero.
+    """
 
     x = np.array([sol.primal[name] for name in std.names], dtype=float)
     y = np.array(sol.duals, dtype=float)
-    simplex._verify(std, x, y, sol.objective, sol.dual_objective)
+    free = np.ones(std.n_real, dtype=bool)
+    free[list(fixed)] = False
+    reduced = (std.c[k] - std.at @ y)[: len(x)]
+    simplex._verify(std, k, free, x, y, reduced, sol.objective, sol.dual_objective)
 
 
 class TestVerify:
@@ -835,7 +841,9 @@ class TestPivotMemo:
 
     @classmethod
     def lexicographic(cls, prior, lps=None):
-        """Both stages of the grid price inverse under ``prior``, as the inverses run them.
+        """Both stages of the grid price inverse under ``prior``, each its own program.
+
+        The second is the first plus a row pinning the first's objective.
 
         ``lps`` keeps the two stage LPs between calls: the first call builds
         them into it, later ones write the new prior with ``set_rhs``.
@@ -1011,8 +1019,8 @@ class TestPivotMemo:
         lp.add_constraint({x: 1.0}, "<=", 1.5)
         solve(lp)
         assert solve(lp).status is Status.OPTIMAL
-        basis, n_real, _ = lp._final
-        assert any(col >= n_real for col in basis)
+        basis, _ = lp._final
+        assert any(col >= lp._std.n_real for col in basis)
         lp.set_rhs(1, 5.0)  # 2x + 2y = 5 contradicts x + y = 2
         with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
             assert solve(lp).status is Status.INFEASIBLE
@@ -1157,87 +1165,58 @@ class TestSetRhs:
 
 
 class TestStartBasis:
-    """A program started from another's final basis skips phase 1 where that basis fits."""
+    """A re-solve starts from the program's own last optimal basis where it is feasible."""
 
     @staticmethod
-    def pinned(rhs):
-        """Stage 1 of the 3x3 grid price inverse, solved, and a program started from it.
+    def stages(prior, k=3):
+        """The k-by-k grid price inverse with its second objective, solved twice.
 
-        The second program is the first plus one ``<=`` row, ``sum(e) <= rhs``,
-        with the same objective.  From a zero prior every ``e`` is 0 at the
-        optimum, so for ``rhs`` 0 the start basis is optimal already.  Returns
-        the first solution, the started program and a copy with no start.
+        Returns the program, its second solve and a copy of it, which keeps no basis.
         """
 
-        first, e, _ = grid_price_inverse(3, np.random.default_rng(1))
-        optimum = solve(first)
-        second = first.copy()
-        second.add_constraint({j: 1.0 for j in e}, "<=", rhs)
-        cold = second.copy()
-        second.start_from(first)
-        return optimum, second, cold
+        lp, e, _ = grid_price_inverse(k, np.random.default_rng(1), prior)
+        lp.add_objective({j: 1.0 for j in e})
+        solve(lp)
+        return lp, solve(lp), lp.copy()
 
-    @pytest.mark.parametrize("rhs", [0.0, -0.0])
-    def test_appended_row_slack_joins_the_basis(self, rhs, caplog):
-        optimum, started, cold = self.pinned(rhs)
+    def test_started_program_resolves_from_its_own_basis(self, caplog):
+        lp, kept, cold = self.stages(list(np.random.default_rng(1).uniform(0.0, 2.0, 24)))
         with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
-            solution = solve(started)
+            solution = solve(lp)
         assert not caplog.records
-        assert solution.status is Status.OPTIMAL and solution.pivots == 0
-        assert solution.objective == optimum.objective
+        assert solution == kept and solution.pivots == 0
         fresh = solve(cold)
         assert fresh.pivots > 0 and abs(fresh.objective - solution.objective) < 1e-9
 
     def test_infeasible_start_basis_runs_phase_1(self):
-        # a prior under which the route is not shortest: the optimum is about 1.86
-        prior = list(np.random.default_rng(1).uniform(0.0, 2.0, 24))
-        first, e, f = grid_price_inverse(3, np.random.default_rng(1), prior)
-        optimum = solve(first)
-        second = first.copy()
-        second.add_constraint({j: 1.0 for j in e + f}, "<=", optimum.objective - 1.0)
-        second.start_from(first)
-        assert optimum.objective > 1.0 and solve(second).status is Status.INFEASIBLE
+        prior, moved = TestPivotMemo.priors(5, 2)
+        lp, _, _ = self.stages(prior, TestPivotMemo.K)
+        fresh, e, _ = grid_price_inverse(TestPivotMemo.K, np.random.default_rng(1), moved)
+        fresh.add_objective({j: 1.0 for j in e})
+        lp.set_rhs(0, fresh._rhs)
+        assert simplex._lu_solve(lp._final[-1], lp._rhs).min() < -FEAS_TOL
+        resolved = solve(lp)
+        assert resolved.status is Status.OPTIMAL and resolved.pivots > 0
+        assert_same_answer(resolved, solve(fresh), unique=False)
 
-    def test_started_program_resolves_from_its_own_basis(self):
-        prior = list(np.random.default_rng(1).uniform(0.0, 2.0, 24))
-        first, e, f = grid_price_inverse(3, np.random.default_rng(1), prior)
-        second = first.copy()
-        second.add_constraint({j: 1.0 for j in e + f}, "<=", 0.0)
-        second.set_objective({j: 1.0 for j in e})
-        second.start_from(first)
-        results = []
-        for _ in range(3):
-            optimum = solve(first)
-            second.set_rhs(second.num_constraints - 1, optimum.objective)
-            results.append(solve(second))
-        # the first solve starts from first's final basis, the later ones from second's own
-        assert results[0].pivots > 0
-        assert results[1:] == [dataclasses.replace(results[0], pivots=0)] * 2
-        cold = second.copy()
-        assert abs(solve(cold).objective - results[0].objective) < 1e-9
-
-    def test_redundant_row_artificial_moves_past_the_new_slack(self):
+    def test_redundant_row_artificial_stays_basic_through_later_objectives(self):
         lp = LinearProgram()
         x = lp.add_variable("x", cost=1.0)
         y = lp.add_variable("y", cost=2.0)
         lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
         lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0)  # redundant: its artificial stays basic
         lp.add_constraint({x: 1.0}, "<=", 1.5)
-        first = solve(lp)
-        basis, n_real, _ = lp._final
-        assert any(col >= n_real for col in basis)
-        second = lp.copy()
-        second.add_constraint({x: 1.0, y: 2.0}, "<=", first.objective)
-        second.set_objective({y: 1.0})
-        cold = second.copy()
-        second.start_from(lp)
-        solution = solve(second)
-        assert solution.status is Status.OPTIMAL
-        assert solution.primal == pytest.approx(solve(cold).primal, abs=1e-12)
-        assert solution.primal == pytest.approx({"x": 1.5, "y": 0.5}, abs=1e-12)
+        lp.add_objective({y: 1.0})
+        lp.add_objective({x: -1.0})
+        for _ in range(3):
+            solution = solve(lp)
+            assert solution.status is Status.OPTIMAL
+            assert solution.primal == pytest.approx({"x": 1.5, "y": 0.5}, abs=1e-12)
+        basis, _ = lp._final
+        assert any(col >= lp._std.n_real for col in basis) and solution.pivots == 0
 
     def test_bland_restart_ignores_the_start_basis(self, monkeypatch):
-        optimum, started, cold = self.pinned(0.0)
+        lp, _, cold = self.stages([0.0] * 24)
         real = simplex._verify
         calls = []
 
@@ -1248,6 +1227,102 @@ class TestStartBasis:
             return real(*args)
 
         monkeypatch.setattr(simplex, "_verify", fail_first)
-        solution = solve(started)
-        assert len(calls) == 2 and solution.pivots > 0  # phase 1 ran, under Bland's rule
+        solution = solve(lp)
+        # one failed certificate, then both objectives' under Bland's rule from phase 1
+        assert len(calls) == 3 and solution.pivots > 0
         assert solution == simplex._solve_once(cold, True)
+
+
+def highs_lexicographic_values(lp: LinearProgram) -> list[float]:
+    """Each objective's minimum by HiGHS, with the ones before pinned at theirs.
+
+    The objectives must be nonnegative at every feasible point: a pin is a
+    ``<=`` row, whose right-hand side the kernel takes only ``>= 0``.
+    """
+
+    pinned, values = lp.copy(), []
+    pinned._later = []
+    for cost in [lp._objective, *lp._later]:
+        pinned.set_objective(dict(enumerate(cost)))
+        values.append(highs_minimum(pinned))
+        pinned.add_constraint(dict(enumerate(cost)), "<=", values[-1] + 1e-9 * (1 + values[-1]))
+    return values
+
+
+class TestObjectivesInOrder:
+    """A program with added objectives minimises each among the optima of the ones before."""
+
+    def test_random_programs_match_highs_stage_by_stage(self):
+        rng = np.random.default_rng(20261021)
+        checked = 0
+        for _ in range(60):
+            lp = random_bounded_lp(rng)
+            n = lp.num_variables
+            # costs with zeros, so that earlier objectives leave ties to break
+            for _ in range(int(rng.integers(1, 3))):
+                costs = [float(rng.choice([0.0, 1.0, rng.uniform(0, 3)])) for _ in range(n)]
+                lp.add_objective(dict(enumerate(costs)))
+            lp.set_objective({j: float(rng.choice([0.0, 0.0, 1.0])) for j in range(n)})
+            solution = solve(lp)
+            if solution.status is Status.INFEASIBLE:
+                continue
+            assert solution.status is Status.OPTIMAL
+            x = np.array([solution[lp.variable_name(j)] for j in range(n)])
+            for cost, expected in zip([lp._objective, *lp._later], highs_lexicographic_values(lp)):
+                assert float(np.dot(cost, x)) == pytest.approx(expected, rel=1e-7, abs=1e-7)
+            assert solution.objective == pytest.approx(float(np.dot(lp._later[-1], x)), abs=1e-12)
+            checked += 1
+        assert checked >= 40
+
+    def test_second_objective_pivots(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y", cost=1.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        first = solve(lp.copy())  # phase 1 pivots x in: every point of x + y = 2 is optimal
+        lp.add_objective({x: 1.0})
+        solution = solve(lp)
+        assert first.primal == {"x": 2.0, "y": 0.0}
+        assert solution.primal == {"x": 0.0, "y": 2.0} and solution.objective == 0.0
+        assert solution.pivots == first.pivots + 1
+        assert "then min +1*x" in lp.dump()
+
+    def test_fixed_slack_row_takes_a_dual_of_either_sign(self):
+        """x + y <= 2 is tight at every optimum of the first objective: an "=" row after it."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=-1.0)
+        y = lp.add_variable("y", cost=-1.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "<=", 2.0)
+        lp.add_objective({x: 1.0, y: 2.0})
+        solution = solve(lp)
+        assert solution.status is Status.OPTIMAL
+        assert solution.primal == {"x": 2.0, "y": 0.0} and solution.objective == 2.0
+        assert solution.duals == (1.0,)  # positive, on a "<=" row
+        std = simplex._standardize(lp)
+        verify(std, solution, k=1, fixed=[2])  # the row's slack, column 2
+        with pytest.raises(SolverError, match="row 0 has wrong dual sign"):
+            verify(std, solution, k=1)
+
+    def test_reduced_cost_sign_is_checked_on_free_columns_only(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        std = simplex._standardize(lp)
+        sol = simplex.LpSolution(Status.OPTIMAL, 2.0, {"x": 2.0, "y": 0.0}, (1.0,), 2.0)
+        with pytest.raises(SolverError, match="variable y has reduced cost -1 of the wrong sign"):
+            verify(std, sol)
+        verify(std, sol, fixed=[y])
+
+    def test_refused_objective_changes_nothing(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        with pytest.raises(SolverError, match="undeclared"):
+            lp.add_objective({3: 1.0})
+        with pytest.raises(SolverError, match="non-finite cost nan"):
+            lp.add_objective({x: math.nan})
+        assert lp._later == []
+        lp.add_objective({x: 2.0})
+        lp.add_variable("y", cost=1.0)  # costs 0 in the objectives added before it
+        assert lp._later == [[2.0, 0.0]] and lp.copy()._later == lp._later
