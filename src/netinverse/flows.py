@@ -39,9 +39,12 @@ def shortest_path(
 ) -> tuple[Path, float]:
     """Minimum-cost simple path under nonnegative link costs.
 
-    Ties are broken deterministically in favor of the lexicographically
-    smallest link-id sequence, so repeated calls and alternative
-    implementations agree on which of several equal-cost routes is returned.
+    A route's cost is the floating-point sum of its link costs, added in
+    route order from 0.0; the route returned has the least such cost, and
+    the cost returned is that sum.  Ties are broken deterministically, but
+    not by the smallest link-id sequence overall: each node is settled by
+    the first label to reach it in (cost, link sequence) order, so a
+    rounding difference on the way can decide a tie at the destination.
     """
 
     origin, destination = od

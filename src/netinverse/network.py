@@ -262,29 +262,52 @@ def enumerate_paths(net: Network, od: tuple[NodeId, NodeId], max_paths: int) -> 
 
     if max_paths < 1:
         raise DataError(f"max_paths must be >= 1, got {max_paths}")
-    origin, destination = od
-    if origin == destination:
-        return []
-    found: list[Path] = []
+    base = net.base_costs()
+    found = sorted(_simple_paths(net, od), key=lambda p: (path_cost(net, base, p), p.links))
+    return found[:max_paths]
 
-    def dfs(node: NodeId, visited: set[NodeId], seq: list[LinkId]) -> None:
+
+def _simple_paths(net: Network, od: tuple[NodeId, NodeId]) -> Iterator[Path]:
+    """Each simple path for an OD pair, depth first; none for an unconnected or coincident pair.
+
+    The search enters only nodes from which the destination can still be
+    reached off the partial path, so every branch ends in a path and the
+    next one comes after polynomial work, however few are taken.
+    """
+
+    origin, destination = od
+    if origin == destination or not {origin, destination} <= net.nodes:
+        return
+    tails: dict[NodeId, list[NodeId]] = {}
+    for link in net.links:
+        tails.setdefault(link.head, []).append(link.tail)
+    visited = {origin}
+    seq: list[LinkId] = []
+
+    def reaching() -> set[NodeId]:
+        found, stack = {destination}, [destination]
+        while stack:
+            for tail in tails.get(stack.pop(), ()):
+                if tail not in found and tail not in visited:
+                    found.add(tail)
+                    stack.append(tail)
+        return found
+
+    def dfs(node: NodeId) -> Iterator[Path]:
         if node == destination:
-            found.append(Path(origin, destination, tuple(seq)))
+            yield Path(origin, destination, tuple(seq))
             return
+        live = reaching()
         for link in net.outgoing(node):
-            if link.head in visited:
+            if link.head not in live:
                 continue
             seq.append(link.id)
             visited.add(link.head)
-            dfs(link.head, visited, seq)
+            yield from dfs(link.head)
             visited.remove(link.head)
             seq.pop()
 
-    if origin in net.nodes and destination in net.nodes:
-        dfs(origin, {origin}, [])
-    base = net.base_costs()
-    found.sort(key=lambda p: (path_cost(net, base, p), p.links))
-    return found[:max_paths]
+    yield from dfs(origin)
 
 
 # ---------------------------------------------------------------------------

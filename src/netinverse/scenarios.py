@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path as FilePath
 from typing import Any, Callable
 
@@ -45,6 +46,7 @@ from .network import (
     Observation,
     Path,
     PriceVector,
+    _simple_paths,
     load_capacities,
     load_demand,
     load_network,
@@ -197,6 +199,10 @@ def load_scenario(path: FilePath | str) -> ScenarioSpec:
 # ---------------------------------------------------------------------------
 
 
+#: an OD pair with more simple routes than this has each agent's route found by ``shortest_path``
+_ROUTE_CAP = 64
+
+
 def draw_perceived_costs(
     net: Network,
     spec: ScenarioSpec,
@@ -204,6 +210,16 @@ def draw_perceived_costs(
     rng: np.random.Generator,
 ) -> list[PriceVector]:
     """Per-agent link costs (Python floats) from correlated normals, truncated at zero."""
+
+    link_ids = [l.id for l in net.links]
+    draws = _draw_cost_matrix(net, spec, n_agents, rng)
+    return [dict(zip(link_ids, row)) for row in draws.tolist()]
+
+
+def _draw_cost_matrix(
+    net: Network, spec: ScenarioSpec, n_agents: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``draw_perceived_costs`` as an array: one row per agent, one column per link of ``net``."""
 
     link_ids = [l.id for l in net.links]
     means = np.array(
@@ -224,8 +240,7 @@ def draw_perceived_costs(
     if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
         raise DataError("correlation structure is not positive semidefinite")
     draws = rng.multivariate_normal(means, cov, size=n_agents, method="svd")
-    draws = np.clip(draws, 0.0, None)
-    return [dict(zip(link_ids, row)) for row in draws.tolist()]
+    return np.clip(draws, 0.0, None)
 
 
 def simulate_population(spec: ScenarioSpec) -> list[Observation]:
@@ -239,13 +254,49 @@ def simulate_population(spec: ScenarioSpec) -> list[Observation]:
     observations: list[Observation] = []
     routes: dict[tuple[LinkId, ...], Path] = {}  # agents on one route share its Path
     for entry in demand.entries:
-        n_agents = int(round(entry.flow))
-        costs = draw_perceived_costs(net, spec, n_agents, rng)
-        for i, perceived in enumerate(costs):
-            route, _ = shortest_path(net, perceived, (entry.origin, entry.destination))
+        draws = _draw_cost_matrix(net, spec, int(round(entry.flow)), rng)
+        for i, route in enumerate(_shortest_routes(net, draws, (entry.origin, entry.destination))):
             observations.append(Observation(f"{entry.origin}-{entry.destination}-{i:04d}",
                                             routes.setdefault(route.links, route)))
     return observations
+
+
+def _shortest_routes(net: Network, draws: np.ndarray, od: tuple[NodeId, NodeId]) -> list[Path]:
+    """``shortest_path``'s route for each agent, a row of link costs in ``draws``.
+
+    Each of the OD pair's simple routes is costed for all agents at once by
+    adding its links' costs in route order from 0.0, the additions that
+    Dijkstra's labels make.  Costs are >= 0 and rounded addition is monotone,
+    so ``shortest_path`` returns a route of least rounded cost, and where one
+    route alone has it, that route.  A tie, a non-finite cost, an OD pair
+    with no route or more than ``_ROUTE_CAP`` is left to ``shortest_path``
+    itself, which breaks the tie and raises as it does for any caller.
+    """
+
+    n_agents = len(draws)
+    choice = np.full(n_agents, -1)  # index into paths; -1 asks shortest_path
+    paths = list(islice(_simple_paths(net, od), _ROUTE_CAP + 1)) if n_agents else []
+    if 0 < len(paths) <= _ROUTE_CAP:
+        column = {l.id: k for k, l in enumerate(net.links)}
+        best = np.full(n_agents, np.inf)
+        tied = np.zeros(n_agents, dtype=bool)
+        cost = np.empty(n_agents)
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf, as in Python
+            for r, path in enumerate(paths):
+                cost.fill(0.0)
+                for lid in path.links:
+                    cost += draws[:, column[lid]]
+                tied |= cost == best
+                less = cost < best
+                tied[less] = False
+                choice[less] = r
+                np.minimum(best, cost, out=best)
+        choice[tied | ~np.isfinite(draws).all(axis=1)] = -1
+    link_ids = [l.id for l in net.links]
+    return [
+        paths[r] if r >= 0 else shortest_path(net, dict(zip(link_ids, draws[i].tolist())), od)[0]
+        for i, r in enumerate(choice.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path as FilePath
 
+import pytest
+
 from netinverse import learner
 from netinverse.network import Observation, Path
 from netinverse.scenarios import generate_observations, load_scenario
@@ -180,3 +182,29 @@ def test_nd_batch_inputs_are_pinned(monkeypatch, tmp_path):
         "population_correlated.csv":
             "8db714f4c6edc1e64a8b5fe91476d0798fff118456741b3c273390c63ad4bba0",
     }
+
+
+@pytest.mark.parametrize("seed, independent, correlated", [
+    (2, "6946f846565f41db872c9860f96dee7f83400f0efe23f991cdf8767d2b0155c2",
+     "e200b17e81547a6433218e979288b2520e056bf94292c83cdfefc113b55e375b"),
+    (4, "c18dfdb1bf3c68134754f4fa9ef490bbee095603271077884c9c1c43f6a28f94",
+     "a269796762aceb6d24e943fb6fa7a0c603b03367b0aa7a6df81ef99b3e64caa5"),
+])
+def test_nd_batch_populations_with_ties_are_pinned(monkeypatch, tmp_path, seed, independent,
+                                                    correlated):
+    """The nd-batch populations at seeds whose independent draw ties agents' route costs.
+
+    Seeds 2 and 4 leave 4 and 3 of 20000 agents with two routes of least cost,
+    which ``shortest_path`` breaks by its own order: a generator that broke
+    them otherwise would move these digests.
+    """
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    workloads.setup_nd_batch(seed, tmp_path)
+    digests = [
+        hashlib.sha256((tmp_path / f"population_{kind}.csv").read_bytes()).hexdigest()
+        for kind in ("independent", "correlated")
+    ]
+    assert digests == [independent, correlated]

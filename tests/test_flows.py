@@ -69,6 +69,19 @@ class TestShortestPath:
         route, _ = shortest_path(net, {1: 1.0, 2: 1.0, 3: 1.0}, ("a", "c"))
         assert route.links == (1, 3)
 
+    def test_tie_under_rounding_is_not_broken_by_link_sequence(self, fourlink_net):
+        """(1,3,5) and (2,5) both cost 0.4 once rounded, and (2,5) is returned.
+
+        Node 3 settles through link 2 at 0.3, before link 1 then 3 reach it
+        at 0.30000000000000004, so the smaller sequence (1,3,5) never comes up.
+        """
+
+        costs = {1: 0.2, 2: 0.3, 3: 0.1, 4: 1.0, 5: 0.1}
+        assert path_cost(fourlink_net, costs, Path("1", "4", (1, 3, 5))) == 0.4
+        assert path_cost(fourlink_net, costs, Path("1", "4", (2, 5))) == 0.4
+        route, cost = shortest_path(fourlink_net, costs, ("1", "4"))
+        assert route.links == (2, 5) and cost == 0.4
+
     def test_oracle_equivalence_random_costs(self, nd_net, toy_net, fourlink_net):
         """Label-setting agrees with the minimum over full enumeration."""
 

@@ -4,7 +4,9 @@ import csv
 import math
 import random
 import re
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from netinverse.errors import DataError
@@ -16,6 +18,7 @@ from netinverse.network import (
     Link,
     Network,
     Path,
+    _simple_paths,
     enumerate_paths,
     load_capacities,
     load_demand,
@@ -28,6 +31,7 @@ from netinverse.network import (
     write_observations,
 )
 from netinverse.network import Observation
+from test_inverse import grid
 
 # Every simple route of the 13-node benchmark network, by OD pair:
 # (link sequence, length).  Used as the enumeration oracle.
@@ -230,6 +234,28 @@ class TestEnumeratePaths:
     def test_parallel_links(self, toy_net):
         found = enumerate_paths(toy_net, ("O", "D"), 10)
         assert [p.links for p in found] == [(1,), (2,), (3,)]
+
+    def test_grid_with_links_both_ways(self):
+        assert len(enumerate_paths(grid(4, np.random.default_rng(1)), ("0.0", "3.3"), 1000)) == 184
+
+    def test_first_routes_come_without_searching_dead_ends(self, monkeypatch):
+        """An 8 x 8 grid's first 65 routes between corners cost under 1000 steps of the search.
+
+        Without pruning, the depth-first search walks every self-avoiding walk
+        of a pocket the partial route has closed off, exponentially many.
+        """
+
+        net, steps = grid(8, np.random.default_rng(1)), []
+        outgoing = net.outgoing
+
+        def counted(node):
+            steps.append(node)
+            assert len(steps) < 10**4, "the search is walking dead ends"
+            return outgoing(node)
+
+        monkeypatch.setattr(net, "outgoing", counted)
+        assert len(list(islice(_simple_paths(net, ("7.7", "0.0")), 65))) == 65
+        assert len(steps) < 1000
 
 
 class TestObservations:

@@ -1,16 +1,22 @@
 """Scenario parsing, population simulation, flow sampling, and streams."""
 
+import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from netinverse.errors import DataError
-from netinverse.flows import solve_multicommodity
+from netinverse import scenarios
+from netinverse.errors import DataError, UnreachableError
+from netinverse.flows import shortest_path, solve_multicommodity
 from netinverse.network import (
+    Observation,
+    load_demand,
     load_network,
     load_observations,
     validate_path,
+    write_network,
     write_observations,
 )
 from netinverse.scenarios import (
@@ -25,6 +31,7 @@ from netinverse.scenarios import (
     simulate_gateway_stream,
     simulate_population,
 )
+from test_inverse import grid
 
 CAPACITY_DROP_ROUTE = (4, 12, 14, 15)   # appears only under the tighter cap
 HIGH_CAPACITY_ROUTE = (2, 17, 7, 10, 16)  # appears only under the looser cap
@@ -242,6 +249,112 @@ class TestSimulatePopulation:
         values = np.array([[c[i] for i in range(1, 6)] for c in costs])
         assert values.min() >= 0.0
         assert (values == 0.0).any()  # truncation visibly active at this spread
+
+    @pytest.mark.parametrize("name, digest", [
+        ("population_independent.scn",
+         "34814a3b495892be9d6ccd9f60fe19f3116019f0e50060159a16e8a1c37253c0"),
+        ("population_correlated.scn",
+         "d8e6b6f95fb788d43d6cb5ca2d8335bed168b86ec0667baa66904aea2d4d2076"),
+    ])
+    def test_shipped_populations_are_pinned(self, data_dir, tmp_path, name, digest):
+        """What ``netinverse simulate`` writes for the shipped population scenarios."""
+
+        obs, header = generate_observations(load_scenario(data_dir / "scenarios" / name))
+        write_observations(obs, tmp_path / "obs.csv", header_comments=header)
+        assert hashlib.sha256((tmp_path / "obs.csv").read_bytes()).hexdigest() == digest
+
+
+class TestPopulationMatchesPerAgentSearch:
+    """``simulate_population`` routes every agent as ``shortest_path`` does, one by one."""
+
+    @staticmethod
+    def reference(spec):
+        net = load_network(spec.network_file)
+        rng = np.random.default_rng(spec.seed)
+        observations = []
+        for entry in load_demand(spec.demand_file, net).entries:
+            od = (entry.origin, entry.destination)
+            costs = draw_perceived_costs(net, spec, int(round(entry.flow)), rng)
+            for i, perceived in enumerate(costs):
+                route, _ = shortest_path(net, perceived, od)
+                observations.append(Observation(f"{od[0]}-{od[1]}-{i:04d}", route))
+        return observations
+
+    @staticmethod
+    def spec(tmp_path, network, demand, **keys):
+        (tmp_path / "demand.csv").write_text("origin,destination,flow\n" + demand)
+        return ScenarioSpec(kind="COST_HETEROGENEITY", network_file=str(network), seed=11,
+                            demand_file=str(tmp_path / "demand.csv"), **keys)
+
+    def assert_matches(self, spec, monkeypatch):
+        """Compare with the reference; return how many agents ``shortest_path`` routed."""
+
+        calls = []
+        monkeypatch.setattr(scenarios, "shortest_path",
+                            lambda *args: calls.append(args) or shortest_path(*args))
+        assert simulate_population(spec) == self.reference(spec)
+        return len(calls)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 20170605])
+    @pytest.mark.parametrize("name", ["population_independent.scn", "population_correlated.scn"])
+    def test_shipped_scenarios(self, data_dir, tmp_path, monkeypatch, name, seed):
+        (tmp_path / "demand.csv").write_text("origin,destination,flow\n1,4,2000\n")
+        spec = dataclasses.replace(load_scenario(data_dir / "scenarios" / name), seed=seed,
+                                   demand_file=str(tmp_path / "demand.csv"))
+        assert self.assert_matches(spec, monkeypatch) < 2000
+
+    def test_draw_heavy_in_zeros(self, data_dir, tmp_path, monkeypatch):
+        spec = self.spec(tmp_path, data_dir / "fourlink_links.csv", "1,4,3000\n",
+                         cost_mean_default=0.3, cost_sd_default=0.3)
+        assert 0 < self.assert_matches(spec, monkeypatch) < 3000  # ties, on zeros
+
+    def test_every_agent_tied(self, data_dir, tmp_path, monkeypatch):
+        spec = self.spec(tmp_path, data_dir / "fourlink_links.csv", "1,4,500\n",
+                         cost_mean_default=1.0, cost_sd_default=0.0)
+        assert self.assert_matches(spec, monkeypatch) == 500  # (1,4) and (2,5) tie at 2.0
+
+    def test_route_costs_that_overflow(self, data_dir, tmp_path, monkeypatch):
+        spec = self.spec(tmp_path, data_dir / "fourlink_links.csv", "1,4,50\n",
+                         cost_mean_default=1e308, cost_sd_default=0.0)
+        assert self.assert_matches(spec, monkeypatch) == 50  # every route costs inf
+
+    def test_several_od_pairs_on_nd(self, data_dir, monkeypatch):
+        spec = ScenarioSpec(kind="COST_HETEROGENEITY", network_file=str(data_dir / "nd_links.csv"),
+                            seed=5, demand_file=str(data_dir / "nd_demand.csv"),
+                            cost_mean_default=8.0, cost_sd_default=4.0, cost_means={1: 7.0})
+        assert self.assert_matches(spec, monkeypatch) < 2000
+
+    def test_more_routes_than_the_cap(self, tmp_path, monkeypatch):
+        write_network(grid(4, np.random.default_rng(1)), tmp_path / "grid.csv")  # 184 routes
+        spec = self.spec(tmp_path, tmp_path / "grid.csv", "0.0,3.3,300\n",
+                         cost_mean_default=1.0, cost_sd_default=0.5)
+        assert self.assert_matches(spec, monkeypatch) == 300
+
+    def test_unreachable_pair(self, data_dir, tmp_path):
+        spec = self.spec(tmp_path, data_dir / "fourlink_links.csv", "1,4,20\n4,1,3\n",
+                         cost_mean_default=1.0, cost_sd_default=0.3)
+        with pytest.raises(UnreachableError) as expected:
+            self.reference(spec)
+        with pytest.raises(UnreachableError) as exc:
+            simulate_population(spec)
+        assert str(exc.value) == str(expected.value) == "no route from '4' to '1'"
+
+    def test_zero_flow_entries(self, data_dir, tmp_path, monkeypatch):
+        spec = self.spec(tmp_path, data_dir / "fourlink_links.csv", "4,1,0\n1,3,0\n1,4,40\n",
+                         cost_mean_default=1.0, cost_sd_default=0.3)
+        assert self.assert_matches(spec, monkeypatch) < 40
+
+    def test_costs_shortest_path_refuses(self, fourlink_net):
+        draws = np.array([[0.2, 0.3, 0.1, 1.0, 0.1], [0.2, np.nan, 0.1, 1.0, 0.1]])
+        with pytest.raises(DataError) as expected:
+            shortest_path(fourlink_net, dict(zip(range(1, 6), draws[1].tolist())), ("1", "4"))
+        with pytest.raises(DataError) as exc:
+            scenarios._shortest_routes(fourlink_net, draws, ("1", "4"))
+        assert str(exc.value) == str(expected.value)
+        # the first row alone: a tie under rounding, routed as shortest_path routes it
+        assert scenarios._shortest_routes(fourlink_net, draws[:1], ("1", "4")) == [
+            shortest_path(fourlink_net, dict(zip(range(1, 6), draws[0].tolist())), ("1", "4"))[0]
+        ]
 
 
 class TestFlowSampling:
