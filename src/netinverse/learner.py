@@ -161,13 +161,16 @@ def _fixed_point(
     only the prior changes between iterations, and it enters the group's LPs
     only through their right-hand sides, so the LPs are built at the first
     call that needs one and each re-solve starts from the last one's optimal
-    basis, with the results fresh LPs give, to rounding.  A call answered by
-    :func:`~netinverse.inverse.answer_at_prior` builds none.  The handles
-    are dropped on return.  An observation whose agent id repeats raises
-    :class:`~netinverse.errors.DataError` before any solve, and a ``prior0``
-    entry for a link not in ``link_ids`` raises it after the first pass's
-    checks.  Groups the inverse finds inconsistent under ``prior0`` are
-    dropped, reported and logged; a batch with nothing left raises
+    basis, with the results fresh LPs give, to rounding.  Where that basis
+    stays feasible, as in most iterations, the re-solve takes no pivot, and
+    from the second such re-solve on it reads the basis's recorded pricing
+    instead of pricing again (see :mod:`netinverse.simplex`).  A call
+    answered by :func:`~netinverse.inverse.answer_at_prior` builds none.  The
+    handles are dropped on return.  An observation whose agent id repeats
+    raises :class:`~netinverse.errors.DataError` before any solve, and a
+    ``prior0`` entry for a link not in ``link_ids`` raises it after the first
+    pass's checks.  Groups the inverse finds inconsistent under ``prior0``
+    are dropped, reported and logged; a batch with nothing left raises
     :class:`~netinverse.errors.NoUsableObservations`.
     """
 

@@ -53,7 +53,8 @@ A :class:`LinearProgram` holds its right-hand sides in one array, which
 ``b``.  A program keeps the final basis of its last optimal solve.  From its
 second solve on it also keeps its standard form, built once per structure,
 and the LU of that final basis.  ``add_variable``, ``add_constraint``,
-``set_objective`` and ``add_objective`` drop all three.
+``set_objective`` and ``add_objective`` drop all three, and the pricing
+record below.
 
 A re-solve starts from the kept basis where its basic values are feasible
 and its artificials, those of redundant rows, are zero, both to within
@@ -65,6 +66,18 @@ duals of the last pricing step where that step used no eta entry: both are
 the same arithmetic on the same LU of the final basis.  A re-solve's status
 and objective are a fresh solve's, and so are its values, to rounding,
 where the optimum is unique.
+
+Pricing reads the basis, its LU and the costs, never ``b``: each
+objective's duals ``c_B B^-1``, its reduced costs ``c - A'y`` and the
+columns it fixes at zero.  So a re-solve that starts from the kept basis and
+takes no pivot keeps them beside that basis, stacked, one row per
+objective: the program's pricing record.  A later re-solve that finds the
+same basis feasible reads the record instead of pricing.  It solves once
+with the kept LU for ``B^-1 b``, computes the values and each objective's
+objective and dual objective, and certifies every objective in one pass; its
+answer is, bit for bit, the one pricing would give.  The structural changes
+above drop the record, and so does any solve that pivots, runs phase 1 or
+restarts under Bland's rule.
 
 Conventions
 -----------
@@ -157,11 +170,14 @@ class LinearProgram:
         self._changed()
 
     def _changed(self) -> None:
-        """The structure changed: drop the standard form and the final basis."""
+        """The structure changed: drop the standard form, the final basis and its pricing."""
 
         self._std: _Standardized | None = None
         # the last optimal solve's basis and, where the form is kept, its LU
         self._final: tuple[list[int], object] | None = None
+        # that basis's pricing record: each objective's duals, reduced costs
+        # and free mask, stacked, where a warm solve confirmed it with no pivot
+        self._priced: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._solved = False
 
     # -- construction -----------------------------------------------------
@@ -495,13 +511,18 @@ class _Pivoter:
         # the optimal pricing step's duals and reduced costs, where it used no eta entry
         self.priced: tuple[np.ndarray, np.ndarray] | None = None
 
-    def factor(self, basis: list[int], lu=None):
-        """The LU of the basis matrix ``a[:, basis]``: ``lu``, where one is given."""
+    def factor(self, basis: list[int], lu=None, x_b=None):
+        """The LU of the basis matrix ``a[:, basis]``: ``lu``, where one is given.
+
+        ``x_b``, where given, holds the basic values ``lu`` gives.
+        """
 
         key = tuple(basis)
         if key != self._lu_basis:
             self._lu = _factor(self.a, basis) if lu is None else lu
             self._lu_basis = key
+            if x_b is not None:
+                self._x_lu, self._x_b = self._lu, x_b
         return self._lu
 
     def values(self, basis: list[int]) -> np.ndarray:
@@ -629,9 +650,8 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     std = lp._std or _standardize(lp)
     lp._std = std if keep else None
     (m, width), n_real = std.a.shape, std.n_real
-    pivoter = _Pivoter(std, stall_limit=max(50, 2 * m))
-    pivoter.bland = force_bland
     tol = FEAS_TOL * float(std.b.max(initial=1.0))
+    record, lp._priced = lp._priced, None
 
     # the program's own last optimal basis, taken where its basic values are
     # feasible and its artificials, those of redundant rows, still zero: a
@@ -639,15 +659,22 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     basis = None
     if lp._final is not None and not force_bland:
         start, lu = lp._final
-        pivoter.factor(start, lu)
-        x_b = pivoter.values(start)
+        lu = _factor(std.a, start) if lu is None else lu
+        x_b = _lu_solve(lu, std.b)
         artificial = x_b[[i for i, col in enumerate(start) if col >= n_real]]
         if x_b.min(initial=0.0) >= -tol and artificial.max(initial=0.0) <= tol:
             basis = start
     lp._final = None
+    warm = basis is not None
+    if warm and record is not None:
+        return _from_record(lp, std, basis, lu, x_b, record)
+    pivoter = _Pivoter(std, stall_limit=max(50, 2 * m))
+    pivoter.bland = force_bland
 
-    # phase 1, from the artificial columns of the rows no slack can start
-    if basis is None:
+    if warm:
+        pivoter.factor(basis, lu, x_b)
+    else:
+        # phase 1, from the artificial columns of the rows no slack can start
         basis = list(std.basis)
         if width > n_real:
             c1 = np.zeros(width)
@@ -662,85 +689,133 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
 
     # phase 2, once per objective, each among the optima of the ones before
     n = len(std.names)
+    priced = []  # each objective's duals, reduced costs and free mask
     for k, c in enumerate(std.c):
         if k:
             # a column the objective before prices out is zero at every optimum
-            # of it (complementary slackness): fix it at zero
-            pivoter.free &= reduced[:n_real] <= OPT_TOL
+            # of it (complementary slackness): fix it at zero, in a new mask,
+            # since ``priced`` holds the one before
+            pivoter.free = pivoter.free & (reduced[:n_real] <= OPT_TOL)
         if pivoter.run(c, basis) == "unbounded":
             return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
 
         # an LU of the final basis, not the loop's eta file: the values below
         # depend on the final basis alone
         lu = pivoter.factor(basis)
-        x_b = pivoter.values(basis)
         if pivoter.priced is not None:
             y, reduced = pivoter.priced
         else:
             y = _lu_solve(lu, c[basis], trans=1)
             reduced = c - std.at @ y
-        x = np.zeros(n_real)
-        real = [i for i, col in enumerate(basis) if col < n_real]
-        x[[basis[i] for i in real]] = x_b[real]
-        values = 0.0 + x[:n]  # a basic value of -0.0 reads 0.0
+        values = _primal(std, basis, pivoter.values(basis))
         objective = float(sum((std.cost[k] * values).tolist()))
         dual_objective = float(std.b @ y)
-        _verify(std, k, pivoter.free, values, y, reduced[:n], objective, dual_objective)
+        priced.append((y, reduced[:n], pivoter.free))
+        _verify(std, k, pivoter.free[None], values, y[None], reduced[None, :n],
+                [objective], [dual_objective])
 
     lp._final = (basis, lu if keep else None)
+    if warm and not pivoter.pivots:
+        # every later solve from this basis that finds it feasible prices the same
+        lp._priced = tuple(map(np.array, zip(*priced)))
     primal = dict(zip(std.names, values.tolist()))
     return LpSolution(
         Status.OPTIMAL, objective, primal, tuple(y.tolist()), dual_objective, pivoter.pivots
     )
 
 
+def _primal(std: _Standardized, basis: list[int], x_b: np.ndarray) -> np.ndarray:
+    """The program's variables' values at ``basis``, whose basic values are ``x_b``."""
+
+    x = np.zeros(std.n_real)
+    real = [i for i, col in enumerate(basis) if col < std.n_real]
+    x[[basis[i] for i in real]] = x_b[real]
+    return 0.0 + x[: len(std.names)]  # a basic value of -0.0 reads 0.0
+
+
+def _from_record(
+    lp: LinearProgram,
+    std: _Standardized,
+    basis: list[int],
+    lu,
+    x_b: np.ndarray,
+    record: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> LpSolution:
+    """The answer at the kept ``basis``, whose values ``x_b`` are feasible, from its ``record``.
+
+    Pricing reads the basis, its LU and the costs, never ``b``: every
+    objective prices as it did in the solve that made the record, takes no
+    pivot and fixes the same columns.  Only the values are new, and one
+    certificate pass checks every objective.
+    """
+
+    y, reduced, free = record
+    values = _primal(std, basis, x_b)
+    objective = [float(sum(row)) for row in (std.cost * values).tolist()]
+    dual_objective = [float(std.b @ duals) for duals in y]
+    _verify(std, 0, free, values, y, reduced, objective, dual_objective)
+    lp._final, lp._priced = (basis, lu), record
+    primal = dict(zip(std.names, values.tolist()))
+    return LpSolution(
+        Status.OPTIMAL, objective[-1], primal, tuple(y[-1].tolist()), dual_objective[-1]
+    )
+
+
 def _verify(
     std: _Standardized,
-    k: int,
+    first: int,
     free: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     reduced: np.ndarray,
-    objective: float,
-    dual_objective: float,
+    objective: Sequence[float],
+    dual_objective: Sequence[float],
 ) -> None:
-    """Raise :class:`SolverError` unless the values certify an optimum of objective ``k``.
+    """Raise :class:`SolverError` unless the values certify an optimum of each objective given.
 
-    The program certified is ``std``'s with the columns that are not
+    Row ``k`` of ``free``, ``y`` and ``reduced``, and entry ``k`` of
+    ``objective`` and ``dual_objective``, belong to objective ``first + k``.
+    Each objective's program is ``std``'s with the columns that are not
     ``free`` (one flag per variable, then per ``<=`` row's slack) fixed at
     zero: a fixed variable's reduced cost may have either sign, and a row
     whose slack is fixed is an ``=`` row.  ``x`` holds the original
     variables' values, ``y`` one dual per constraint and ``reduced`` the
-    variables' reduced costs ``c_k - A'y``.
+    variables' reduced costs ``c_k - A'y``.  Every check runs on every
+    objective; the error names the first failing objective's first failing
+    check.
     """
 
+    objective, dual_objective = np.asarray(objective), np.asarray(dual_objective)
     # every comparison below is false for NaN, so non-finite values must fail first
-    finite = math.isfinite(objective) and math.isfinite(dual_objective)
-    if not (finite and np.isfinite(x).all() and np.isfinite(y).all()):
-        raise SolverError("certificate has a non-finite value")
+    finite = np.isfinite(objective) & np.isfinite(dual_objective) & np.isfinite(y).all(axis=1)
+    finite &= np.isfinite(x).all()
     tol = FEAS_TOL * float(std.b.max(initial=1.0))
-    resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=len(y)) - std.b
-    slack, names, n = std.cost_slack[k], std.names, len(x)
-    eq = std.row_eq.copy()
-    eq[~std.row_eq] = ~free[n:]
+    resid = np.bincount(std.nz_con, std.nz_coef * x[std.nz_var], minlength=y.shape[1]) - std.b
+    slack, names, n = std.cost_slack[first : first + len(y)], std.names, len(x)
+    eq = np.repeat(std.row_eq[None], len(y), axis=0)
+    eq[:, ~std.row_eq] = ~free[:, n:]
+    gap = np.abs(objective - dual_objective)
     checks = [
+        (~finite[:, None],
+         lambda k, _: "certificate has a non-finite value"),
         ((resid > tol) | (eq & (resid < -tol)),
-         lambda i: f"row {i} violated by {resid[i]:g}"),
+         lambda k, i: f"row {i} violated by {resid[i]:g}"),
         (~eq & (y > GAP_TOL),
-         lambda i: f"row {i} has wrong dual sign {y[i]:g}"),
+         lambda k, i: f"row {i} has wrong dual sign {y[k, i]:g}"),
         (~eq & (np.abs(y) > GAP_TOL) & (np.abs(resid) > tol * 10),
-         lambda i: f"row {i} breaks complementary slackness"),
-        (x < -tol,
-         lambda j: f"variable {names[j]} out of bounds: {x[j]:g}"),
-        (free[:n] & (reduced < -slack),
-         lambda j: f"variable {names[j]} has reduced cost {reduced[j]:g} of the wrong sign"),
+         lambda k, i: f"row {i} breaks complementary slackness"),
+        ((x < -tol)[None].repeat(len(y), axis=0),
+         lambda k, j: f"variable {names[j]} out of bounds: {x[j]:g}"),
+        (free[:, :n] & (reduced < -slack),
+         lambda k, j: f"variable {names[j]} has reduced cost {reduced[k, j]:g} of the wrong sign"),
+        ((gap > GAP_TOL * (1.0 + np.abs(objective)))[:, None],
+         lambda k, _: f"duality gap {gap[k]:g} exceeds tolerance"),
     ]
-    if np.concatenate([mask for mask, _ in checks]).any():
-        mask, message = next(check for check in checks if check[0].any())
-        raise SolverError(message(int(np.flatnonzero(mask)[0])))
-    gap = abs(objective - dual_objective)
-    if gap > GAP_TOL * (1.0 + abs(objective)):
-        raise SolverError(f"duality gap {gap:g} exceeds tolerance")
+    failed = np.concatenate([mask for mask, _ in checks], axis=1).any(axis=1)
+    if failed.any():
+        k = int(failed.argmax())
+        mask, message = next(check for check in checks if check[0][k].any())
+        raise SolverError(message(k, int(mask[k].argmax())))
 
 
 def solve(lp: LinearProgram) -> LpSolution:

@@ -15,8 +15,9 @@ import scipy.sparse
 
 from netinverse import inverse, simplex
 from netinverse.errors import SolverError
-from netinverse.network import Link, Network, Path
+from netinverse.network import CapacitySpec, Link, Network, Path, enumerate_paths
 from netinverse.simplex import FEAS_TOL, GAP_TOL, LinearProgram, Status, solve
+from test_inverse import grid
 
 
 def brute_force_minimum(lp: LinearProgram) -> float | None:
@@ -606,7 +607,9 @@ def verify(std, sol: simplex.LpSolution, k: int = 0, fixed=()) -> None:
     free = np.ones(std.n_real, dtype=bool)
     free[list(fixed)] = False
     reduced = (std.c[k] - std.at @ y)[: len(x)]
-    simplex._verify(std, k, free, x, y, reduced, sol.objective, sol.dual_objective)
+    simplex._verify(
+        std, k, free[None], x, y[None], reduced[None], [sol.objective], [sol.dual_objective]
+    )
 
 
 class TestVerify:
@@ -990,7 +993,11 @@ class TestPivotMemo:
             self.assert_as_fresh(prior, lps)
 
     def test_unchanged_lp_takes_no_pivot(self, monkeypatch):
-        """One pricing step per stage confirms the kept basis; from the third solve no LU is made."""
+        """The second solve confirms the kept basis with one pricing step per stage.
+
+        It records that pricing, and the third solve reads it: no pricing
+        step and no LU.
+        """
 
         pricing = count_pricing(monkeypatch)
         factorised: list[int] = []
@@ -1000,13 +1007,13 @@ class TestPivotMemo:
         prior = self.priors(6, 1)[0]
         first = self.lexicographic(prior, lps)
         assert len(pricing) > 2
-        for factorisations in (2, 0):
+        for steps, factorisations in ((2, 2), (0, 0)):
             pricing.clear()
             factorised.clear()
             assert self.lexicographic(prior, lps) == tuple(
                 dataclasses.replace(s, pivots=0) for s in first
             )
-            assert (len(pricing), len(factorised)) == (2, factorisations)
+            assert (len(pricing), len(factorised)) == (steps, factorisations)
 
     def test_redundant_row_made_inconsistent_is_infeasible(self, caplog):
         """A kept basis whose redundant row's artificial turns positive is not taken."""
@@ -1231,6 +1238,175 @@ class TestStartBasis:
         # one failed certificate, then both objectives' under Bland's rule from phase 1
         assert len(calls) == 3 and solution.pivots > 0
         assert solution == simplex._solve_once(cold, True)
+
+
+class TestPricingRecord:
+    """A re-solve from a basis a warm solve confirmed with no pivot reads that solve's pricing.
+
+    The record holds each objective's duals, reduced costs and free mask.
+    They depend on the basis, its LU and the costs, never on ``b``, so a
+    re-solve that reads them answers as the program without them does, bit
+    for bit.
+    """
+
+    @staticmethod
+    def inverse_calls(case, nd_net, fourlink_net):
+        """One inverse problem's call under a prior, on one kept handle, and its priced links."""
+
+        lps = inverse.InverseLPs()
+        if case == "nd price":
+            priced = CapacitySpec.priced_only([1, 7])
+            route = Path("1", "2", (2, 18, 11))
+            return (lambda prior: inverse.infer_dual_prices(
+                nd_net, nd_net.base_costs(), priced, prior, route, lps)), [1, 7]
+        if case == "four-link cost":
+            route = Path("1", "4", (1, 3, 5))
+            ids = [l.id for l in fourlink_net.links]
+            return (lambda prior: inverse.infer_link_costs(fourlink_net, prior, route, lps)), ids
+        net = grid(4, np.random.default_rng(1))
+        route = enumerate_paths(net, ("0.0", "3.3"), 1000)[-1]
+        ids = [l.id for l in net.links]
+        priced = CapacitySpec.priced_only(ids)
+        return (lambda prior: inverse.infer_dual_prices(
+            net, net.base_costs(), priced, prior, route, lps)), ids
+
+    @staticmethod
+    def solve_both_ways(outcomes: list[str]):
+        """``solve``, and where the program holds a record, ``solve`` again with it dropped.
+
+        The two answers must be equal; so must the records the two solves
+        leave.  ``outcomes`` gets one entry per solve that held a record.
+        """
+
+        def both_ways(lp: LinearProgram) -> simplex.LpSolution:
+            final, record = lp._final, lp._priced
+            answer = solve(lp)
+            if record is None:
+                return answer
+            left = lp._final, lp._priced
+            lp._final, lp._priced = final, None
+            assert solve(lp) == answer
+            if left[1] is None:
+                assert lp._priced is None and answer.pivots > 0
+                outcomes.append("phase 1")
+            else:
+                assert left[1] is record and lp._final[0] == left[0][0]
+                assert all(map(np.array_equal, lp._priced, record))
+                outcomes.append("record")
+            return answer
+
+        return both_ways
+
+    @pytest.mark.parametrize("case", ["nd price", "four-link cost", "4x4 grid price"])
+    def test_resolve_from_the_record_equals_one_without(
+        self, case, nd_net, fourlink_net, monkeypatch
+    ):
+        call, ids = self.inverse_calls(case, nd_net, fourlink_net)
+        outcomes: list[str] = []
+        monkeypatch.setattr(inverse, "solve", self.solve_both_ways(outcomes))
+        rng = np.random.default_rng(29)
+        prior = dict.fromkeys(ids, 0.0)
+        for _ in range(60):
+            # a repeat, a small step (the kept basis mostly stays feasible) or a fresh draw
+            step = rng.choice(["repeat", "small", "fresh"], p=[0.3, 0.4, 0.3])
+            if step == "small":
+                prior = {lid: max(0.0, p + float(rng.normal(0.0, 0.01)))
+                         for lid, p in prior.items()}
+            elif step == "fresh":
+                prior = {lid: float(rng.uniform(0.0, 5.0)) for lid in ids}
+            call(prior)
+        assert outcomes.count("record") >= 10 and "phase 1" in outcomes
+
+    def test_redundant_row_made_inconsistent_drops_the_record(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y", cost=2.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        lp.add_constraint({x: 2.0, y: 2.0}, "=", 4.0)  # redundant: its artificial stays basic
+        lp.add_constraint({x: 1.0}, "<=", 1.5)
+        lp.add_objective({y: 1.0})
+        outcomes: list[str] = []
+        both_ways = self.solve_both_ways(outcomes)
+        first, second, third = (both_ways(lp) for _ in range(3))
+        assert lp._priced is not None and outcomes == ["record"]
+        assert first.pivots > 0 and second == third == dataclasses.replace(first, pivots=0)
+        lp.set_rhs(1, 5.0)  # 2x + 2y = 5 contradicts x + y = 2
+        assert both_ways(lp).status is Status.INFEASIBLE
+        assert outcomes == ["record", "phase 1"]
+        assert lp._priced is None and lp._final is None
+
+    def test_warm_solve_that_pivots_records_nothing(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y", cost=1.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        lp.add_objective({x: 1.0})
+        solve(lp)
+        solve(lp)
+        assert lp._final[0] == [y] and lp._priced is not None
+        lp._final, lp._priced = ([x], None), None  # optimal for the first objective only
+        assert solve(lp).pivots == 1 and lp._final[0] == [y] and lp._priced is None
+        assert solve(lp).pivots == 0 and lp._priced is not None
+
+    def test_failed_certificate_restarts_under_bland(self, monkeypatch, caplog):
+        """A record whose certificate fails restarts from phase 1, as a cold program does."""
+
+        lp, _, cold = TestStartBasis.stages([0.0] * 24)
+        assert lp._priced is not None  # the second solve took no pivot
+        real = simplex._verify
+        calls = []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise SolverError("row 0 violated by 0.001")
+            return real(*args)
+
+        monkeypatch.setattr(simplex, "_verify", fail_first)
+        with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
+            solution = solve(lp)
+        assert [r.getMessage() for r in caplog.records] == [
+            "simplex solve failed (row 0 violated by 0.001); restarting under Bland's rule"
+        ]
+        # one pass over both objectives from the record, then one per objective from phase 1
+        assert [len(args[4]) for args in calls] == [2, 1, 1]
+        assert solution.pivots > 0 and lp._priced is None
+        assert solution == simplex._solve_once(cold, True)
+
+    def test_one_certificate_pass_reports_the_first_failing_objective(self):
+        """Every check runs on every objective; the first failing one's first check is named."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, "<=", 2.0)
+        lp.add_objective({y: -1.0})
+        std = simplex._standardize(lp)
+        free = np.ones((2, std.n_real), dtype=bool)
+        values = np.array([0.0, 2.0])
+        duals = np.array([[0.0], [-1.0]])
+        reduced = np.array([[1.0, 0.0], [1.0, 0.0]])  # c - A'y: [1, 0] - 0, [0, -1] + [1, 1]
+        good = ([0.0, -2.0], [0.0, -2.0])
+        simplex._verify(std, 0, free, values, duals, reduced, *good)
+        # each objective's reduced costs take its own costs' slack: y costs -1
+        # in objective 1, so 2 GAP_TOL there, and 0 in objective 0, so GAP_TOL
+        within = reduced.copy()
+        within[1, 1] = -1.5 * GAP_TOL
+        simplex._verify(std, 0, free, values, duals, within, *good)
+        with pytest.raises(SolverError, match="variable y has reduced cost"):
+            simplex._verify(std, 0, free, values, duals, within[::-1], *good)
+        # objective 1 fails its gap check only, objective 0 its dual sign and its gap
+        bad = duals.copy()
+        bad[0, 0] = 1.0
+        with pytest.raises(SolverError, match="row 0 has wrong dual sign 1"):
+            simplex._verify(std, 0, free, values, bad, reduced, [0.0, -2.0], [2.0, -1.0])
+        with pytest.raises(SolverError, match="duality gap 1 exceeds"):
+            simplex._verify(std, 0, free, values, duals, reduced, [0.0, -2.0], [0.0, -1.0])
+        # a later objective's non-finite value comes after an earlier one's failure
+        with pytest.raises(SolverError, match="row 0 has wrong dual sign"):
+            simplex._verify(std, 0, free, values, bad, reduced, [0.0, -2.0], [0.0, math.nan])
+        with pytest.raises(SolverError, match="non-finite"):
+            simplex._verify(std, 0, free, values, duals, reduced, [0.0, -2.0], [0.0, math.nan])
 
 
 def highs_lexicographic_values(lp: LinearProgram) -> list[float]:
