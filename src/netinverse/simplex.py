@@ -44,17 +44,21 @@ exceeds ``OPT_TOL`` is zero at each of its optima, by complementary
 slackness with the certified duals, and is fixed at zero.  The next
 objective is priced from the same basis, with the same LU and basic
 values, and only columns not fixed may enter.  Each objective's optimum is
-certified on the program with the fixed columns removed.
+certified on the program with the fixed columns removed, at the basis its
+duals were priced at: the last one's at the values the solve returns, an
+earlier one's where its own stage ended.  Not at the answer: a later
+objective may bring in a column whose reduced cost was within ``OPT_TOL``
+of zero, and at the answer the earlier duals leave a gap of up to
+``OPT_TOL`` per unit of it.
 
 Re-solves
 ---------
 A :class:`LinearProgram` holds its right-hand sides in one array, which
 :meth:`~LinearProgram.set_rhs` writes into and which is its standard form's
-``b``.  A program keeps the final basis of its last optimal solve.  From its
-second solve on it also keeps its standard form, built once per structure,
-and the LU of that final basis.  ``add_variable``, ``add_constraint``,
-``set_objective`` and ``add_objective`` drop all three, and the pricing
-record below.
+``b``.  A program keeps its standard form, built once per structure, from its
+first solve on, and the final basis of its last optimal solve with that
+basis's LU.  ``add_variable``, ``add_constraint``, ``set_objective`` and
+``add_objective`` drop all three, and the pricing record below.
 
 A re-solve starts from the kept basis where its basic values are feasible
 and its artificials, those of redundant rows, are zero, both to within
@@ -72,12 +76,14 @@ objective's duals ``c_B B^-1``, its reduced costs ``c - A'y`` and the
 columns it fixes at zero.  So a re-solve that starts from the kept basis and
 takes no pivot keeps them beside that basis, stacked, one row per
 objective: the program's pricing record.  A later re-solve that finds the
-same basis feasible reads the record instead of pricing.  It solves once
-with the kept LU for ``B^-1 b``, computes the values and each objective's
-objective and dual objective, and certifies every objective in one pass; its
-answer is, bit for bit, the one pricing would give.  The structural changes
-above drop the record, and so does any solve that pivots, runs phase 1 or
-restarts under Bland's rule.
+same basis feasible reads the record instead of pricing, and solves once
+with the kept LU for ``B^-1 b``.  Priced or read, each objective's duals,
+reduced costs and fixed columns go to the same tail: the values, and each
+objective's objective and dual objective.  Every objective in the record was
+priced at the one basis, so one certificate pass checks them all at the
+values returned.  A re-solve that reads the record answers, bit for bit, as
+pricing would.  The structural changes above drop the record, and so does
+any solve that pivots, runs phase 1 or restarts under Bland's rule.
 
 Conventions
 -----------
@@ -172,13 +178,12 @@ class LinearProgram:
     def _changed(self) -> None:
         """The structure changed: drop the standard form, the final basis and its pricing."""
 
-        self._std: _Standardized | None = None
-        # the last optimal solve's basis and, where the form is kept, its LU
+        self._std: _Standardized | None = None  # kept from the first solve on
+        # the last optimal solve's final basis and its LU
         self._final: tuple[list[int], object] | None = None
         # that basis's pricing record: each objective's duals, reduced costs
         # and free mask, stacked, where a warm solve confirmed it with no pivot
         self._priced: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._solved = False
 
     # -- construction -----------------------------------------------------
 
@@ -645,11 +650,8 @@ def _drive_out_artificials(std: _Standardized, basis: list[int], pivoter: _Pivot
 
 
 def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
-    keep = lp._solved  # a first solve keeps no form and no LU: most programs are solved once
-    lp._solved = True
-    std = lp._std or _standardize(lp)
-    lp._std = std if keep else None
-    (m, width), n_real = std.a.shape, std.n_real
+    std = lp._std = lp._std or _standardize(lp)
+    (m, width), n_real, n = std.a.shape, std.n_real, len(std.names)
     tol = FEAS_TOL * float(std.b.max(initial=1.0))
     record, lp._priced = lp._priced, None
 
@@ -659,7 +661,6 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     basis = None
     if lp._final is not None and not force_bland:
         start, lu = lp._final
-        lu = _factor(std.a, start) if lu is None else lu
         x_b = _lu_solve(lu, std.b)
         artificial = x_b[[i for i, col in enumerate(start) if col >= n_real]]
         if x_b.min(initial=0.0) >= -tol and artificial.max(initial=0.0) <= tol:
@@ -667,60 +668,71 @@ def _solve_once(lp: LinearProgram, force_bland: bool) -> LpSolution:
     lp._final = None
     warm = basis is not None
     if warm and record is not None:
-        return _from_record(lp, std, basis, lu, x_b, record)
-    pivoter = _Pivoter(std, stall_limit=max(50, 2 * m))
-    pivoter.bland = force_bland
-
-    if warm:
-        pivoter.factor(basis, lu, x_b)
+        # pricing reads the basis, its LU and the costs, never ``b``: every
+        # objective prices as it did in the solve that made the record, takes
+        # no pivot and fixes the same columns, all at the one basis
+        (y, reduced, free), pivots, first = record, 0, 0
     else:
-        # phase 1, from the artificial columns of the rows no slack can start
-        basis = list(std.basis)
-        if width > n_real:
-            c1 = np.zeros(width)
-            c1[n_real:] = 1.0
-            if pivoter.run(c1, basis) != "optimal":
-                raise SolverError("phase 1 reported unbounded")
-            x_b = pivoter.values(basis)
-            infeas = sum(x_b[[i for i, col in enumerate(basis) if col >= n_real]].tolist())
-            if infeas > tol:
-                return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
-            _drive_out_artificials(std, basis, pivoter)
-
-    # phase 2, once per objective, each among the optima of the ones before
-    n = len(std.names)
-    priced = []  # each objective's duals, reduced costs and free mask
-    for k, c in enumerate(std.c):
-        if k:
-            # a column the objective before prices out is zero at every optimum
-            # of it (complementary slackness): fix it at zero, in a new mask,
-            # since ``priced`` holds the one before
-            pivoter.free = pivoter.free & (reduced[:n_real] <= OPT_TOL)
-        if pivoter.run(c, basis) == "unbounded":
-            return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
-
-        # an LU of the final basis, not the loop's eta file: the values below
-        # depend on the final basis alone
-        lu = pivoter.factor(basis)
-        if pivoter.priced is not None:
-            y, reduced = pivoter.priced
+        pivoter = _Pivoter(std, stall_limit=max(50, 2 * m))
+        pivoter.bland = force_bland
+        if warm:
+            pivoter.factor(basis, lu, x_b)
         else:
-            y = _lu_solve(lu, c[basis], trans=1)
-            reduced = c - std.at @ y
-        values = _primal(std, basis, pivoter.values(basis))
-        objective = float(sum((std.cost[k] * values).tolist()))
-        dual_objective = float(std.b @ y)
-        priced.append((y, reduced[:n], pivoter.free))
-        _verify(std, k, pivoter.free[None], values, y[None], reduced[None, :n],
-                [objective], [dual_objective])
+            # phase 1, from the artificial columns of the rows no slack can start
+            basis = list(std.basis)
+            if width > n_real:
+                c1 = np.zeros(width)
+                c1[n_real:] = 1.0
+                if pivoter.run(c1, basis) != "optimal":
+                    raise SolverError("phase 1 reported unbounded")
+                x_b = pivoter.values(basis)
+                infeas = sum(x_b[[i for i, col in enumerate(basis) if col >= n_real]].tolist())
+                if infeas > tol:
+                    return LpSolution(Status.INFEASIBLE, pivots=pivoter.pivots)
+                _drive_out_artificials(std, basis, pivoter)
 
-    lp._final = (basis, lu if keep else None)
-    if warm and not pivoter.pivots:
+        # phase 2, once per objective, each among the optima of the ones before
+        priced = []  # each objective's duals, reduced costs and free mask
+        for k, c in enumerate(std.c):
+            if k:
+                # a column the objective before prices out is zero at every optimum
+                # of it (complementary slackness): fix it at zero, in a new mask,
+                # since ``priced`` holds the one before
+                pivoter.free = pivoter.free & (reduced[:n_real] <= OPT_TOL)
+            if pivoter.run(c, basis) == "unbounded":
+                return LpSolution(Status.UNBOUNDED, pivots=pivoter.pivots)
+            # an LU of the final basis, not the loop's eta file: the values below
+            # depend on the final basis alone
+            lu = pivoter.factor(basis)
+            if pivoter.priced is not None:
+                y, reduced = pivoter.priced
+            else:
+                y = _lu_solve(lu, c[basis], trans=1)
+                reduced = c - std.at @ y
+            priced.append((y, reduced[:n], pivoter.free))
+            if k < len(std.c) - 1:
+                # certified here, at the basis its duals were priced at: a later
+                # objective may bring in a column whose reduced cost here is
+                # within OPT_TOL of zero, which at the answer would open a gap
+                # of up to OPT_TOL per unit of it
+                values = _primal(std, basis, pivoter.values(basis))
+                _verify(std, k, pivoter.free[None], values, y[None], reduced[None, :n],
+                        [float(sum((std.cost[k] * values).tolist()))], [float(std.b @ y)])
+        y, reduced, free = map(np.array, zip(*priced))
+        x_b, pivots, first = pivoter.values(basis), pivoter.pivots, len(std.c) - 1
         # every later solve from this basis that finds it feasible prices the same
-        lp._priced = tuple(map(np.array, zip(*priced)))
+        record = (y, reduced, free) if warm and not pivots else None
+
+    # one certificate pass over the objectives not yet certified, at the
+    # values returned: the last one, or every one on a read record
+    values = _primal(std, basis, x_b)
+    objective = [float(sum(row)) for row in (std.cost[first:] * values).tolist()]
+    dual_objective = [float(std.b @ duals) for duals in y[first:]]
+    _verify(std, first, free[first:], values, y[first:], reduced[first:], objective, dual_objective)
+    lp._final, lp._priced = (basis, lu), record
     primal = dict(zip(std.names, values.tolist()))
     return LpSolution(
-        Status.OPTIMAL, objective, primal, tuple(y.tolist()), dual_objective, pivoter.pivots
+        Status.OPTIMAL, objective[-1], primal, tuple(y[-1].tolist()), dual_objective[-1], pivots
     )
 
 
@@ -731,34 +743,6 @@ def _primal(std: _Standardized, basis: list[int], x_b: np.ndarray) -> np.ndarray
     real = [i for i, col in enumerate(basis) if col < std.n_real]
     x[[basis[i] for i in real]] = x_b[real]
     return 0.0 + x[: len(std.names)]  # a basic value of -0.0 reads 0.0
-
-
-def _from_record(
-    lp: LinearProgram,
-    std: _Standardized,
-    basis: list[int],
-    lu,
-    x_b: np.ndarray,
-    record: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> LpSolution:
-    """The answer at the kept ``basis``, whose values ``x_b`` are feasible, from its ``record``.
-
-    Pricing reads the basis, its LU and the costs, never ``b``: every
-    objective prices as it did in the solve that made the record, takes no
-    pivot and fixes the same columns.  Only the values are new, and one
-    certificate pass checks every objective.
-    """
-
-    y, reduced, free = record
-    values = _primal(std, basis, x_b)
-    objective = [float(sum(row)) for row in (std.cost * values).tolist()]
-    dual_objective = [float(std.b @ duals) for duals in y]
-    _verify(std, 0, free, values, y, reduced, objective, dual_objective)
-    lp._final, lp._priced = (basis, lu), record
-    primal = dict(zip(std.names, values.tolist()))
-    return LpSolution(
-        Status.OPTIMAL, objective[-1], primal, tuple(y[-1].tolist()), dual_objective[-1]
-    )
 
 
 def _verify(
@@ -830,9 +814,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     objective, even after restarting under Bland's rule returns
     NUMERICAL_FAILURE rather than a wrong answer.
     A program solved again after only :meth:`LinearProgram.set_rhs` calls
-    starts from its last optimal basis: its status and objective are a fresh
-    solve's, and so are its values, to rounding, where the optimum is unique
-    (see the module docstring).
+    starts from its last optimal basis, with that basis's kept LU: its status
+    and objective are a fresh solve's, and so are its values, to rounding,
+    where the optimum is unique (see the module docstring).
     """
 
     try:

@@ -533,7 +533,8 @@ class TestInverseLPs:
             }[change]
             assert price(lps, **problem) == price(**problem)
         assert lps.key != key and lps.lp is not lp
-        assert lps.lp._std is None  # solved once since the rebuild
+        # solved once since the rebuild, it keeps a form of its own
+        assert lps.lp._std is not None and lps.lp._std is not lp._std
 
 
     def test_reused_handle_still_checks_the_prior(self, nd_net, nd_priced):

@@ -264,8 +264,7 @@ class TestBasics:
         lp.add_variable("y", cost=1.0)
         s = lp.add_variable("s")
         lp.add_constraint({x: 1.0, s: -1.0}, "=", 3.0)
-        first = solve(lp)
-        solve(lp)  # the second solve keeps the form and the final basis
+        first = solve(lp)  # it keeps the form, the final basis and its LU
         std, final = lp._std, lp._final
         with pytest.raises(SolverError, match=f"variable 'y' has non-finite cost {cost!r}"):
             lp.set_objective({x: 2.0, 1: cost})
@@ -897,7 +896,7 @@ class TestPivotMemo:
         prior = self.priors(5, 1)[0]
         lp, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), prior)
         solve(lp)
-        solve(lp)  # the second solve keeps the form and the final basis's LU
+        solve(lp)  # the second solve records its pricing
         moved = [p + 1.0 if n <= 8 else p for n, p in enumerate(prior)]
         fresh, _, _ = grid_price_inverse(self.K, np.random.default_rng(1), moved)
         lp.set_rhs(0, fresh._rhs)
@@ -970,7 +969,8 @@ class TestPivotMemo:
         x = lp.add_variable("x", cost=1.0)
         y = lp.add_variable("y")
         lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
-        solutions = [solve(lp) for _ in range(3)]  # a first solve, one keeping the form, one its LU
+        # a cold solve, a warm one that records its pricing, and one that reads it
+        solutions = [solve(lp) for _ in range(3)]
         assert solutions[1:] == [dataclasses.replace(solutions[0], pivots=0)] * 2
         assert solutions[0].primal == {"x": 0.0, "y": 2.0}
 
@@ -995,6 +995,7 @@ class TestPivotMemo:
     def test_unchanged_lp_takes_no_pivot(self, monkeypatch):
         """The second solve confirms the kept basis with one pricing step per stage.
 
+        It prices from the LU the first solve kept, so it factorises nothing.
         It records that pricing, and the third solve reads it: no pricing
         step and no LU.
         """
@@ -1007,7 +1008,7 @@ class TestPivotMemo:
         prior = self.priors(6, 1)[0]
         first = self.lexicographic(prior, lps)
         assert len(pricing) > 2
-        for steps, factorisations in ((2, 2), (0, 0)):
+        for steps, factorisations in ((2, 0), (0, 0)):
             pricing.clear()
             factorised.clear()
             assert self.lexicographic(prior, lps) == tuple(
@@ -1096,7 +1097,7 @@ class TestSetRhs:
             expected = solve(fresh)
             assert expected.status is Status.OPTIMAL
             assert solve(lp) == expected
-            solve(lp)  # a program whose structure changed keeps its form from its second solve
+            # a program whose structure changed keeps its new form from its first solve on
             assert lp._std is not None and lp._std is not kept
             reference = simplex._standardize(fresh)
             for name in ("cost_slack", "row_eq", "cost"):
@@ -1124,17 +1125,28 @@ class TestSetRhs:
             solve(lp)
             change(lp)
             assert lp._std is None and lp._final is None
-            solve(lp)  # a first solve of the new structure: its final basis, with no LU
-            assert lp._std is None and lp._final[-1] is None
+            solve(lp)  # a first solve of the new structure keeps its form, basis and LU
+            assert lp._std is not None and lp._final[-1] is not None
 
-    def test_lp_solved_once_holds_no_record(self):
-        """A program solved once keeps its final basis, but not its form or that basis's LU."""
+    def test_lp_solved_once_keeps_its_form_and_lu(self, monkeypatch):
+        """A program solved once keeps its form, its final basis and that basis's LU."""
 
         lp, _, _ = grid_price_inverse(4, np.random.default_rng(1))
-        solve(lp)
-        assert lp._std is None and lp._final[-1] is None
-        solve(lp)
-        assert lp._std is not None and lp._final[-1] is not None
+        first = solve(lp)
+        std, (basis, lu) = lp._std, lp._final
+        assert std is not None and first.pivots > 0
+        fresh = simplex._factor(std.a, basis)
+        assert np.array_equal(simplex._lu_solve(lu, lp._rhs), simplex._lu_solve(fresh, lp._rhs))
+        # the second solve builds no form and factorises no basis
+        built: list[str] = []
+        for name in ("_standardize", "_factor"):
+            def counting(*args, name=name, real=getattr(simplex, name)):
+                built.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(simplex, name, counting)
+        assert solve(lp) == dataclasses.replace(first, pivots=0)
+        assert lp._std is std and not built
 
     def test_cached_standard_form_is_not_mutated(self):
         """Redundant rows keep their artificial basic, and no solve writes the kept form."""
@@ -1344,7 +1356,8 @@ class TestPricingRecord:
         solve(lp)
         solve(lp)
         assert lp._final[0] == [y] and lp._priced is not None
-        lp._final, lp._priced = ([x], None), None  # optimal for the first objective only
+        # a basis optimal for the first objective only, with its LU
+        lp._final, lp._priced = ([x], simplex._factor(lp._std.a, [x])), None
         assert solve(lp).pivots == 1 and lp._final[0] == [y] and lp._priced is None
         assert solve(lp).pivots == 0 and lp._priced is not None
 
@@ -1462,6 +1475,61 @@ class TestObjectivesInOrder:
         assert solution.primal == {"x": 0.0, "y": 2.0} and solution.objective == 0.0
         assert solution.pivots == first.pivots + 1
         assert "then min +1*x" in lp.dump()
+
+    def test_cold_solve_certifies_each_objective_at_its_own_basis(self, monkeypatch):
+        """An earlier objective is certified where its stage ends, the last one at the answer.
+
+        The first objective's own stage ends at x = 2, where its duals were
+        priced; the second pivots to the answer, x = 0.
+        """
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0)
+        y = lp.add_variable("y", cost=1.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+        lp.add_objective({x: 1.0})
+        real = simplex._verify
+        calls = []
+        monkeypatch.setattr(simplex, "_verify", lambda *args: calls.append(args) or real(*args))
+        solution = solve(lp)
+        assert solution.status is Status.OPTIMAL and solution.pivots > 0
+        assert [(args[1], len(args[4])) for args in calls] == [(0, 1), (1, 1)]
+        (_, _, _, stage_end, *_), (_, _, _, values, duals, _, objective, dual_objective) = calls
+        assert stage_end.tolist() == [2.0, 0.0]
+        assert values.tolist() == [solution["x"], solution["y"]] == [0.0, 2.0]
+        assert objective == [0.0] and dual_objective == [solution.dual_objective]
+
+    def test_near_zero_reduced_cost_entering_later_keeps_the_certificate(self, caplog):
+        """A column left free within OPT_TOL of zero that a later objective brings in.
+
+        The first objective's stage ends at x = 10000: y's reduced cost,
+        -1e-10, is within OPT_TOL.  The second brings y in, and at the answer
+        the first objective's stage-end duals would leave a gap of 1e-6.
+        """
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1e-10)
+        y = lp.add_variable("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, "=", 10000.0)
+        lp.add_objective({x: 1.0})
+        with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
+            solution = solve(lp)
+        assert solution.status is Status.OPTIMAL and not caplog.records
+        assert solution.primal == {"x": 0.0, "y": 10000.0}
+
+    def test_later_objective_unbounded_keeps_no_basis(self, caplog):
+        """An objective unbounded among the optima of the ones before: the program is UNBOUNDED."""
+
+        lp = LinearProgram()
+        x = lp.add_variable("x")
+        y = lp.add_variable("y")
+        lp.add_constraint({x: 1.0, y: -1.0}, "<=", 1.0)
+        lp.add_objective({x: -1.0})  # every point is optimal for the first objective
+        with caplog.at_level(logging.WARNING, logger="netinverse.simplex"):
+            for _ in range(3):
+                assert solve(lp) == simplex.LpSolution(Status.UNBOUNDED, pivots=1)
+                assert lp._final is None and lp._priced is None
+        assert not caplog.records
 
     def test_fixed_slack_row_takes_a_dual_of_either_sign(self):
         """x + y <= 2 is tight at every optimum of the first objective: an "=" row after it."""
